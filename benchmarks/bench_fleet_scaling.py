@@ -15,28 +15,12 @@ along two axes:
   asserted: the device pipeline is CPU-bound numpy under the GIL, so
   thread-level gains materialise with multiple cores (and free-threaded
   builds), while a single-core CI box honestly reports ~1x.
-
-This module also hosts the registered ``process_index_scaling`` case:
-batch-query throughput of the process-parallel index
-(:class:`repro.index.ProcessShardedIndex`) against the thread-sharded
-index at matched shard counts, over a synthetic corpus of up to 10^6
-descriptors — wall, p99 batch latency, and peak RSS per worker count,
-with thread/process answers asserted byte-identical per configuration.
 """
-# beeslint: disable-file=raw-timing (batch-query latency/throughput timing is the measurement)
 
 from __future__ import annotations
 
-import os
-import resource
-import time
-
-import numpy as np
-
 from repro.analysis.reporting import format_table
-from repro.features.base import FeatureSet
 from repro.fleet import FleetRunner, assert_equivalent
-from repro.index import ProcessShardedIndex, ShardedFeatureIndex
 
 from common import merge_params
 
@@ -59,30 +43,6 @@ QUICK_PARAMS = {
     "n_rounds": 2,
     "batch_size": 4,
 }
-
-
-#: Worker counts × synthetic corpus for the process-index case.  At
-#: full scale the corpus holds 10^6 descriptors (2000 images × 500).
-PROCESS_INDEX_PARAMS = {
-    "workers": [1, 2, 4, 8],
-    "n_images": 2000,
-    "descriptors_per_image": 500,
-    "n_queries": 64,
-    "query_batch_size": 16,
-    "seed": 23,
-}
-PROCESS_INDEX_QUICK_PARAMS = {
-    "workers": [1, 2],
-    "n_images": 48,
-    "descriptors_per_image": 64,
-    "n_queries": 12,
-    "query_batch_size": 6,
-}
-
-#: The acceptance gate: ≥2x batch-query speedup over thread shards at
-#: this worker count — only assertable on a machine that has the cores.
-SPEEDUP_GATE_WORKERS = 8
-SPEEDUP_GATE = 2.0
 
 
 def run(params: "dict | None" = None) -> dict:
@@ -171,195 +131,3 @@ def test_fleet_scaling(benchmark, emit):
     # Speedup stays a report, not a gate: single-core CI boxes cannot
     # honestly exceed 1x on a GIL-bound numpy pipeline.
     assert all(row["speedup"] > 0.0 for row in data["rows"].values())
-
-
-# ---------------------------------------------------------------------------
-# process_index_scaling — ProcessShardedIndex vs. thread shards
-# ---------------------------------------------------------------------------
-
-
-def _synthetic_corpus(n_images: int, descriptors_per_image: int, seed: int):
-    """Deterministic orb-like feature sets (random bit-packed rows)."""
-    rng = np.random.default_rng(seed)
-    corpus = []
-    for number in range(n_images):
-        n = descriptors_per_image
-        corpus.append(
-            FeatureSet(
-                kind="orb",
-                descriptors=rng.integers(0, 256, (n, 32), dtype=np.uint8),
-                xs=rng.uniform(0.0, 640.0, n),
-                ys=rng.uniform(0.0, 480.0, n),
-                pixels_processed=640 * 480,
-                image_id=f"img-{number:06d}",
-            )
-        )
-    return corpus
-
-
-def _perturbed_queries(corpus, n_queries: int, seed: int):
-    """Near-duplicates of stored images: flips ~10% of descriptor bytes,
-    so queries exercise the full vote → verify path, not just misses."""
-    rng = np.random.default_rng(seed + 1)
-    stride = max(1, len(corpus) // max(1, n_queries))
-    queries = []
-    for number, features in enumerate(corpus[::stride][:n_queries]):
-        descriptors = features.descriptors.copy()
-        flips = rng.random(descriptors.shape) < 0.1
-        descriptors[flips] ^= rng.integers(
-            1, 256, int(flips.sum()), dtype=np.uint8
-        )
-        queries.append(
-            FeatureSet(
-                kind="orb",
-                descriptors=descriptors,
-                xs=features.xs,
-                ys=features.ys,
-                pixels_processed=features.pixels_processed,
-                image_id=f"query-{number:04d}",
-            )
-        )
-    return queries
-
-
-def _timed_query_batches(index, queries, batch_size: int):
-    """(results, total wall seconds, per-batch latencies)."""
-    results = []
-    latencies = []
-    started = time.perf_counter()
-    for offset in range(0, len(queries), batch_size):
-        batch = queries[offset : offset + batch_size]
-        batch_started = time.perf_counter()
-        results.extend(index.query_batch(batch))
-        latencies.append(time.perf_counter() - batch_started)
-    return results, time.perf_counter() - started, latencies
-
-
-def _p99(latencies) -> float:
-    ordered = sorted(latencies)
-    return ordered[int(0.99 * (len(ordered) - 1))] if ordered else 0.0
-
-
-def _peak_rss_mb() -> float:
-    """Peak resident set of this process plus reaped children (MiB).
-
-    Covers the shard workers (children) and the coordinator's attached
-    arenas — the "bounded RAM" number for the scaling claim.  Linux
-    reports ``ru_maxrss`` in KiB.
-    """
-    usage = (
-        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        + resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    )
-    return usage / 1024.0
-
-
-def run_process_index_scaling(
-    workers=(1, 2, 4, 8),
-    n_images: int = 2000,
-    descriptors_per_image: int = 500,
-    n_queries: int = 64,
-    query_batch_size: int = 16,
-    seed: int = 23,
-):
-    corpus = _synthetic_corpus(n_images, descriptors_per_image, seed)
-    queries = _perturbed_queries(corpus, n_queries, seed)
-    rows = {}
-    for n_workers in (int(w) for w in workers):
-        thread_index = ShardedFeatureIndex(n_shards=n_workers)
-        for features in corpus:
-            thread_index.add(features)
-        thread_results, thread_wall, thread_latencies = _timed_query_batches(
-            thread_index, queries, query_batch_size
-        )
-        # Fork start method: this harness is single-threaded, and fork
-        # skips a per-worker interpreter boot that would pollute the
-        # build-time series.
-        with ProcessShardedIndex(n_shards=n_workers, mp_context="fork") as pool:
-            build_started = time.perf_counter()
-            for offset in range(0, len(corpus), 64):
-                pool.add_batch(corpus[offset : offset + 64])
-            build_wall = time.perf_counter() - build_started
-            process_results, process_wall, process_latencies = (
-                _timed_query_batches(pool, queries, query_batch_size)
-            )
-        # The contract that makes the speedup meaningful: both modes
-        # return byte-identical answers for every query.
-        assert process_results == thread_results
-        rows[n_workers] = {
-            "n_descriptors": n_images * descriptors_per_image,
-            "thread_wall_seconds": thread_wall,
-            "process_wall_seconds": process_wall,
-            "process_build_seconds": build_wall,
-            "thread_p99_batch_seconds": _p99(thread_latencies),
-            "process_p99_batch_seconds": _p99(process_latencies),
-            "speedup": thread_wall / max(process_wall, 1e-9),
-            "queries_per_second": len(queries) / max(process_wall, 1e-9),
-            "peak_rss_mb": _peak_rss_mb(),
-        }
-    return {"rows": rows, "n_queries": len(queries)}
-
-
-def process_index_run(params: "dict | None" = None) -> dict:
-    """Registered bench entry point (``repro bench run``)."""
-    p = merge_params(PROCESS_INDEX_PARAMS, params)
-    data = run_process_index_scaling(**p)
-    return {
-        "n_queries": int(data["n_queries"]),
-        "workers": {
-            f"{n_workers}w": {
-                key: float(value) for key, value in row.items()
-            }
-            for n_workers, row in data["rows"].items()
-        },
-    }
-
-
-def test_process_index_scaling(benchmark, emit):
-    # Reduced corpus for the pytest smoke: the full 10^6-descriptor
-    # grid belongs to `repro bench run`, not the test suite.
-    data = benchmark.pedantic(
-        run_process_index_scaling,
-        kwargs=dict(
-            workers=(1, 2),
-            n_images=60,
-            descriptors_per_image=96,
-            n_queries=12,
-            query_batch_size=6,
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    rows = []
-    for n_workers, row in data["rows"].items():
-        rows.append(
-            [
-                f"{n_workers} workers",
-                f"{row['thread_wall_seconds'] * 1e3:.1f} ms",
-                f"{row['process_wall_seconds'] * 1e3:.1f} ms",
-                f"{row['process_p99_batch_seconds'] * 1e3:.1f} ms",
-                f"{row['speedup']:.2f}x",
-                f"{row['peak_rss_mb']:.0f} MiB",
-            ]
-        )
-    emit(
-        "Process-index scaling — batch-query wall vs. thread shards "
-        "(answers asserted identical per worker count)",
-        format_table(
-            ["workers", "thread", "process", "process p99", "speedup", "rss"],
-            rows,
-        ),
-    )
-    # The ≥2x-at-8-workers gate needs 8 cores to be falsifiable; on
-    # smaller boxes (single-core CI included) the speedup is a report,
-    # not a gate — same policy as the fleet speedup above.
-    cores = os.cpu_count() or 1
-    gated = [
-        row
-        for n_workers, row in data["rows"].items()
-        if n_workers >= SPEEDUP_GATE_WORKERS
-    ]
-    if cores >= SPEEDUP_GATE_WORKERS and gated:
-        assert all(row["speedup"] >= SPEEDUP_GATE for row in gated)
-    assert all(row["speedup"] > 0.0 for row in data["rows"].values())
-    assert all(row["peak_rss_mb"] > 0.0 for row in data["rows"].values())

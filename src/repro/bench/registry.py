@@ -26,12 +26,9 @@ from dataclasses import dataclass, field
 
 from ..errors import BenchError
 
-#: (case_id, module, figure, headline metric[, entry prefix]) for every
-#: shipped bench.  A module hosts one case by default (``run`` /
-#: ``PARAMS`` / ``QUICK_PARAMS``); the optional fifth field registers a
-#: *second* case out of the same module under prefixed names —
-#: ``<prefix>_run`` / ``<PREFIX>_PARAMS`` / ``<PREFIX>_QUICK_PARAMS``.
-CASE_SPECS: "tuple[tuple[str, ...], ...]" = (
+#: (case_id, module, figure, headline metric) for every shipped bench.
+#: Each module hosts one case (``run`` / ``PARAMS`` / ``QUICK_PARAMS``).
+CASE_SPECS: "tuple[tuple[str, str, str, str], ...]" = (
     ("fig3_bitmap_compression", "bench_fig3_bitmap_compression",
      "Figure 3", "normalized precision & extraction energy vs. proportion"),
     ("fig4_similarity_distribution", "bench_fig4_similarity_distribution",
@@ -66,9 +63,6 @@ CASE_SPECS: "tuple[tuple[str, ...], ...]" = (
      "Extension", "delay & energy under outage bursts"),
     ("fleet_scaling", "bench_fleet_scaling",
      "Extension", "sharded concurrent fleet vs. sequential reference"),
-    ("process_index_scaling", "bench_fleet_scaling",
-     "Extension", "process-pool batch-query throughput vs. thread shards",
-     "process_index"),
     ("kernels_microbench", "bench_kernels",
      "Extension", "repro.kernels speedups vs. frozen pre-kernel hot paths"),
     ("majority_vote", "bench_majority_vote",
@@ -149,26 +143,16 @@ def load_cases(case_ids: "list[str] | None" = None) -> "list[BenchCase]":
     wanted = known if case_ids is None else set(case_ids)
     bench_dir = find_benchmarks_dir()
     cases = []
-    for spec in CASE_SPECS:
-        case_id, module, figure, description = spec[:4]
+    for case_id, module, figure, description in CASE_SPECS:
         if case_id not in wanted:
             continue
-        prefix = spec[4] if len(spec) > 4 else None
-        run_name = "run" if prefix is None else f"{prefix}_run"
-        params_name = "PARAMS" if prefix is None else f"{prefix.upper()}_PARAMS"
-        quick_name = (
-            "QUICK_PARAMS"
-            if prefix is None
-            else f"{prefix.upper()}_QUICK_PARAMS"
-        )
         mod = _import_bench_module(bench_dir, module)
-        for attribute in (run_name, params_name, quick_name):
+        for attribute in ("run", "PARAMS", "QUICK_PARAMS"):
             if not hasattr(mod, attribute):
                 raise BenchError(
                     f"bench module {module!r} lacks the required {attribute!r} "
                     "attribute — every registered case must expose "
-                    f"{run_name}(params) -> dict plus "
-                    f"{params_name} / {quick_name}"
+                    "run(params) -> dict plus PARAMS / QUICK_PARAMS"
                 )
         cases.append(
             BenchCase(
@@ -176,9 +160,9 @@ def load_cases(case_ids: "list[str] | None" = None) -> "list[BenchCase]":
                 module=module,
                 figure=figure,
                 description=description,
-                run=getattr(mod, run_name),
-                params=dict(getattr(mod, params_name)),
-                quick_params=dict(getattr(mod, quick_name)),
+                run=mod.run,
+                params=dict(mod.PARAMS),
+                quick_params=dict(mod.QUICK_PARAMS),
             )
         )
     return cases

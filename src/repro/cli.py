@@ -289,10 +289,8 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
     from .fleet import FleetRunner, assert_equivalent  # lazy: keeps startup lean
 
     net = _degraded_net(args)
-    if args.index_segments is not None and args.index_mode != "process":
-        raise SystemExit("--index-segments requires --index-mode process")
 
-    def build(mode: str, n_shards: int, index_mode: str = "thread") -> FleetRunner:
+    def build(mode: str, n_shards: int) -> FleetRunner:
         try:
             return FleetRunner(
                 n_devices=args.devices,
@@ -304,23 +302,18 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
                 mode=mode,
                 workers=args.workers,
                 net=net,
-                index_mode=index_mode,
-                index_segment_dir=(
-                    args.index_segments if index_mode == "process" else None
-                ),
             )
         except SimulationError as exc:
             raise SystemExit(str(exc)) from None
 
     with _observability(args):
         with _journal_context(args.journal):
-            result = build(args.mode, args.shards, args.index_mode).run()
+            result = build(args.mode, args.shards).run()
         if args.journal is not None:
             print(f"wrote {args.journal}")
         print(
             f"fleet: {result.n_devices} device(s) x {result.n_rounds} round(s) "
-            f"x {args.batch_size} images, {result.n_shards} "
-            f"{args.index_mode}-mode shard(s), "
+            f"x {args.batch_size} images, {result.n_shards} shard(s), "
             f"scheme {args.scheme}, mode {result.mode}"
         )
         rows = [
@@ -858,17 +851,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_run.add_argument(
         "--workers", type=int, default=None,
         help="thread-pool width in concurrent mode (default: one per device)",
-    )
-    fleet_run.add_argument(
-        "--index-mode", choices=["thread", "process"], default="thread",
-        help="where index shards live: in-process tables (thread) or "
-        "worker processes with shared-memory arenas (process); "
-        "byte-identical answers either way",
-    )
-    fleet_run.add_argument(
-        "--index-segments", metavar="DIR", default=None,
-        help="process mode only: journal adds to append-only segment "
-        "files under DIR, making shards crash-recoverable",
     )
     fleet_run.add_argument(
         "--verify", action="store_true",

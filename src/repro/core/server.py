@@ -16,13 +16,7 @@ from typing import Optional
 from ..errors import SimulationError
 from ..features.base import FeatureSet
 from ..imaging.image import Image
-from ..index import (
-    FeatureIndex,
-    ImageStore,
-    ProcessShardedIndex,
-    QueryResult,
-    ShardedFeatureIndex,
-)
+from ..index import FeatureIndex, ImageStore, QueryResult, ShardedFeatureIndex
 from ..obs.journal import get_journal
 from ..obs.runtime import get_obs
 
@@ -31,14 +25,13 @@ from ..obs.runtime import get_obs
 class BeesServer:
     """Cloud endpoint: feature index + image store.
 
-    The index may be the plain :class:`FeatureIndex`, the sharded,
-    thread-safe :class:`ShardedFeatureIndex`, or the process-parallel
-    :class:`ProcessShardedIndex` — all answer queries byte-identically
-    over the same stored images, so schemes never need to know which
-    one is behind the server.
+    The index may be the plain :class:`FeatureIndex` or the sharded,
+    thread-safe :class:`ShardedFeatureIndex` — both answer queries
+    byte-identically over the same stored images, so schemes never
+    need to know which one is behind the server.
     """
 
-    index: "FeatureIndex | ShardedFeatureIndex | ProcessShardedIndex" = field(
+    index: "FeatureIndex | ShardedFeatureIndex" = field(
         default_factory=FeatureIndex
     )
     store: ImageStore = field(default_factory=ImageStore)
@@ -77,14 +70,14 @@ class BeesServer:
         self.queries_served += len(feature_sets)
         obs = get_obs()
         if not obs.enabled:
-            return self._index_query_batch(feature_sets)
+            return self.index.query_batch(feature_sets)
         with obs.span(
             "server.query_batch",
             n_queries=len(feature_sets),
             index_size=len(self.index),
         ) as span:
             t0 = time.perf_counter()
-            results = self._index_query_batch(feature_sets)
+            results = self.index.query_batch(feature_sets)
             latency = time.perf_counter() - t0  # beeslint: disable=raw-timing (feeds the index_query_latency gauge below)
             span.set_attribute("n_found", sum(1 for r in results if r.found))
         obs.index_queries.inc(len(feature_sets))
@@ -92,13 +85,6 @@ class BeesServer:
             obs.index_query_latency.set(latency / len(feature_sets))
         obs.index_size.set(len(self.index))
         return results
-
-    def _index_query_batch(
-        self, feature_sets: "list[FeatureSet]"
-    ) -> "list[QueryResult]":
-        if isinstance(self.index, (ShardedFeatureIndex, ProcessShardedIndex)):
-            return self.index.query_batch(feature_sets)
-        return [self.index.query(features) for features in feature_sets]
 
     def query_top(self, features: FeatureSet, k: int) -> "list[tuple[str, float]]":
         """Top-*k* most similar stored images (precision experiments)."""

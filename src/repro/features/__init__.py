@@ -7,7 +7,6 @@ PCA-SIFT baselines it compares against.
 
 from .base import FeatureSet
 from .keypoints import Keypoints, detect_fast
-from .minhash import MinHasher
 from .matching import (
     DEFAULT_HAMMING_THRESHOLD,
     DEFAULT_L2_THRESHOLD,
@@ -31,7 +30,6 @@ __all__ = [
     "DESCRIPTOR_BYTES",
     "FeatureSet",
     "Keypoints",
-    "MinHasher",
     "OrbExtractor",
     "PcaSiftExtractor",
     "SiftExtractor",

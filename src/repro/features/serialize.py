@@ -58,26 +58,8 @@ def serialize_features(features: FeatureSet) -> bytes:
     return b"".join(parts)
 
 
-def deserialize_features_view(payload: "bytes | memoryview | np.ndarray") -> FeatureSet:
-    """Decode the wire format **without copying the descriptor matrix**.
-
-    The returned feature set's ``descriptors`` are a view into
-    *payload*'s buffer, so a payload resident in a shared-memory arena
-    (:mod:`repro.kernels.arena`) or an mmap-ed segment is scored by the
-    Hamming/L2 kernels in place.  The caller owns the buffer's
-    lifetime: the view must not outlive it.  Keypoint coordinates are
-    still widened to float64 (tiny, and the similarity kernels never
-    read them).
-    """
-    return _deserialize(np.frombuffer(payload, dtype=np.uint8), copy=False)
-
-
 def deserialize_features(payload: bytes) -> FeatureSet:
     """Decode the wire format back into a :class:`FeatureSet`."""
-    return _deserialize(payload, copy=True)
-
-
-def _deserialize(payload: "bytes | np.ndarray", copy: bool) -> FeatureSet:
     buffer = memoryview(payload)
     total = buffer.nbytes
     if total < _HEADER.size:
@@ -121,7 +103,7 @@ def _deserialize(payload: "bytes | np.ndarray", copy: bool) -> FeatureSet:
         ).reshape(n, width)
     return FeatureSet(
         kind=kind,
-        descriptors=descriptors.copy() if copy else descriptors,
+        descriptors=descriptors.copy(),
         xs=xs,
         ys=ys,
         pixels_processed=int(pixels),

@@ -11,7 +11,7 @@ sequential single-index reference run of the same seed.  See
 
 from .replay import ReplayReport, format_replay, replay_journal
 from .report import DeviceResult, FleetResult, assert_equivalent
-from .runner import INDEX_MODES, MODES, FleetRunner
+from .runner import MODES, FleetRunner
 from .staging import StagedServer, StagedUpload
 from .workload import FleetWorkload
 
@@ -20,7 +20,6 @@ __all__ = [
     "FleetResult",
     "FleetRunner",
     "FleetWorkload",
-    "INDEX_MODES",
     "MODES",
     "ReplayReport",
     "StagedServer",

@@ -40,7 +40,7 @@ from ..baselines.base import BatchReport, SharingScheme
 from ..core.server import BeesServer
 from ..energy import Battery
 from ..errors import SimulationError
-from ..index import FeatureIndex, ProcessShardedIndex, ShardedFeatureIndex
+from ..index import FeatureIndex, ShardedFeatureIndex
 from ..kernels.cache import get_match_cache
 from ..network import DegradedNetConfig, FluctuatingChannel, Uplink
 from ..obs import get_obs
@@ -56,14 +56,6 @@ from .workload import FleetWorkload
 _CHANNEL_SEED_STRIDE = 1_000
 
 MODES = ("sequential", "concurrent")
-
-#: Where the shared index lives: ``thread`` keeps shards in-process
-#: (:class:`~repro.index.sharded.ShardedFeatureIndex`, or the plain
-#: :class:`~repro.index.index.FeatureIndex` when ``n_shards == 1``);
-#: ``process`` promotes every shard to a worker process
-#: (:class:`~repro.index.procpool.ProcessShardedIndex`).  All three
-#: answer byte-identically, so the choice never changes a decision.
-INDEX_MODES = ("thread", "process")
 
 
 @dataclass
@@ -87,25 +79,11 @@ class FleetRunner:
     #: runs are byte- and joule-identical to ``net=None``).
     net: "DegradedNetConfig | None" = None
     workload: "FleetWorkload | None" = None
-    #: ``thread`` (default) or ``process`` — see :data:`INDEX_MODES`.
-    index_mode: str = "thread"
-    #: Segment directory for process mode: workers journal every add
-    #: before acknowledging it, making shards crash-recoverable.
-    #: ``None`` runs the pool in memory only.
-    index_segment_dir: "str | None" = None
     _schemes: "list[SharingScheme]" = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise SimulationError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.index_mode not in INDEX_MODES:
-            raise SimulationError(
-                f"index_mode must be one of {INDEX_MODES}, got {self.index_mode!r}"
-            )
-        if self.index_segment_dir is not None and self.index_mode != "process":
-            raise SimulationError(
-                "index_segment_dir requires index_mode='process'"
-            )
         if self.n_shards < 1:
             raise SimulationError(f"n_shards must be >= 1, got {self.n_shards}")
         if self.workers is not None and self.workers < 1:
@@ -149,14 +127,6 @@ class FleetRunner:
 
     def _build_server(self) -> BeesServer:
         kind = scheme_extractor(self._schemes[0]).kind
-        if self.index_mode == "process":
-            return BeesServer(
-                index=ProcessShardedIndex(
-                    kind=kind,
-                    n_shards=self.n_shards,
-                    segment_dir=self.index_segment_dir,
-                )
-            )
         if self.n_shards == 1:
             return BeesServer(index=FeatureIndex(kind=kind))
         return BeesServer(
@@ -188,7 +158,6 @@ class FleetRunner:
                 scheme=self.scheme,
                 n_devices=self.n_devices,
                 n_shards=self.n_shards,
-                index_mode=self.index_mode,
                 n_rounds=self.n_rounds,
                 batch_size=self.batch_size,
                 seed=self.seed,
@@ -197,49 +166,41 @@ class FleetRunner:
             )
         cache_stats_start = get_match_cache().stats()
         t0 = time.perf_counter()
-        try:
-            with obs.span(
-                "fleet.run",
-                mode=self.mode,
-                scheme=self.scheme,
-                n_devices=self.n_devices,
-                n_shards=self.n_shards,
-                index_mode=self.index_mode,
-                n_rounds=self.n_rounds,
-                seed=self.seed,
-            ) as run_span:
-                if self.mode == "concurrent":
-                    max_workers = self.workers or self.n_devices
-                    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                        for round_no in range(self.n_rounds):
-                            self._run_round(
-                                round_no, devices, server, reports, halted, pool
-                            )
-                else:
+        with obs.span(
+            "fleet.run",
+            mode=self.mode,
+            scheme=self.scheme,
+            n_devices=self.n_devices,
+            n_shards=self.n_shards,
+            n_rounds=self.n_rounds,
+            seed=self.seed,
+        ) as run_span:
+            if self.mode == "concurrent":
+                max_workers = self.workers or self.n_devices
+                with ThreadPoolExecutor(max_workers=max_workers) as pool:
                     for round_no in range(self.n_rounds):
                         self._run_round(
-                            round_no, devices, server, reports, halted, None
+                            round_no, devices, server, reports, halted, pool
                         )
-                if obs.enabled:
-                    # Repeat CBRD verifications across rounds land in the
-                    # kernel match cache; hit-or-miss never changes a
-                    # decision, so this is diagnostics only.
-                    cache_stats = get_match_cache().stats()
-                    run_span.set_attribute(
-                        "kernel_cache_hits",
-                        cache_stats["hits"] - cache_stats_start["hits"],
+            else:
+                for round_no in range(self.n_rounds):
+                    self._run_round(
+                        round_no, devices, server, reports, halted, None
                     )
-                    run_span.set_attribute(
-                        "kernel_cache_misses",
-                        cache_stats["misses"] - cache_stats_start["misses"],
-                    )
-            wall_seconds = time.perf_counter() - t0  # beeslint: disable=raw-timing (FleetResult wall clock, reported not recorded)
-        finally:
-            # Process-mode shard workers own OS resources (worker
-            # processes, shared-memory arenas, segment files); release
-            # them even when a round raises.
-            if isinstance(server.index, ProcessShardedIndex):
-                server.index.close()
+            if obs.enabled:
+                # Repeat CBRD verifications across rounds land in the
+                # kernel match cache; hit-or-miss never changes a
+                # decision, so this is diagnostics only.
+                cache_stats = get_match_cache().stats()
+                run_span.set_attribute(
+                    "kernel_cache_hits",
+                    cache_stats["hits"] - cache_stats_start["hits"],
+                )
+                run_span.set_attribute(
+                    "kernel_cache_misses",
+                    cache_stats["misses"] - cache_stats_start["misses"],
+                )
+        wall_seconds = time.perf_counter() - t0  # beeslint: disable=raw-timing (FleetResult wall clock, reported not recorded)
         result = FleetResult(
             mode=self.mode,
             scheme=self.scheme,

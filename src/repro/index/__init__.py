@@ -3,9 +3,6 @@
 from .dedup import DedupStore, content_defined_chunks, image_payload
 from .index import FeatureIndex, QueryResult, rank_votes, verify_candidates
 from .lsh import HammingLSH, float_sketch_planes, sketch_float_descriptors
-from .persistence import restore_index, snapshot_index
-from .procpool import ProcessShardedIndex, WorkerCrashedError
-from .segments import ShardSegmentStore
 from .sharded import ShardedFeatureIndex, shard_of
 from .store import ImageStore, StoredImage
 from .vocab import BagOfWordsIndex, VocabularyTree
@@ -16,19 +13,14 @@ __all__ = [
     "FeatureIndex",
     "HammingLSH",
     "ImageStore",
-    "ProcessShardedIndex",
     "QueryResult",
-    "ShardSegmentStore",
     "ShardedFeatureIndex",
     "StoredImage",
     "VocabularyTree",
-    "WorkerCrashedError",
     "content_defined_chunks",
     "image_payload",
     "rank_votes",
-    "restore_index",
     "shard_of",
-    "snapshot_index",
     "float_sketch_planes",
     "sketch_float_descriptors",
     "verify_candidates",

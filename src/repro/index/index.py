@@ -21,7 +21,7 @@ tests (:mod:`repro.fleet`) rely on it to not flake.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -64,6 +64,27 @@ def verify_candidates(
     return scored[:k]
 
 
+def verify_votes(
+    query: FeatureSet,
+    votes: "dict[str, int]",
+    k: int,
+    verify_top_k: int,
+    features_of: "Callable[[str], FeatureSet]",
+) -> "list[tuple[str, float]]":
+    """The votes → rank → verify path every index query runs.
+
+    Shortlists the ``max(k, verify_top_k)`` best-voted images
+    (:func:`rank_votes`), looks each one up with *features_of* and
+    returns the best-*k* exact scores (:func:`verify_candidates`).  No
+    votes means no candidates: the answer is empty.
+    """
+    if not votes:
+        return []
+    shortlist = rank_votes(votes, max(k, verify_top_k))
+    candidates = [features_of(image_id) for image_id in shortlist]
+    return verify_candidates(query, candidates, k)
+
+
 @dataclass(frozen=True)
 class QueryResult:
     """The server's answer to a feature query."""
@@ -76,6 +97,24 @@ class QueryResult:
     def found(self) -> bool:
         """Whether any stored image produced a non-zero similarity."""
         return self.best_id is not None
+
+    @classmethod
+    def best_of(
+        cls, top: "list[tuple[str, float]]", n_entries: int, verify_top_k: int
+    ) -> "QueryResult":
+        """CBRD's answer from a verified top list over *n_entries* images."""
+        if not top:
+            return NO_MATCH
+        best_id, best_similarity = top[0]
+        return cls(
+            best_id=best_id,
+            best_similarity=best_similarity,
+            candidates_checked=min(n_entries, verify_top_k),
+        )
+
+
+#: The answer when no stored image shares an LSH bucket with the query.
+NO_MATCH = QueryResult(best_id=None, best_similarity=0.0, candidates_checked=0)
 
 
 @dataclass
@@ -166,9 +205,8 @@ class FeatureIndex:
 
         Shard fan-out entry point: the coordinator groups a query's
         keys once (:func:`~repro.kernels.voting.group_query_keys`) and
-        every shard — thread or worker process — gathers its buckets
-        from the shared grouped form instead of re-running the unique
-        pass.  Counts equal :meth:`vote_counts_from_keys` exactly.
+        every shard gathers its buckets from the shared grouped form
+        instead of re-running the unique pass.  Counts equal :meth:`vote_counts_from_keys` exactly.
         """
         votes = self._lsh.votes_from_grouped(grouped)
         return {self._entries[ref].image_id: count for ref, count in votes.items()}
@@ -200,20 +238,20 @@ class FeatureIndex:
         """
         if k < 1:
             raise IndexError_(f"k must be >= 1, got {k}")
-        votes = self.vote_counts(features)
-        if not votes:
-            return []
-        shortlist = rank_votes(votes, max(k, self.verify_top_k))
-        candidates = [self.features_of(image_id) for image_id in shortlist]
-        return verify_candidates(features, candidates, k)
+        return verify_votes(
+            features,
+            self.vote_counts(features),
+            k,
+            self.verify_top_k,
+            self.features_of,
+        )
 
     def query(self, features: FeatureSet) -> QueryResult:
         """Maximum similarity against the stored images (CBRD's primitive)."""
-        top = self.query_top(features, 1) if len(self._entries) else []
-        checked = min(len(self._entries), self.verify_top_k)
-        if not top:
-            return QueryResult(best_id=None, best_similarity=0.0, candidates_checked=0)
-        best_id, best_similarity = top[0]
-        return QueryResult(
-            best_id=best_id, best_similarity=best_similarity, candidates_checked=checked
+        return QueryResult.best_of(
+            self.query_top(features, 1), len(self._entries), self.verify_top_k
         )
+
+    def query_batch(self, feature_sets: "list[FeatureSet]") -> "list[QueryResult]":
+        """One :meth:`query` result per input, in input order."""
+        return [self.query(features) for features in feature_sets]

@@ -21,10 +21,10 @@ Design notes, because the equivalence guarantee depends on them:
 * **Votes merge exactly.**  An image's LSH vote count depends only on
   its own descriptors and the query, never on other stored images, so
   the union of per-shard vote dicts equals the single-index vote dict.
-  Ranking the merged votes with the shared :func:`~repro.index.index.
-  rank_votes` / :func:`~repro.index.index.verify_candidates` helpers
-  therefore returns **byte-identical** answers to a single index over
-  the same images — the property the fleet differential tests pin.
+  Ranking and verifying the merged votes with the single index's own
+  :func:`~repro.index.index.verify_votes` therefore returns
+  **byte-identical** answers to a single index over the same images —
+  the property the fleet differential tests pin.
 * **Reads are lock-free.**  A shard's ``add`` appends to its entry list
   and replaces bucket arrays atomically (one dict store per bucket);
   concurrent CPython readers see either the old or the new bucket,
@@ -49,7 +49,7 @@ from ..features.base import FeatureSet
 from ..kernels.voting import GroupedKeys, group_query_keys
 from ..obs import get_obs
 from ..obs.journal import get_journal
-from .index import FeatureIndex, QueryResult, rank_votes, verify_candidates
+from .index import NO_MATCH, FeatureIndex, QueryResult, verify_votes
 
 DEFAULT_N_SHARDS = 4
 
@@ -188,38 +188,18 @@ class ShardedFeatureIndex:
         """
         if k < 1:
             raise IndexError_(f"k must be >= 1, got {k}")
-        votes = self._merged_votes(features)
-        if not votes:
-            return []
-        shortlist = rank_votes(votes, max(k, self.verify_top_k))
-        candidates = [self.features_of(image_id) for image_id in shortlist]
-        return verify_candidates(features, candidates, k)
+        return verify_votes(
+            features,
+            self._merged_votes(features),
+            k,
+            self.verify_top_k,
+            self.features_of,
+        )
 
     def query(self, features: FeatureSet) -> QueryResult:
         """Maximum similarity against all shards (CBRD's primitive)."""
-        top = self.query_top(features, 1) if len(self) else []
-        checked = min(len(self), self.verify_top_k)
-        if not top:
-            return QueryResult(best_id=None, best_similarity=0.0, candidates_checked=0)
-        best_id, best_similarity = top[0]
-        return QueryResult(
-            best_id=best_id, best_similarity=best_similarity, candidates_checked=checked
-        )
-
-    def _query_from_votes(
-        self, features: FeatureSet, votes: "dict[str, int]"
-    ) -> QueryResult:
-        """:meth:`query`'s verify stage, for already-merged votes."""
-        if not votes:
-            return QueryResult(best_id=None, best_similarity=0.0, candidates_checked=0)
-        shortlist = rank_votes(votes, max(1, self.verify_top_k))
-        candidates = [self.features_of(image_id) for image_id in shortlist]
-        top = verify_candidates(features, candidates, 1)
-        best_id, best_similarity = top[0]
-        return QueryResult(
-            best_id=best_id,
-            best_similarity=best_similarity,
-            candidates_checked=min(len(self), self.verify_top_k),
+        return QueryResult.best_of(
+            self.query_top(features, 1), len(self), self.verify_top_k
         )
 
     def query_batch(self, feature_sets: "list[FeatureSet]") -> "list[QueryResult]":
@@ -231,20 +211,16 @@ class ShardedFeatureIndex:
         one per query) before the per-query shard fan-out; answers are
         identical to calling :meth:`query` per feature set.
         """
-        empty = QueryResult(best_id=None, best_similarity=0.0, candidates_checked=0)
-        if not feature_sets:
-            return []
-        if not len(self):
-            return [empty] * len(feature_sets)
-        results: "list[QueryResult]" = [empty] * len(feature_sets)
+        n_entries = len(self)
+        results = [NO_MATCH] * len(feature_sets)
         nonempty = [i for i, features in enumerate(feature_sets) if len(features)]
-        if not nonempty:
+        if not n_entries or not nonempty:
             return results
         with get_obs().span(
             "index.query_batch",
             n_queries=len(nonempty),
             n_shards=self.n_shards,
-            n_entries=len(self),
+            n_entries=n_entries,
         ):
             packed = [
                 self._shards[0].packed_descriptors(feature_sets[i])
@@ -254,8 +230,14 @@ class ShardedFeatureIndex:
             offsets = np.cumsum([0] + [rows.shape[0] for rows in packed])
             for position, i in enumerate(nonempty):
                 keys = batched_keys[offsets[position] : offsets[position + 1]]
-                votes = self._merged_votes_from_keys(keys)
-                results[i] = self._query_from_votes(feature_sets[i], votes)
+                top = verify_votes(
+                    feature_sets[i],
+                    self._merged_votes_from_keys(keys),
+                    1,
+                    self.verify_top_k,
+                    self.features_of,
+                )
+                results[i] = QueryResult.best_of(top, n_entries, self.verify_top_k)
         return results
 
     # -- introspection -------------------------------------------------------

@@ -9,9 +9,6 @@ out in:
   ``bincount`` vote aggregation (queries group their keys once via
   :func:`~repro.kernels.voting.group_query_keys`; every shard gathers
   from the shared grouped form);
-* :mod:`~repro.kernels.arena` — append-only shared-memory byte arenas
-  the process-parallel index stores bit-packed descriptors in, so the
-  Hamming kernel reads worker-resident rows zero-copy;
 * :mod:`~repro.kernels.majority` — the bit-plane byte-wise majority
   vote behind k-replica forward redundancy
   (:mod:`repro.network.transfer`);
@@ -27,14 +24,6 @@ results — ``tests/kernels`` proves each one byte-identical to the
 pre-kernel reference implementations.
 """
 
-from .arena import (
-    ArenaReader,
-    ArenaRef,
-    SharedArena,
-    as_matrix,
-    attach_block,
-    unlink_block,
-)
 from .cache import (
     DEFAULT_CACHE_ENTRIES,
     MatchCountCache,
@@ -55,16 +44,11 @@ from .majority import majority_vote_bytes, majority_vote_stats
 from .voting import BucketStore, group_query_keys
 
 __all__ = [
-    "ArenaReader",
-    "ArenaRef",
     "BACKENDS",
     "BucketStore",
     "DEFAULT_BACKEND",
     "DEFAULT_CACHE_ENTRIES",
     "MatchCountCache",
-    "SharedArena",
-    "as_matrix",
-    "attach_block",
     "descriptor_fingerprint",
     "get_match_cache",
     "group_query_keys",
@@ -76,5 +60,4 @@ __all__ = [
     "pack_rows_u64",
     "popcount_u64",
     "set_match_cache",
-    "unlink_block",
 ]

@@ -38,8 +38,8 @@ def group_query_keys(keys: np.ndarray) -> "GroupedKeys":
 
     The per-table ``np.unique`` pass is a pure function of the query's
     keys — it does not depend on any bucket store — so a sharded index
-    derives it **once** in the coordinator and ships the grouped form
-    to every shard (thread or process), instead of paying the unique
+    derives it **once** in the coordinator and hands the grouped form
+    to every shard, instead of paying the unique
     pass again per shard.  :meth:`BucketStore.votes` is exactly
     ``votes_from_grouped(group_query_keys(keys))``.
     """

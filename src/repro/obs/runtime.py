@@ -22,8 +22,7 @@ Standard metrics (all labelled where it matters):
 * ``bees_images_total{scheme,outcome}`` (``uploaded|halted`` inputs),
   ``bees_batches_total{scheme}``;
 * ``bees_stage_seconds{scheme,stage}`` — simulated seconds per pipeline
-  stage (``afe``, ``feature_upload``, ``ssmm``, ``aiu``,
-  ``image_upload``);
+  stage (``afe``, ``feature_upload``, ``aiu``, ``image_upload``);
 * ``bees_index_size`` / ``bees_index_query_latency_seconds`` gauges and
   ``bees_index_queries_total`` for the server-side feature index;
 * ``bees_link_transfers_total`` / ``bees_link_bytes_total`` and a
@@ -40,14 +39,7 @@ Standard metrics (all labelled where it matters):
   ``bees_index_shard_entries{shard}`` pair for the concurrent fleet
   runtime (:mod:`repro.fleet`);
 * ``bees_kernel_cache_events_total{event}`` (``hit|miss``) for the
-  kernel layer's match-count cache (:mod:`repro.kernels.cache`);
-* the process-parallel index set (:mod:`repro.index.procpool`):
-  ``bees_index_ipc_seconds{op}`` worker round-trip latencies,
-  ``bees_index_worker_queue_depth{shard}``,
-  ``bees_index_segments{shard}`` /
-  ``bees_index_segment_compactions_total{shard}`` for the on-disk
-  segment stores, and ``bees_index_arena_bytes{shard}`` for
-  shared-memory arena occupancy.
+  kernel layer's match-count cache (:mod:`repro.kernels.cache`).
 """
 
 from __future__ import annotations
@@ -62,20 +54,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..baselines.base import BatchReport
 
 #: Pipeline stages whose simulated durations feed ``bees_stage_seconds``.
-PIPELINE_STAGES = ("afe", "feature_upload", "ssmm", "aiu", "image_upload")
+PIPELINE_STAGES = ("afe", "feature_upload", "aiu", "image_upload")
 
 #: Buckets for uplink transfer times (simulated seconds — transfers of a
 #: few KB at ~Mbps goodputs land well under a second; image uploads can
 #: take tens of seconds on a bad channel).
 LINK_BUCKETS = (0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 120.0)
-
-#: Buckets for process-index worker round-trips (real wall-clock: pipe
-#: latency is tens of microseconds, a cold verify over a big shard can
-#: take tens of milliseconds).
-IPC_BUCKETS = (
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
-    0.1, 0.25, 0.5, 1.0,
-)
 
 
 class Observability:
@@ -208,33 +192,6 @@ class Observability:
             "bees_kernel_cache_events_total",
             "Match-count cache lookups by outcome (event=hit|miss)",
             ("event",),
-        )
-        self.index_ipc_seconds = registry.histogram(
-            "bees_index_ipc_seconds",
-            "Wall-clock seconds per process-index worker round-trip "
-            "(op=add|vote|verify|control)",
-            ("op",),
-            buckets=IPC_BUCKETS,
-        )
-        self.index_worker_queue_depth = registry.gauge(
-            "bees_index_worker_queue_depth",
-            "Requests in flight to a process-index shard worker",
-            ("shard",),
-        )
-        self.index_segments = registry.gauge(
-            "bees_index_segments",
-            "Sealed on-disk segment files held per process-index shard",
-            ("shard",),
-        )
-        self.index_segment_compactions = registry.counter(
-            "bees_index_segment_compactions_total",
-            "Segment compaction passes completed per process-index shard",
-            ("shard",),
-        )
-        self.index_arena_bytes = registry.gauge(
-            "bees_index_arena_bytes",
-            "Shared-memory arena bytes allocated per process-index shard",
-            ("shard",),
         )
 
     # -- tracing -------------------------------------------------------------

@@ -9,14 +9,12 @@ from repro.errors import BenchError
 class TestCaseIds:
     def test_registered_case_count(self):
         ids = case_ids()
-        assert len(ids) == 20
+        assert len(ids) == 19
         assert len(set(ids)) == len(ids)
 
-    def test_entry_points_are_unique(self):
-        # A module may host several cases, but each needs its own entry
-        # prefix ("" = the module's default run/PARAMS names).
-        entries = [(spec[1], spec[4] if len(spec) > 4 else "") for spec in CASE_SPECS]
-        assert len(set(entries)) == len(entries)
+    def test_each_module_hosts_one_case(self):
+        modules = [module for _, module, *_ in CASE_SPECS]
+        assert len(set(modules)) == len(modules)
 
 
 class TestFindBenchmarksDir:

@@ -5,11 +5,7 @@ import pytest
 
 from repro.errors import FeatureError
 from repro.features.base import FeatureSet
-from repro.features.serialize import (
-    deserialize_features,
-    deserialize_features_view,
-    serialize_features,
-)
+from repro.features.serialize import deserialize_features, serialize_features
 
 
 def _roundtrip(features):
@@ -58,37 +54,13 @@ class TestRoundTrip:
         assert len(payload) == expected
 
 
-class TestZeroCopyView:
-    def test_view_decodes_like_the_copying_path(self, orb_features):
-        payload = serialize_features(orb_features)
-        viewed = deserialize_features_view(payload)
-        copied = deserialize_features(payload)
-        assert viewed.kind == copied.kind
-        assert viewed.image_id == copied.image_id
-        assert viewed.pixels_processed == copied.pixels_processed
-        assert np.array_equal(viewed.descriptors, copied.descriptors)
-        assert np.array_equal(viewed.xs, copied.xs)
-        assert np.array_equal(viewed.ys, copied.ys)
-
-    def test_view_shares_the_payload_buffer(self, orb_features):
-        payload = bytearray(serialize_features(orb_features))
-        viewed = deserialize_features_view(payload)
-        descriptors_offset = len(payload) - viewed.descriptors.nbytes
-        payload[descriptors_offset] ^= 0xFF
-        assert viewed.descriptors.flat[0] == payload[descriptors_offset]
-
+class TestDecodedCopy:
     def test_copying_path_detaches_from_the_payload(self, orb_features):
         payload = bytearray(serialize_features(orb_features))
         copied = deserialize_features(bytes(payload))
         first = int(copied.descriptors.flat[0])
         payload[len(payload) - copied.descriptors.nbytes] ^= 0xFF
         assert copied.descriptors.flat[0] == first
-
-    def test_view_accepts_a_uint8_array(self, orb_features):
-        buffer = np.frombuffer(serialize_features(orb_features), dtype=np.uint8)
-        viewed = deserialize_features_view(buffer)
-        assert viewed.image_id == orb_features.image_id
-        assert np.array_equal(viewed.descriptors, orb_features.descriptors)
 
 
 class TestValidation:

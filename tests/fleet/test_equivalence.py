@@ -69,56 +69,6 @@ class TestConcurrentEqualsSequential:
         assert_equivalent(reference, concurrent)
 
 
-class TestProcessIndexEqualsSequential:
-    @pytest.mark.parametrize("mode", ("sequential", "concurrent"))
-    def test_byte_identical_decisions(self, mode, monkeypatch):
-        # Same contract with the index promoted to worker processes:
-        # shared-memory shards must not change a single decision.
-        # Fork context: the suite spawns short-lived pools.
-        monkeypatch.setenv("REPRO_INDEX_MP_CONTEXT", "fork")
-        reference = _reference(SEEDS[0], 4)
-        process = FleetRunner(
-            n_devices=4,
-            n_rounds=N_ROUNDS,
-            batch_size=BATCH_SIZE,
-            n_shards=2,
-            seed=SEEDS[0],
-            mode=mode,
-            index_mode="process",
-        ).run()
-        for ref_dev, proc_dev in zip(reference.devices, process.devices):
-            assert proc_dev.uploaded_ids == ref_dev.uploaded_ids
-            assert proc_dev.eliminated_cross_batch == ref_dev.eliminated_cross_batch
-            assert proc_dev.eliminated_in_batch == ref_dev.eliminated_in_batch
-            assert proc_dev.sent_bytes == ref_dev.sent_bytes
-            assert proc_dev.energy_joules == ref_dev.energy_joules
-        assert process.fingerprint() == reference.fingerprint()
-        assert_equivalent(reference, process)
-
-    def test_segment_journal_does_not_change_decisions(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_INDEX_MP_CONTEXT", "fork")
-        reference = _reference(SEEDS[0], 4)
-        durable = FleetRunner(
-            n_devices=4,
-            n_rounds=N_ROUNDS,
-            batch_size=BATCH_SIZE,
-            n_shards=2,
-            seed=SEEDS[0],
-            mode="concurrent",
-            index_mode="process",
-            index_segment_dir=str(tmp_path / "segs"),
-        ).run()
-        assert durable.fingerprint() == reference.fingerprint()
-
-    def test_invalid_index_mode_rejected(self):
-        with pytest.raises(SimulationError, match="index_mode"):
-            FleetRunner(index_mode="sharded")
-
-    def test_segment_dir_requires_process_mode(self):
-        with pytest.raises(SimulationError, match="index_segment_dir"):
-            FleetRunner(index_segment_dir="/tmp/nope")
-
-
 class TestContract:
     def test_multi_device_runs_actually_eliminate(self):
         # Guard against the differential suite passing vacuously on a

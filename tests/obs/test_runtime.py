@@ -92,8 +92,7 @@ class TestPipelineInstrumentation:
             if span.name.startswith("bees.") and span.name != "bees.batch":
                 assert by_id[span.parent_id].name == "bees.batch"
 
-        for stage in ("afe", "feature_upload", "aiu", "image_upload"):
-            assert stage in PIPELINE_STAGES
+        for stage in PIPELINE_STAGES:
             series = obs.stage_seconds.value(scheme="BEES", stage=stage)
             assert series.count > 0, stage
 
