@@ -6,19 +6,24 @@ suppression thins them, and the strongest ``max_keypoints`` survive —
 mirroring OpenCV's ``ORB_create(nfeatures=...)`` behaviour that the BEES
 prototype uses.
 
-All stages are vectorised: the 16-pixel Bresenham circle is evaluated via
-shifted views of the image, and the contiguous-arc test runs as boolean
-reductions over rolled masks.
+All stages are vectorised: the 16-pixel Bresenham circle around every
+interior pixel is gathered at once and packed into two ``uint16`` ring
+masks (one bit per circle pixel brighter, or darker, than the centre by
+the threshold); a 65,536-entry lookup table then says which masks hold
+a circular arc of 9 contiguous bits.  FAST scores and non-maximum
+suppression are then evaluated at the corner pixels only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import FeatureError
-from ..imaging.filters import box_blur, local_maxima, sobel_gradients
+from ..imaging.filters import box_blur, local_maxima_at, reflect_pad, sobel_gradients
 
 #: Bresenham circle of radius 3 — the 16 FAST test offsets, clockwise
 #: from 12 o'clock, as (dy, dx).
@@ -29,6 +34,10 @@ FAST_CIRCLE = (
 
 FAST_ARC_LENGTH = 9
 FAST_BORDER = 3
+
+#: Row and column of each circle pixel inside the 7x7 window around it.
+_RING_ROWS = np.array([dy for dy, _ in FAST_CIRCLE]) + FAST_BORDER
+_RING_COLS = np.array([dx for _, dx in FAST_CIRCLE]) + FAST_BORDER
 
 
 @dataclass(frozen=True)
@@ -49,30 +58,31 @@ class Keypoints:
         return cls(xs=zero, ys=zero.copy(), responses=zero.copy(), angles=zero.copy())
 
 
-def _circle_views(plane: np.ndarray) -> np.ndarray:
-    """Stack of the 16 circle-shifted interior views, shape (16, h', w')."""
-    h, w = plane.shape
-    b = FAST_BORDER
-    views = [
-        plane[b + dy : h - b + dy, b + dx : w - b + dx] for dy, dx in FAST_CIRCLE
-    ]
-    return np.stack(views, axis=0)
+def _arc_table() -> np.ndarray:
+    """``table[m]``: whether ring mask *m* has >= 9 circularly contiguous bits.
+
+    Doubling the mask into 32 bits (``m | m << 16``) unrolls the circle,
+    so an arc starting at bit ``s`` is bits ``s .. s+8`` of the doubled
+    word; AND-ing 9 shifted copies leaves bit ``s`` set exactly then.
+    """
+    doubled = np.arange(1 << 16, dtype=np.uint32)
+    doubled |= doubled << 16
+    run = doubled.copy()
+    for step in range(1, FAST_ARC_LENGTH):
+        run &= doubled >> step
+    return (run & 0xFFFF) != 0
 
 
-def _contiguous_arc(mask: np.ndarray, arc: int) -> np.ndarray:
-    """True where *mask* (16, h, w) has >= *arc* consecutive circular Trues."""
-    hit = np.zeros(mask.shape[1:], dtype=bool)
-    for start in range(16):
-        run = mask[start]
-        for step in range(1, arc):
-            run = run & mask[(start + step) % 16]
-            if not run.any():
-                break
-        else:
-            hit |= run
-        if hit.all():
-            break
-    return hit
+_ARC_TABLE = _arc_table()
+
+
+def _pack_ring(bits: np.ndarray) -> np.ndarray:
+    """``(..., 16)`` booleans to ``(n,)`` uint16 words, bit *i* from index *i*.
+
+    Each pixel's 16 bits are exactly two bytes, so one pass over the
+    flattened array packs them all.
+    """
+    return np.packbits(bits.ravel(), bitorder="little").view("<u2")
 
 
 def fast_corner_mask(plane: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
@@ -81,7 +91,7 @@ def fast_corner_mask(plane: np.ndarray, threshold: float) -> tuple[np.ndarray, n
     Returns ``(mask, score)`` over the full plane; the border of 3 pixels
     is never a corner.  The score is the sum of absolute circle-to-centre
     differences beyond the threshold (the standard FAST score used for
-    non-maximum suppression).
+    non-maximum suppression); it is zero off the corners.
     """
     plane = np.asarray(plane, dtype=np.float64)
     if plane.ndim != 2:
@@ -96,40 +106,53 @@ def fast_corner_mask(plane: np.ndarray, threshold: float) -> tuple[np.ndarray, n
 
     b = FAST_BORDER
     centre = plane[b : h - b, b : w - b]
-    circle = _circle_views(plane)
-    brighter = circle > centre[None] + threshold
-    darker = circle < centre[None] - threshold
+    windows = sliding_window_view(plane, (2 * b + 1, 2 * b + 1))
+    circle = windows[:, :, _RING_ROWS, _RING_COLS]  # (h - 6, w - 6, 16)
+    brighter = _pack_ring(circle > (centre + threshold)[:, :, None])
+    darker = _pack_ring(circle < (centre - threshold)[:, :, None])
+    corner = (_ARC_TABLE[brighter] | _ARC_TABLE[darker]).reshape(centre.shape)
+    ys, xs = np.nonzero(corner)
+    n = len(ys)
+    if n == 0:
+        return mask, score
 
-    # Quick rejection: the compass points sit 4 apart on the circle, so
-    # any 9-long contiguous arc covers at least 2 of them (an arc of 12
-    # would cover 3 — the classic FAST-12 pretest uses 3-of-4).
-    compass = [0, 4, 8, 12]
-    bright_candidates = brighter[compass].sum(axis=0) >= 2
-    dark_candidates = darker[compass].sum(axis=0) >= 2
+    # The 16 score terms are summed over axis 0 of a (16, m) array, in the
+    # order the frozen reference sums the whole interior: numpy adds several
+    # columns term by term but a single column pairwise, so a lone corner
+    # is scored as a pair unless the interior is that one pixel.
+    pair = max(n, min(corner.size, 2))
+    at_y, at_x = np.resize(ys, pair), np.resize(xs, pair)
+    ring = np.ascontiguousarray(circle[at_y, at_x].T)
+    c = centre[at_y, at_x]
+    excess = np.abs(ring - c) - threshold
+    hit = (ring > c + threshold) | (ring < c - threshold)
+    inner_score = np.where(hit, excess, 0.0).sum(axis=0)[:n]
 
-    corner = np.zeros_like(centre, dtype=bool)
-    if bright_candidates.any():
-        corner |= _contiguous_arc(brighter & bright_candidates[None], FAST_ARC_LENGTH)
-    if dark_candidates.any():
-        corner |= _contiguous_arc(darker & dark_candidates[None], FAST_ARC_LENGTH)
-
-    excess = np.abs(circle - centre[None]) - threshold
-    inner_score = np.where(brighter | darker, excess, 0.0).sum(axis=0)
-
-    mask[b : h - b, b : w - b] = corner
-    score[b : h - b, b : w - b] = np.where(corner, inner_score, 0.0)
+    mask[ys + b, xs + b] = True
+    score[ys + b, xs + b] = inner_score
     return mask, score
 
 
 def harris_response(plane: np.ndarray, k: float = 0.04, radius: int = 2) -> np.ndarray:
     """Harris corner response map (used to rank FAST candidates, as ORB does)."""
     gx, gy = sobel_gradients(np.asarray(plane, dtype=np.float64))
-    sxx = box_blur(gx * gx, radius)
-    syy = box_blur(gy * gy, radius)
-    sxy = box_blur(gx * gy, radius)
+    sxx, syy, sxy = box_blur(np.stack([gx * gx, gy * gy, gx * gy]), radius)
     det = sxx * syy - sxy * sxy
     trace = sxx + syy
     return det - k * trace * trace
+
+
+@lru_cache(maxsize=8)
+def _moment_weights(radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column offsets inside the radius-*radius* disk, zero outside."""
+    offsets = np.arange(-radius, radius + 1, dtype=np.float64)
+    dy, dx = np.meshgrid(offsets, offsets, indexing="ij")
+    disk = (dy * dy + dx * dx) <= radius * radius
+    wy = np.where(disk, dy, 0.0)
+    wx = np.where(disk, dx, 0.0)
+    wy.flags.writeable = False
+    wx.flags.writeable = False
+    return wy, wx
 
 
 def intensity_centroid_angles(
@@ -138,24 +161,19 @@ def intensity_centroid_angles(
     """Orientation by intensity centroid (the "o" in oFAST).
 
     The angle of each keypoint is ``atan2(m01, m10)`` of the circular
-    patch moments around it.  Keypoints too close to the border get the
-    orientation of their clipped patch, matching OpenCV's edge handling.
+    patch moments around it.  Patches that cross the border read the
+    plane reflected about its edge pixels (``np.pad`` ``"reflect"``).
     """
     plane = np.asarray(plane, dtype=np.float64)
     if len(ys) == 0:
         return np.zeros(0, dtype=np.float64)
-    padded = np.pad(plane, radius, mode="reflect")
-    offsets = np.arange(-radius, radius + 1, dtype=np.float64)
-    dy, dx = np.meshgrid(offsets, offsets, indexing="ij")
-    disk = (dy * dy + dx * dx) <= radius * radius
-    wy = np.where(disk, dy, 0.0)
-    wx = np.where(disk, dx, 0.0)
+    padded = reflect_pad(plane, radius)
+    wy, wx = _moment_weights(radius)
 
-    iy = np.rint(ys).astype(int) + radius
-    ix = np.rint(xs).astype(int) + radius
-    rows = iy[:, None, None] + np.arange(-radius, radius + 1)[None, :, None]
-    cols = ix[:, None, None] + np.arange(-radius, radius + 1)[None, None, :]
-    patches = padded[rows, cols]
+    size = 2 * radius + 1
+    patches = sliding_window_view(padded, (size, size))[
+        np.rint(ys).astype(int), np.rint(xs).astype(int)
+    ]
 
     m01 = (patches * wy[None]).sum(axis=(1, 2))
     m10 = (patches * wx[None]).sum(axis=(1, 2))
@@ -181,17 +199,19 @@ def detect_fast(
         h, w = plane.shape
         if 2 * border >= min(h, w):
             return Keypoints.empty()
-        edge = np.zeros_like(mask)
-        edge[border : h - border, border : w - border] = True
-        mask &= edge
-    if not mask.any():
-        return Keypoints.empty()
-
-    mask &= local_maxima(np.where(mask, score, 0.0), radius=nms_radius)
-    if not mask.any():
-        return Keypoints.empty()
-
+        mask[:border] = False
+        mask[h - border :] = False
+        mask[:, :border] = False
+        mask[:, w - border :] = False
     ys, xs = np.nonzero(mask)
+    if len(ys) == 0:
+        return Keypoints.empty()
+
+    keep = local_maxima_at(np.where(mask, score, 0.0), ys, xs, radius=nms_radius)
+    ys, xs = ys[keep], xs[keep]
+    if len(ys) == 0:
+        return Keypoints.empty()
+
     harris = harris_response(plane)[ys, xs]
     order = np.argsort(-harris, kind="stable")[:max_keypoints]
     ys = ys[order].astype(np.float64)

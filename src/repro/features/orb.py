@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import FeatureError
-from ..imaging.filters import box_blur
+from ..imaging.filters import box_blur, reflect_pad
 from ..imaging.image import Image
-from ..imaging.transforms import resize_bilinear
+from ..imaging.transforms import resize_bilinear_plane
 from .base import FeatureSet, traced_extract
 from .brief import (
     N_ANGLE_BINS,
@@ -72,8 +72,7 @@ class OrbExtractor:
             nh, nw = int(round(h / scale)), int(round(w / scale))
             if min(nh, nw) < 2 * self.patch_radius + 8:
                 break
-            rgb = np.repeat(plane[:, :, None], 3, axis=2)
-            resized = resize_bilinear(rgb, nh, nw).astype(np.float64)[:, :, 0]
+            resized = resize_bilinear_plane(plane, nh, nw).astype(np.float64)
             levels.append((resized, scale))
         return levels
 
@@ -84,7 +83,7 @@ class OrbExtractor:
             return np.zeros((0, 32), dtype=np.uint8)
         smoothed = box_blur(plane, self.smoothing_radius)
         pad = self.patch_radius + 2  # +2 absorbs rotation rounding
-        padded = np.pad(smoothed, pad, mode="reflect")
+        padded = reflect_pad(smoothed, pad)
 
         bins = angle_bins(keypoints.angles, N_ANGLE_BINS)
         offsets = self._patterns[bins]  # (n, 256, 2, 2)

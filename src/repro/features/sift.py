@@ -26,7 +26,7 @@ import numpy as np
 from ..errors import FeatureError
 from ..imaging.filters import gaussian_blur, sobel_gradients
 from ..imaging.image import Image
-from ..imaging.transforms import resize_bilinear
+from ..imaging.transforms import resize_bilinear_plane
 from .base import FeatureSet, traced_extract
 
 DESCRIPTOR_DIM = 128
@@ -228,8 +228,7 @@ class SiftExtractor:
                 nh, nw = h // scale, w // scale
                 if min(nh, nw) < 4 * _PATCH:
                     break
-                rgb = np.repeat(base[:, :, None], 3, axis=2)
-                plane = resize_bilinear(rgb, nh, nw).astype(np.float64)[:, :, 0]
+                plane = resize_bilinear_plane(base, nh, nw).astype(np.float64)
             ys, xs, octave_pixels = self._dog_extrema(plane)
             pixels += octave_pixels
             if len(ys) == 0:

@@ -1,15 +1,38 @@
 """Low-level image filters used by the feature extractors and codecs.
 
-Everything here operates on 2-D ``float64`` arrays (one image plane) and
+Everything here operates on 2-D ``float64`` arrays (one image plane;
+:func:`box_blur` and :func:`reflect_pad` also take a stack of them) and
 is vectorised with numpy; no Python-level per-pixel loops.  These filters
 replace the OpenCV primitives the paper's prototype links against.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from ..errors import ImageError
+
+
+@lru_cache(maxsize=128)
+def _reflect_index(size: int, pad: int) -> np.ndarray:
+    """Source index of every cell of a length-*size* axis reflect-padded by *pad*."""
+    index = np.pad(np.arange(size), pad, mode="reflect")
+    index.flags.writeable = False
+    return index
+
+
+def reflect_pad(array: np.ndarray, pad: int, axes: tuple[int, ...] = (-2, -1)) -> np.ndarray:
+    """``np.pad(array, pad, mode="reflect")`` over *axes* only.
+
+    Built as one ``take`` per axis over cached reflect indices, so the
+    values are the same copies ``np.pad`` makes at a fraction of its
+    Python overhead; leading axes (a stack of planes) are not padded.
+    """
+    for axis in axes:
+        array = array.take(_reflect_index(array.shape[axis], pad), axis=axis)
+    return array
 
 
 def gaussian_kernel1d(sigma: float, radius: int | None = None) -> np.ndarray:
@@ -30,9 +53,7 @@ def gaussian_kernel1d(sigma: float, radius: int | None = None) -> np.ndarray:
 def _correlate1d(plane: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
     """Correlate *plane* with a 1-D *kernel* along *axis* (reflect pad)."""
     radius = len(kernel) // 2
-    pad = [(0, 0), (0, 0)]
-    pad[axis] = (radius, radius)
-    padded = np.pad(plane, pad, mode="reflect")
+    padded = reflect_pad(plane, radius, axes=(axis,))
     out = np.zeros_like(plane, dtype=np.float64)
     for i, weight in enumerate(kernel):
         if axis == 0:
@@ -52,22 +73,29 @@ def gaussian_blur(plane: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def box_blur(plane: np.ndarray, radius: int) -> np.ndarray:
-    """Box blur via a summed-area table; O(1) per pixel in the radius."""
+    """Box blur via a summed-area table; O(1) per pixel in the radius.
+
+    A 3-D input is a stack of planes along its leading axis; each is
+    blurred on its own, in one pass over the stack.
+    """
     plane = np.asarray(plane, dtype=np.float64)
-    if plane.ndim != 2:
-        raise ImageError(f"box_blur expects a 2-D plane, got {plane.ndim}-D")
+    if plane.ndim not in (2, 3):
+        raise ImageError(
+            f"box_blur expects a 2-D plane or a stack of them, got {plane.ndim}-D"
+        )
     if radius < 1:
         return plane.copy()
     size = 2 * radius + 1
-    padded = np.pad(plane, radius, mode="reflect")
-    sat = np.cumsum(np.cumsum(padded, axis=0), axis=1)
-    sat = np.pad(sat, ((1, 0), (1, 0)))
-    h, w = plane.shape
+    h, w = plane.shape[-2:]
+    sat = np.zeros(plane.shape[:-2] + (h + size, w + size))
+    np.cumsum(
+        np.cumsum(reflect_pad(plane, radius), axis=-2), axis=-1, out=sat[..., 1:, 1:]
+    )
     total = (
-        sat[size : size + h, size : size + w]
-        - sat[0:h, size : size + w]
-        - sat[size : size + h, 0:w]
-        + sat[0:h, 0:w]
+        sat[..., size : size + h, size : size + w]
+        - sat[..., 0:h, size : size + w]
+        - sat[..., size : size + h, 0:w]
+        + sat[..., 0:h, 0:w]
     )
     return total / float(size * size)
 
@@ -90,30 +118,39 @@ def gradient_magnitude_orientation(plane: np.ndarray) -> tuple[np.ndarray, np.nd
     return np.hypot(gx, gy), np.arctan2(gy, gx)
 
 
-def local_maxima(response: np.ndarray, radius: int = 1) -> np.ndarray:
-    """Boolean mask of strict local maxima within a square window.
+@lru_cache(maxsize=16)
+def _window_offsets(radius: int, width: int) -> np.ndarray:
+    """Flat offsets of the ``(2r+1)² - 1`` window neighbours in a row of *width*."""
+    span = np.arange(-radius, radius + 1)
+    offsets = (span[:, None] * width + span[None, :]).ravel()
+    offsets = offsets[offsets != 0]
+    offsets.flags.writeable = False
+    return offsets
 
-    Used for non-maximum suppression of corner responses.  A pixel is kept
-    when it is >= every neighbour and > at least one (so constant plateaus
-    are not all kept).
+
+def local_maxima_at(
+    response: np.ndarray, ys: np.ndarray, xs: np.ndarray, radius: int = 1
+) -> np.ndarray:
+    """Which pixels ``(ys[i], xs[i])`` are strict local maxima of *response*.
+
+    Non-maximum suppression of corner responses, evaluated only at the
+    pixels asked about.  A pixel is kept when it is >= every neighbour in
+    its ``(2r+1)²`` window and > at least one (so constant plateaus are
+    not all kept).  Neighbours outside the plane, and ``-inf`` cells
+    (which stand for "no response"), are neutral: they never beat a
+    pixel and never count as beaten.
     """
     response = np.asarray(response, dtype=np.float64)
     if response.ndim != 2:
-        raise ImageError(f"local_maxima expects a 2-D plane, got {response.ndim}-D")
-    # Out-of-bounds neighbours must be neutral: they never beat a pixel
-    # (-inf pad for the >= test) and never count as beaten evidence
-    # (+inf pad for the strict test).
-    pad_low = np.pad(response, radius, mode="constant", constant_values=-np.inf)
-    pad_high = np.pad(response, radius, mode="constant", constant_values=np.inf)
-    keep = np.ones_like(response, dtype=bool)
-    strictly_greater = np.zeros_like(response, dtype=bool)
+        raise ImageError(f"local_maxima_at expects a 2-D plane, got {response.ndim}-D")
     h, w = response.shape
-    for dy in range(-radius, radius + 1):
-        for dx in range(-radius, radius + 1):
-            if dy == 0 and dx == 0:
-                continue
-            rows = slice(radius + dy, radius + dy + h)
-            cols = slice(radius + dx, radius + dx + w)
-            keep &= response >= pad_low[rows, cols]
-            strictly_greater |= response > pad_high[rows, cols]
-    return keep & strictly_greater
+    width = w + 2 * radius
+    padded = np.full((h + 2 * radius, width), -np.inf)
+    padded[radius : radius + h, radius : radius + w] = response
+    centre = (np.asarray(ys, dtype=np.intp) + radius) * width + radius
+    centre += np.asarray(xs, dtype=np.intp)
+    neighbours = padded.take(centre[:, None] + _window_offsets(radius, width))
+    value = padded.take(centre)[:, None]
+    keep = (value >= neighbours).all(axis=1)
+    beaten = ((value > neighbours) & (neighbours > -np.inf)).any(axis=1)
+    return keep & beaten

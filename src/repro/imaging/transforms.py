@@ -26,13 +26,11 @@ def _to_uint8(arr: np.ndarray) -> np.ndarray:
     return np.clip(np.rint(arr), 0, 255).astype(np.uint8)
 
 
-def resize_bilinear(bitmap: np.ndarray, new_height: int, new_width: int) -> np.ndarray:
-    """Resize a bitmap with bilinear interpolation (align-corners=False).
+def _bilinear(arr: np.ndarray, new_height: int, new_width: int) -> np.ndarray:
+    """Bilinear resample of the first two axes of *arr*, ``uint8`` out.
 
-    Matches the sampling convention of OpenCV's ``INTER_LINEAR``: the
-    source coordinate of output pixel ``i`` is ``(i + 0.5) * scale - 0.5``.
+    Trailing axes (colour channels) ride along untouched.
     """
-    arr = _as_float_rgb(bitmap)
     h, w = arr.shape[:2]
     if new_height < 1 or new_width < 1:
         raise ImageError(f"target size must be >= 1x1, got {new_width}x{new_height}")
@@ -47,12 +45,36 @@ def resize_bilinear(bitmap: np.ndarray, new_height: int, new_width: int) -> np.n
     x0 = np.floor(xs).astype(int)
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
-    wy = (ys - y0)[:, None, None]
-    wx = (xs - x0)[None, :, None]
+    channels = (1,) * (arr.ndim - 2)
+    wy = (ys - y0).reshape((-1, 1) + channels)
+    wx = (xs - x0).reshape((1, -1) + channels)
 
-    top = arr[y0][:, x0] * (1 - wx) + arr[y0][:, x1] * wx
-    bottom = arr[y1][:, x0] * (1 - wx) + arr[y1][:, x1] * wx
-    return _to_uint8(top * (1 - wy) + bottom * wy)
+    # Interpolate along x once per source row, then pick the two rows
+    # each output row blends: the same products as blending per output row.
+    across = arr[:, x0] * (1 - wx) + arr[:, x1] * wx
+    return _to_uint8(across[y0] * (1 - wy) + across[y1] * wy)
+
+
+def resize_bilinear(bitmap: np.ndarray, new_height: int, new_width: int) -> np.ndarray:
+    """Resize a bitmap with bilinear interpolation (align-corners=False).
+
+    Matches the sampling convention of OpenCV's ``INTER_LINEAR``: the
+    source coordinate of output pixel ``i`` is ``(i + 0.5) * scale - 0.5``.
+    A 2-D input is treated as gray and comes back as three equal channels.
+    """
+    return _bilinear(_as_float_rgb(bitmap), new_height, new_width)
+
+
+def resize_bilinear_plane(plane: np.ndarray, new_height: int, new_width: int) -> np.ndarray:
+    """Resize one 2-D plane with bilinear interpolation, ``uint8`` out.
+
+    Gives the values of any channel of :func:`resize_bilinear` applied to
+    the plane repeated to RGB, without resampling three copies.
+    """
+    arr = np.asarray(plane, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ImageError(f"expected a 2-D plane, got shape {arr.shape}")
+    return _bilinear(arr, new_height, new_width)
 
 
 def resize_area(bitmap: np.ndarray, new_height: int, new_width: int) -> np.ndarray:

@@ -172,10 +172,13 @@ class FeatureIndex:
         if image_id in self._ids:
             raise IndexError_(f"image {image_id!r} is already indexed")
         ref = len(self._entries)
-        if len(features):
-            self._lsh.add(self._packed(features), ref)
+        packed = self._packed(features) if len(features) else None
+        # Publish the entry before any bucket holds its ref: lock-free
+        # readers resolve every ref they can see to an entry and an id.
         self._entries.append(features)
         self._ids[image_id] = ref
+        if packed is not None:
+            self._lsh.add(packed, ref)
 
     def packed_descriptors(self, features: FeatureSet) -> np.ndarray:
         """The LSH-ready packed binary form of *features*' descriptors."""

@@ -9,7 +9,8 @@ from repro.imaging.filters import (
     gaussian_blur,
     gaussian_kernel1d,
     gradient_magnitude_orientation,
-    local_maxima,
+    local_maxima_at,
+    reflect_pad,
     sobel_gradients,
 )
 
@@ -70,6 +71,27 @@ class TestBoxBlur:
         with pytest.raises(ImageError):
             box_blur(np.zeros(4), 1)
 
+    def test_stack_blurs_each_plane_alone(self):
+        stack = np.random.default_rng(0).uniform(0, 255, (3, 6, 7))
+        blurred = box_blur(stack, 2)
+        for plane, expected in zip(blurred, stack):
+            assert np.array_equal(plane, box_blur(expected, 2))
+
+
+class TestReflectPad:
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 5), (6, 3), (9, 9)])
+    @pytest.mark.parametrize("pad", [1, 2, 7])
+    def test_matches_np_pad(self, shape, pad):
+        plane = np.arange(float(np.prod(shape))).reshape(shape)
+        assert np.array_equal(reflect_pad(plane, pad), np.pad(plane, pad, mode="reflect"))
+
+    def test_pads_only_the_given_axes(self):
+        stack = np.arange(24.0).reshape(2, 3, 4)
+        padded = reflect_pad(stack, 1)
+        assert padded.shape == (2, 5, 6)
+        assert np.array_equal(padded[1], np.pad(stack[1], 1, mode="reflect"))
+        assert reflect_pad(stack[0], 2, axes=(1,)).shape == (3, 8)
+
 
 class TestSobel:
     def test_vertical_edge_has_horizontal_gradient(self):
@@ -92,33 +114,52 @@ class TestSobel:
         assert (np.abs(ori) <= np.pi).all()
 
 
+def _local_maxima(plane, radius):
+    """``local_maxima_at`` evaluated at every pixel, as a mask."""
+    ys, xs = np.indices(plane.shape).reshape(2, -1)
+    return local_maxima_at(plane, ys, xs, radius=radius).reshape(plane.shape)
+
+
 class TestLocalMaxima:
     def test_single_peak(self):
         plane = np.zeros((9, 9))
         plane[4, 4] = 5.0
-        mask = local_maxima(plane, radius=1)
+        mask = _local_maxima(plane, radius=1)
         assert mask[4, 4]
         assert mask.sum() == 1
 
     def test_plateau_not_maxima(self):
         plane = np.full((9, 9), 2.0)
-        assert not local_maxima(plane, radius=1).any()
+        assert not _local_maxima(plane, radius=1).any()
 
     def test_two_separated_peaks(self):
         plane = np.zeros((9, 9))
         plane[2, 2] = 5.0
         plane[6, 6] = 7.0
-        mask = local_maxima(plane, radius=1)
+        mask = _local_maxima(plane, radius=1)
         assert mask[2, 2] and mask[6, 6]
 
     def test_adjacent_peaks_suppressed_by_radius(self):
         plane = np.zeros((9, 9))
         plane[4, 3] = 5.0
         plane[4, 5] = 7.0
-        mask = local_maxima(plane, radius=2)
+        mask = _local_maxima(plane, radius=2)
         assert mask[4, 5]
         assert not mask[4, 3]
 
     def test_rejects_non_2d(self):
         with pytest.raises(ImageError):
-            local_maxima(np.zeros(5))
+            local_maxima_at(np.zeros(5), np.zeros(1, int), np.zeros(1, int))
+
+    def test_answers_only_the_pixels_asked(self):
+        plane = np.zeros((9, 9))
+        plane[4, 4] = 5.0
+        keep = local_maxima_at(plane, np.array([4, 0]), np.array([4, 0]), radius=1)
+        assert keep.tolist() == [True, False]
+
+    def test_minus_inf_cells_are_neutral(self):
+        # Like the border, a -inf cell neither beats the pixel nor counts
+        # as beaten: a flat neighbourhood stays a plateau.
+        plane = np.zeros((5, 5))
+        plane[2, 3] = -np.inf
+        assert not local_maxima_at(plane, np.array([2]), np.array([2]), radius=1)[0]

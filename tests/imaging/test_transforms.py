@@ -11,6 +11,7 @@ from repro.imaging.transforms import (
     center_crop_fraction,
     resize_area,
     resize_bilinear,
+    resize_bilinear_plane,
     translate,
 )
 
@@ -38,6 +39,19 @@ class TestResize:
     def test_bilinear_rejects_zero_target(self):
         with pytest.raises(ImageError):
             resize_bilinear(_gradient_bitmap(), 0, 10)
+
+    @pytest.mark.parametrize("size", [(24, 32), (20, 27), (7, 13), (48, 64)])
+    def test_plane_matches_every_rgb_channel(self, size):
+        plane = np.random.default_rng(1).uniform(0, 255, (24, 32))
+        resized = resize_bilinear_plane(plane, *size)
+        assert resized.dtype == np.uint8
+        rgb = resize_bilinear(plane, *size)
+        for channel in range(3):
+            assert np.array_equal(resized, rgb[:, :, channel])
+
+    def test_plane_rejects_rgb(self):
+        with pytest.raises(ImageError):
+            resize_bilinear_plane(_gradient_bitmap(), 12, 16)
 
     def test_area_integer_shrink_is_block_mean(self):
         bitmap = np.zeros((4, 4, 3), dtype=np.uint8)

@@ -49,6 +49,23 @@ class TestMutation:
         index.add(_features("empty", np.zeros((0, 32))))
         assert "empty" in index
 
+    def test_reader_mid_add_resolves_every_bucket_ref(self, rng):
+        # A lock-free reader can run between the bucket insert and the
+        # end of add(); every ref it sees must resolve to an indexed image.
+        index = FeatureIndex()
+        index.add(_features("b", rng.integers(0, 256, (12, 32))))
+        features = _features("a", rng.integers(0, 256, (12, 32)))
+        insert = index._lsh.add
+        seen = []
+
+        def insert_then_read(packed, ref):
+            insert(packed, ref)
+            seen.append(index.query_top(features, 1))
+
+        index._lsh.add = insert_then_read
+        index.add(features)
+        assert seen == [[("a", 1.0)]]
+
 
 class TestQuery:
     def test_empty_index(self, orb_features):
