@@ -6,7 +6,8 @@ layer the reproduction adds (blocked uint64 Hamming, batched LSH vote
 aggregation, the prepared-set SSMM similarity matrix).  Each case times
 the kernel against a frozen copy of the implementation it replaced —
 the uint8 XOR tensor + popcount-table gather, the dict-of-list LSH
-buckets with per-key Python vote loops, and the per-pair Jaccard loop
+buckets with per-key Python vote loops (timed for the index build and
+for the query votes), and the per-pair Jaccard loop
 that re-cast both descriptor matrices on every pair — and asserts the
 outputs byte-identical while it measures.
 
@@ -199,34 +200,52 @@ def bench_distance_matrix(dist_rows, seed, repeats):
     }
 
 
-def bench_lsh_votes(lsh_n_images, lsh_n_queries, seed, repeats):
+def bench_lsh(lsh_n_images, lsh_n_queries, seed, repeats):
+    """Time the LSH build (adds) and the query drain (votes) separately."""
     rng = np.random.default_rng(seed)
-    lsh = HammingLSH(n_bits=256)
-    legacy = LegacyVoteTables(HammingLSH(n_bits=256))
     shared = _descriptor_rows(rng, 15)  # overlap -> shared, busy buckets
-    for ref in range(lsh_n_images):
+    images = []
+    for _ in range(lsh_n_images):
         packed = _descriptor_rows(rng, 40)
         packed[: len(shared)] = shared
-        lsh.add(packed, ref=ref)
-        legacy.add(packed, ref=ref)
+        images.append(packed)
+    hasher = HammingLSH(n_bits=256)
     query_keys = []
     for _ in range(lsh_n_queries):
         packed = _descriptor_rows(rng, 40)
         packed[: len(shared)] = shared
-        query_keys.append(lsh.keys(packed))
+        query_keys.append(hasher.keys(packed))
+
+    def build(make):
+        index = make()
+        for ref, packed in enumerate(images):
+            index.add(packed, ref=ref)
+        return index
 
     def drain(index):
         return [index.votes_from_keys(keys) for keys in query_keys]
 
+    legacy_add_seconds, legacy = _best_of(
+        repeats, build, lambda: LegacyVoteTables(HammingLSH(n_bits=256))
+    )
+    kernel_add_seconds, lsh = _best_of(repeats, build, lambda: HammingLSH(n_bits=256))
     legacy_seconds, expected = _best_of(repeats, drain, legacy)
     kernel_seconds, actual = _best_of(repeats, drain, lsh)
     assert expected == actual
     return {
-        "n_images": lsh_n_images,
-        "n_queries": lsh_n_queries,
-        "legacy_seconds": legacy_seconds,
-        "kernel_seconds": kernel_seconds,
-        "speedup": legacy_seconds / max(kernel_seconds, 1e-9),
+        "votes": {
+            "n_images": lsh_n_images,
+            "n_queries": lsh_n_queries,
+            "legacy_seconds": legacy_seconds,
+            "kernel_seconds": kernel_seconds,
+            "speedup": legacy_seconds / max(kernel_seconds, 1e-9),
+        },
+        "adds": {
+            "n_images": lsh_n_images,
+            "legacy_seconds": legacy_add_seconds,
+            "kernel_seconds": kernel_add_seconds,
+            "speedup": legacy_add_seconds / max(kernel_add_seconds, 1e-9),
+        },
     }
 
 
@@ -351,13 +370,13 @@ def bench_journal_overhead(journal_devices, journal_rounds, journal_batch, seed,
 def run(params: "dict | None" = None) -> dict:
     """Registered bench entry point (``repro bench run``)."""
     p = merge_params(PARAMS, params)
+    lsh = bench_lsh(p["lsh_n_images"], p["lsh_n_queries"], p["seed"], p["repeats"])
     return {
         "distance_matrix": bench_distance_matrix(
             p["dist_rows"], p["seed"], p["repeats"]
         ),
-        "lsh_votes": bench_lsh_votes(
-            p["lsh_n_images"], p["lsh_n_queries"], p["seed"], p["repeats"]
-        ),
+        "lsh_votes": lsh["votes"],
+        "lsh_adds": lsh["adds"],
         "similarity_batches": {
             str(size): row
             for size, row in bench_similarity_batches(
@@ -391,6 +410,12 @@ def test_kernels(benchmark, emit):
             f"{data['lsh_votes']['legacy_seconds']:.4f} s",
             f"{data['lsh_votes']['kernel_seconds']:.4f} s",
             f"{data['lsh_votes']['speedup']:.1f}x",
+        ],
+        [
+            f"lsh index build ({data['lsh_adds']['n_images']} adds)",
+            f"{data['lsh_adds']['legacy_seconds']:.4f} s",
+            f"{data['lsh_adds']['kernel_seconds']:.4f} s",
+            f"{data['lsh_adds']['speedup']:.1f}x",
         ],
     ]
     for size, row in sorted(

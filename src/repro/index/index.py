@@ -204,7 +204,7 @@ class FeatureIndex:
         return {self._entries[ref].image_id: count for ref, count in votes.items()}
 
     def vote_counts_from_grouped(self, grouped: "GroupedKeys") -> "dict[str, int]":
-        """LSH votes for keys already deduplicated per table.
+        """LSH votes for keys already fused and deduplicated.
 
         Shard fan-out entry point: the coordinator groups a query's
         keys once (:func:`~repro.kernels.voting.group_query_keys`) and

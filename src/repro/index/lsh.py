@@ -48,6 +48,12 @@ class HammingLSH:
             raise IndexError_(
                 f"bits_per_key must be in [1, min(n_bits, 62)], got {self.bits_per_key}"
             )
+        if self.bits_per_key + (self.n_tables - 1).bit_length() > 63:
+            # The bucket store fuses (table, key) into one int64 posting key.
+            raise IndexError_(
+                f"{self.n_tables} tables of {self.bits_per_key}-bit keys "
+                "do not fit a 63-bit fused key"
+            )
         rng = np.random.default_rng(self.seed)
         self._samples = np.stack(
             [
@@ -55,7 +61,7 @@ class HammingLSH:
                 for _ in range(self.n_tables)
             ]
         )
-        self._store = BucketStore(n_tables=self.n_tables)
+        self._store = BucketStore(n_tables=self.n_tables, key_bits=self.bits_per_key)
 
     # -- keys --------------------------------------------------------------
 
@@ -102,21 +108,21 @@ class HammingLSH:
     def votes_from_keys(self, keys: np.ndarray) -> dict[int, int]:
         """Vote counts for precomputed :meth:`keys` output.
 
-        Aggregated by the vectorized kernel store
-        (:class:`repro.kernels.voting.BucketStore`): hit buckets are
-        gathered as int arrays and reduced with one weighted
-        ``bincount`` — the counts are identical to the historical
-        per-key Python loop.
+        Aggregated by the columnar kernel store
+        (:class:`repro.kernels.voting.BucketStore`): hit posting runs
+        are gathered in one index expression and reduced with one
+        weighted ``bincount`` — the counts are identical to the
+        historical per-key Python loop.
         """
         return self._store.votes(keys)
 
     def votes_from_grouped(self, grouped: "GroupedKeys") -> dict[int, int]:
-        """Vote counts for keys already deduplicated per table.
+        """Vote counts for keys already fused and deduplicated.
 
         The sharded coordinator's fast path: it runs
         :func:`~repro.kernels.voting.group_query_keys` **once** per
         query and ships the grouped form to every shard, so no shard
-        repeats the per-table unique pass.  Counts are identical to
+        repeats the unique pass.  Counts are identical to
         :meth:`votes_from_keys` on the ungrouped keys.
         """
         return self._store.votes_from_grouped(grouped)

@@ -25,12 +25,12 @@ Design notes, because the equivalence guarantee depends on them:
   :func:`~repro.index.index.verify_votes` therefore returns
   **byte-identical** answers to a single index over the same images —
   the property the fleet differential tests pin.
-* **Reads are lock-free.**  A shard's ``add`` appends to its entry list
-  and replaces bucket arrays atomically (one dict store per bucket);
-  concurrent CPython readers see either the old or the new bucket,
-  never a torn one.  The fleet runner additionally
-  never interleaves queries with writes for the *same* round (round
-  barrier), so readers observe a frozen index.  Writer locks exist only
+* **Reads are lock-free.**  A shard's ``add`` appends to its entry list,
+  then publishes its copy-on-write posting list (one tuple swap per
+  insert); a concurrent reader binds the tuple once per vote, so it sees
+  every insert whole or not at all, never a torn one.  The fleet runner
+  additionally never interleaves queries with writes for the *same*
+  round (round barrier), so readers observe a frozen index.  Writer locks exist only
   to serialise writer/writer races within a shard; the non-blocking
   first acquire counts contention into
   ``bees_index_shard_contention_total{shard}``.
@@ -167,11 +167,12 @@ class ShardedFeatureIndex:
         return self._merged_votes_from_keys(keys)
 
     def _merged_votes_from_keys(self, keys: "np.ndarray") -> "dict[str, int]":
-        # Group (per-table unique+counts) once in the coordinator; each
-        # shard only gathers its own buckets from the shared form.  The
-        # historical shape paid the unique pass again inside every
+        # Group (fused unique+counts) once in the coordinator; each
+        # shard only gathers its own posting runs from the shared form.
+        # The historical shape paid the unique pass again inside every
         # shard's vote_counts_from_keys call.
-        return self._merged_votes_from_grouped(group_query_keys(keys))
+        grouped = group_query_keys(keys, self.bits_per_key)
+        return self._merged_votes_from_grouped(grouped)
 
     def _merged_votes_from_grouped(self, grouped: "GroupedKeys") -> "dict[str, int]":
         votes: "dict[str, int]" = {}

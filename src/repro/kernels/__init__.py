@@ -5,8 +5,9 @@ out in:
 
 * :mod:`~repro.kernels.hamming` — blocked uint64 Hamming distances
   (``np.bitwise_count`` or a SWAR fallback);
-* :mod:`~repro.kernels.voting` — deduplicated LSH bucket storage with
-  ``bincount`` vote aggregation (queries group their keys once via
+* :mod:`~repro.kernels.voting` — one columnar, copy-on-write LSH
+  posting list per store with loop-free ``bincount`` vote aggregation
+  (queries group their keys once via
   :func:`~repro.kernels.voting.group_query_keys`; every shard gathers
   from the shared grouped form);
 * :mod:`~repro.kernels.majority` — the bit-plane byte-wise majority

@@ -30,6 +30,16 @@ class TestConstruction:
         with pytest.raises(IndexError_):
             HammingLSH(n_bits=256, bits_per_key=63)
 
+    def test_rejects_keys_that_do_not_fuse_with_the_table_index(self):
+        # The store fuses (table, key) into one int64: 8 tables need 3
+        # bits, so 61-bit keys overflow while 60-bit keys still fit.
+        with pytest.raises(IndexError_):
+            HammingLSH(n_bits=256, n_tables=8, bits_per_key=61)
+        lsh = HammingLSH(n_bits=256, n_tables=8, bits_per_key=60)
+        desc = _random_descriptors(4)
+        lsh.add(desc, ref=0)
+        assert lsh.votes(desc) == {0: 4 * 8}
+
 
 class TestVoting:
     def test_exact_duplicates_get_full_votes(self):

@@ -10,6 +10,9 @@ input.  They intentionally share no code with ``repro.kernels``:
 * :class:`ReferenceHammingLSH` — dict-of-list buckets that append one
   entry per (descriptor, key) hit and deduplicate with ``set()`` at
   vote time, with per-key Python loops;
+* :class:`ReferenceBucketStore` — the first kernel bucket store: one
+  ``key -> sorted unique ref array`` dict per table, walked one key at a
+  time from Python, which the columnar posting list replaced;
 * :func:`reference_similarity_matrix` — the per-pair Jaccard loop,
   re-casting both descriptor matrices on every pair, no caching;
 * :func:`reference_partition_components` — union-find with a
@@ -124,6 +127,65 @@ class ReferenceHammingLSH:
         return [
             len(bucket) for table in self._tables for bucket in table.values()
         ]
+
+
+class ReferenceBucketStore:
+    """Per-table ``key -> sorted unique ref array`` bucket maps.
+
+    Frozen from the kernel layer before it fused every table into one
+    columnar posting list.  Keys are per-table and unbounded (no fusing),
+    and votes walk the grouped keys one table and one key at a time.
+    """
+
+    def __init__(self, n_tables):
+        self.n_tables = n_tables
+        self._tables = [{} for _ in range(n_tables)]
+        self._max_ref = -1
+
+    def insert(self, keys, ref):
+        keys = np.asarray(keys)
+        assert keys.ndim == 2 and keys.shape[1] == self.n_tables
+        ref = int(ref)
+        for table, table_keys in zip(self._tables, keys.T):
+            for key in np.unique(table_keys).tolist():
+                bucket = table.get(key)
+                if bucket is None:
+                    table[key] = np.array([ref], dtype=np.int64)
+                    continue
+                position = int(np.searchsorted(bucket, ref))
+                if position < len(bucket) and bucket[position] == ref:
+                    continue
+                table[key] = np.insert(bucket, position, ref)
+        if ref > self._max_ref:
+            self._max_ref = ref
+
+    def votes(self, keys):
+        keys = np.asarray(keys)
+        assert keys.ndim == 2 and keys.shape[1] == self.n_tables
+        if keys.shape[0] == 0 or self._max_ref < 0:
+            return {}
+        hit_refs = []
+        hit_weights = []
+        for table, table_keys in zip(self._tables, keys.T):
+            unique_keys, counts = np.unique(table_keys, return_counts=True)
+            for key, count in zip(unique_keys.tolist(), counts.tolist()):
+                bucket = table.get(key)
+                if bucket is None:
+                    continue
+                hit_refs.append(bucket)
+                hit_weights.append(np.full(len(bucket), count, dtype=np.float64))
+        if not hit_refs:
+            return {}
+        totals = np.bincount(
+            np.concatenate(hit_refs),
+            weights=np.concatenate(hit_weights),
+            minlength=self._max_ref + 1,
+        )
+        voted = np.nonzero(totals)[0]
+        return {int(ref): int(total) for ref, total in zip(voted, totals[voted])}
+
+    def bucket_lengths(self):
+        return [len(bucket) for table in self._tables for bucket in table.values()]
 
 
 def reference_partition_components(weights, cut_threshold):
