@@ -714,39 +714,17 @@ def cmd_lint(args: argparse.Namespace) -> int:
         return 0
     try:
         rules = lint_module.resolve_rules(select=args.select, ignore=args.ignore)
-        paths = list(args.paths)
-        project_paths = None
-        if args.changed:
-            # Check only files that differ from HEAD, but keep the full
-            # requested scope as whole-program context so interprocedural
-            # summaries still see every module.
-            project_paths = list(args.paths)
-            paths = lint_module.changed_python_files(args.paths)
-            if not paths:
-                print("beeslint: no changed python files in scope")
-                return 0
-        cache_dir = None if args.no_cache else lint_module.CACHE_DIR_NAME
-        result = lint_module.lint_paths(
-            paths,
-            rules=rules,
-            cache_dir=cache_dir,
-            project_paths=project_paths,
-        )
+        result = lint_module.lint_paths(args.paths, rules=rules)
     except lint_module.ConfigurationError as exc:
         raise SystemExit(f"lint failed: {exc}") from None
-    if args.sarif is not None:
-        document = lint_module.render_sarif(result)
-        if args.sarif == "-":
-            print(document, end="")
-        else:
-            with open(args.sarif, "w", encoding="utf-8") as handle:
-                handle.write(document)
-    if args.format == "json":
+    if args.sarif not in (None, "-"):
+        with open(args.sarif, "w", encoding="utf-8") as handle:
+            handle.write(lint_module.render_sarif(result))
+    if args.sarif == "-":  # stdout stays pure SARIF for piping
+        print(lint_module.render_sarif(result), end="")
+    elif args.format == "json":
         print(lint_module.render_json(result))
-    elif args.format == "sarif":
-        if args.sarif != "-":  # already printed when --sarif=- was given
-            print(lint_module.render_sarif(result), end="")
-    elif args.sarif != "-":  # keep stdout pure SARIF for piping
+    else:
         print(lint_module.render_console(result))
     return 0 if result.ok else 1
 
@@ -1076,21 +1054,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (default: src benchmarks)",
     )
     lint.add_argument(
-        "--format", choices=["console", "json", "sarif"], default="console",
+        "--format", choices=["console", "json"], default="console",
         help="findings output format (default: console)",
     )
     lint.add_argument(
         "--sarif", metavar="FILE", default=None,
         help="also write a SARIF 2.1.0 report to FILE ('-' for stdout)",
-    )
-    lint.add_argument(
-        "--changed", action="store_true",
-        help="check only files changed vs git HEAD (full paths still "
-        "provide whole-program context)",
-    )
-    lint.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the .beeslint_cache/ incremental result cache",
     )
     lint.add_argument(
         "--select", action="append", metavar="RULE", default=None,

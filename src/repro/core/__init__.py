@@ -1,7 +1,7 @@
 """The paper's contribution: the BEES pipeline and its stages."""
 
 from .afe import AfeResult, ApproximateFeatureExtraction
-from .aiu import AiuResult, ApproximateImageUploading, fitted_quality_size_factor
+from .aiu import AiuResult, ApproximateImageUploading
 from .ard import CbrdDecision, CrossBatchDetector
 from .client import BeesScheme
 from .config import DEFAULT_QUALITY_PROPORTION, BeesConfig
@@ -38,7 +38,6 @@ __all__ = [
     "eac_policy",
     "eau_policy",
     "edr_policy",
-    "fitted_quality_size_factor",
     "partition_components",
     "select_unique_subset",
     "similarity_matrix",

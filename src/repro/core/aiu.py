@@ -8,42 +8,19 @@ Unique images are compressed twice before transmission:
   ``Cr = 0.8 - 0.8 * Ebat`` — lower battery, lower resolution, smaller
   upload (Figure 5(b)); the loss is unrecoverable, which is exactly the
   trade AIS makes.
-
-``exact_codec=False`` replaces the DCT round-trip with a fitted
-size-factor curve (measured once from the real codec on a reference
-scene) for large-scale simulations where only the byte count matters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-
-import numpy as np
 
 from ..energy import EnergyCostModel, WorkCost, ZERO_COST
 from ..imaging import jpeg
 from ..imaging.image import Image
 from ..imaging.resolution import compress_resolution
 from ..obs.journal import get_journal
-from .config import DEFAULT_QUALITY_PROPORTION, FIT_PROPORTIONS
+from .config import DEFAULT_QUALITY_PROPORTION
 from .policies import LinearPolicy, eau_policy
-
-
-@lru_cache(maxsize=1)
-def _fitted_quality_curve() -> "tuple[np.ndarray, np.ndarray]":
-    """(proportions, size factors) of the codec on a reference scene."""
-    from ..imaging.synth import SceneGenerator  # local import: avoid cycle
-
-    reference = SceneGenerator().view(424_242, 0)
-    factors = [jpeg.size_factor(reference, p) for p in FIT_PROPORTIONS]
-    return np.array(FIT_PROPORTIONS), np.array(factors)
-
-
-def fitted_quality_size_factor(proportion: float) -> float:
-    """Interpolated file-size multiplier of quality compression."""
-    xs, ys = _fitted_quality_curve()
-    return float(np.interp(proportion, xs, ys))
 
 
 @dataclass(frozen=True)
@@ -69,7 +46,6 @@ class ApproximateImageUploading:
     policy: LinearPolicy = field(default_factory=eau_policy)
     cost_model: EnergyCostModel = field(default_factory=EnergyCostModel)
     enabled: bool = True
-    exact_codec: bool = True
 
     def resolution_proportion_for(self, ebat: float) -> float:
         """The EAU resolution compression proportion."""
@@ -100,14 +76,7 @@ class ApproximateImageUploading:
             prepared = compress_resolution(prepared, resolution_proportion)
             cost = cost + self.cost_model.compression_cost(image.nominal_pixels)
         if self.quality_proportion > 0.0:
-            if self.exact_codec:
-                prepared = jpeg.compress_quality(prepared, self.quality_proportion)
-            else:
-                factor = fitted_quality_size_factor(self.quality_proportion)
-                prepared = prepared.with_bitmap(
-                    prepared.bitmap,
-                    nominal_bytes=prepared.scaled_nominal_bytes(factor),
-                )
+            prepared = jpeg.compress_quality(prepared, self.quality_proportion)
             cost = cost + self.cost_model.compression_cost(prepared.nominal_pixels)
         return self._emit(
             AiuResult(

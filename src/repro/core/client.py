@@ -51,7 +51,6 @@ class BeesScheme(SharingScheme):
             quality_proportion=self.config.quality_proportion,
             policy=self.config.eau,
             enabled=self.config.enable_aiu,
-            exact_codec=self.config.exact_codec,
         )
 
     # -- pipeline ------------------------------------------------------------

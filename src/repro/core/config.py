@@ -26,8 +26,8 @@ DEFAULT_QUALITY_PROPORTION = 0.85
 EDR_THRESHOLD_MIN = edr_policy()(0.0)
 EDR_THRESHOLD_MAX = edr_policy()(1.0)
 
-#: Proportions at which AIU's fitted quality-size curve is sampled (the
-#: sweep of Figure 5(a), anchored on the fixed quality proportion).
+#: Quality proportions the Figure 5(a) compression sweep samples,
+#: anchored on the fixed quality proportion.
 FIT_PROPORTIONS = (0.0, 0.2, 0.4, 0.6, 0.8, DEFAULT_QUALITY_PROPORTION, 0.9, 0.95)
 
 
@@ -45,9 +45,6 @@ class BeesConfig:
     enable_cbrd: bool = True
     enable_ssmm: bool = True
     enable_aiu: bool = True
-    #: Run the real DCT codec for quality compression (exact) or use the
-    #: fitted size curve (fast — large simulations).
-    exact_codec: bool = True
     #: SSMM budget rule: "components" (the paper's adaptive rule) or a
     #: fixed positive integer for the fixed-budget ablation.
     ssmm_budget: object = "components"

@@ -3,19 +3,21 @@
 An AST-based linter whose rules encode the *semantic* invariants the
 paper's numbers rest on, the ones a generic linter cannot know:
 
-==========  =================  ==========================================
-code        slug               protects
-==========  =================  ==========================================
-BEES101     paper-constants    EAAS / quality constants live in one place
-BEES102     unit-suffix        byte/joule/second accounting stays legible
-BEES103     seeded-rng         every run is reproducible bit-for-bit
-BEES104     float-equality     similarity comparisons are well-defined
-BEES105     obs-coverage       every scheme/benchmark is instrumented
-BEES106     ebat-range         battery fractions stay in [0, 1]
-BEES109     lock-discipline    shared shard state is touched lock-held
-BEES110     unit-flow          bytes/joules/seconds never cross-assign
-BEES111     nondet-order       unordered iteration never reaches journals
-==========  =================  ==========================================
+==========  =====================  ==========================================
+code        slug                   protects
+==========  =====================  ==========================================
+BEES101     paper-constants        EAAS / quality constants live in one place
+BEES102     unit-suffix            byte/joule/second accounting stays legible
+BEES103     seeded-rng             every run is reproducible bit-for-bit
+BEES104     float-equality         similarity comparisons are well-defined
+BEES105     obs-coverage           every scheme/benchmark is instrumented
+BEES106     ebat-range             battery fractions stay in [0, 1]
+BEES107     raw-timing             durations flow through spans/histograms
+BEES108     missing-journal-event  decision sites reach the journal
+BEES109     lock-discipline        shared shard state is touched lock-held
+BEES110     unit-flow              bytes/joules/seconds never cross-assign
+BEES111     nondet-order           unordered iteration never reaches journals
+==========  =====================  ==========================================
 
 Use it as a library (:func:`lint_paths`, :func:`lint_source`) or via
 ``python -m repro lint``.  Suppress a finding with an inline
@@ -26,15 +28,8 @@ Use it as a library (:func:`lint_paths`, :func:`lint_source`) or via
 from __future__ import annotations
 
 from ..errors import ConfigurationError
-from .engine import (
-    LintResult,
-    changed_python_files,
-    iter_python_files,
-    lint_paths,
-    lint_source,
-)
+from .engine import LintResult, iter_python_files, lint_paths, lint_source
 from .findings import FileReport, Finding
-from .flow.cache import CACHE_DIR_NAME
 from .registry import FileContext, Rule, all_rules, register, resolve_rules
 from .reporters import render_console, render_json, render_sarif
 
@@ -45,9 +40,7 @@ __all__ = [
     "Finding",
     "LintResult",
     "Rule",
-    "CACHE_DIR_NAME",
     "all_rules",
-    "changed_python_files",
     "iter_python_files",
     "lint_paths",
     "lint_source",

@@ -26,7 +26,6 @@ _SKIP_DIRS = {
     "results",
     ".venv",
     "node_modules",
-    ".beeslint_cache",
 }
 
 
@@ -35,9 +34,6 @@ class LintResult:
     """The outcome of one lint run over a set of paths."""
 
     reports: "tuple[FileReport, ...]" = field(default=())
-    #: Incremental-cache accounting for this run (0/0 when uncached).
-    cache_hits: int = 0
-    cache_misses: int = 0
 
     @property
     def findings(self) -> "tuple[Finding, ...]":
@@ -84,45 +80,6 @@ def iter_python_files(paths: "Sequence[str]") -> "Iterator[str]":
                 if full not in seen:
                     seen.add(full)
                     yield full
-
-
-def changed_python_files(paths: "Sequence[str]") -> "list[str]":
-    """The subset of ``iter_python_files(paths)`` that differs from git HEAD.
-
-    "Changed" means modified/added relative to HEAD (staged or not) or
-    untracked-but-not-ignored — exactly the files a pre-push lint run
-    cares about.  Paths come back repo-root-relative from git, so they
-    are re-anchored to the current working directory first.
-    """
-    import subprocess
-
-    def _git(*argv: str) -> "list[str]":
-        try:
-            proc = subprocess.run(
-                ["git", *argv],
-                capture_output=True,
-                text=True,
-                check=True,
-            )
-        except (OSError, subprocess.CalledProcessError) as exc:
-            raise ConfigurationError(
-                f"--changed requires a git checkout: git {argv[0]} failed ({exc})"
-            ) from None
-        return [line for line in proc.stdout.splitlines() if line.strip()]
-
-    toplevel = _git("rev-parse", "--show-toplevel")[0]
-    changed = set()
-    for listing in (
-        _git("diff", "--name-only", "HEAD", "--"),
-        _git("ls-files", "--others", "--exclude-standard"),
-    ):
-        for line in listing:
-            changed.add(os.path.normpath(os.path.join(toplevel, line)))
-    return [
-        path
-        for path in iter_python_files(paths)
-        if os.path.normpath(os.path.abspath(path)) in changed
-    ]
 
 
 def _rule_aliases(rules: "Iterable[Rule]") -> "dict[str, str]":
@@ -196,94 +153,36 @@ def lint_source(
 def lint_paths(
     paths: "Sequence[str]",
     rules: "Sequence[Rule] | None" = None,
-    cache_dir: "str | None" = None,
-    project_paths: "Sequence[str] | None" = None,
 ) -> LintResult:
-    """Lint every ``.py`` file under *paths*.
+    """Lint every ``.py`` file under *paths* in one pass.
 
-    *project_paths* widens the whole-program context beyond the checked
-    set (``--changed`` passes the default roots here so interprocedural
-    summaries always see the full program).  *cache_dir* enables the
-    content-hash incremental cache: files whose own digest **and**
-    project digest match a prior run are served from cache without
-    re-running any rule — and when every file hits, the project is not
-    even built.
+    Every file is read and parsed, whole-program rules share one
+    :class:`~.flow.project.Project` built from all of them, and every
+    file is checked against it.
     """
     active = tuple(rules) if rules is not None else all_rules()
-    needs_project = _needs_project(active)
+    reports: "dict[str, FileReport]" = {}
+    parsed: "dict[str, tuple[str, ast.Module]]" = {}
     checked = list(iter_python_files(paths))
-    scope = list(checked)
-    if project_paths is not None:
-        in_scope = set(scope)
-        for path in iter_python_files(project_paths):
-            if path not in in_scope:
-                in_scope.add(path)
-                scope.append(path)
-
-    sources: "dict[str, str]" = {}
-    read_errors: "dict[str, str]" = {}
-    for path in scope:
+    for path in checked:
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                sources[path] = handle.read()
+                source = handle.read()
         except OSError as exc:
-            read_errors[path] = f"unreadable: {exc}"
-
-    cache = None
-    proj_digest = None
-    if cache_dir is not None:
-        from .flow.cache import LintCache, file_digest, project_digest, rule_salt
-
-        digests = {
-            path: file_digest(source) for path, source in sources.items()
-        }
-        if needs_project:
-            proj_digest = project_digest(digests)
-        cache = LintCache(
-            cache_dir, rule_salt(rule.code for rule in active)
-        )
-
-    reports: "dict[str, FileReport]" = {}
-    to_analyze: "list[str]" = []
-    for path in checked:
-        if path in read_errors:
-            reports[path] = FileReport(path=path, error=read_errors[path])
+            reports[path] = FileReport(path=path, error=f"unreadable: {exc}")
             continue
-        if cache is not None:
-            hit = cache.lookup(path, digests[path], proj_digest)
-            if hit is not None:
-                reports[path] = hit
-                continue
-        to_analyze.append(path)
+        try:
+            parsed[path] = (source, ast.parse(source, filename=path))
+        except SyntaxError as exc:
+            reports[path] = _syntax_error_report(path, exc)
 
-    if to_analyze:
-        trees: "dict[str, ast.Module]" = {}
-        for path, source in sources.items():
-            try:
-                trees[path] = ast.parse(source, filename=path)
-            except SyntaxError as exc:
-                if path in to_analyze:
-                    reports[path] = _syntax_error_report(path, exc)
-                    if cache is not None:
-                        cache.store(reports[path], digests[path], proj_digest)
-        project = None
-        if needs_project:
-            from .flow.project import Project
+    project = None
+    if _needs_project(active):
+        from .flow.project import Project
 
-            project = Project.from_sources(sorted(trees.items()))
-        for path in to_analyze:
-            if path in reports:  # syntax error, already reported
-                continue
-            reports[path] = _check_file(
-                path, sources[path], trees[path], active, project
-            )
-            if cache is not None:
-                cache.store(reports[path], digests[path], proj_digest)
-
-    if cache is not None:
-        cache.save()
-    return LintResult(
-        reports=tuple(reports[path] for path in checked),
-        cache_hits=0 if cache is None else cache.hits,
-        cache_misses=0 if cache is None else cache.misses,
-    )
+        project = Project.from_sources(
+            (path, tree) for path, (_, tree) in sorted(parsed.items())
+        )
+    for path, (source, tree) in parsed.items():
+        reports[path] = _check_file(path, source, tree, active, project)
+    return LintResult(reports=tuple(reports[path] for path in checked))

@@ -18,16 +18,13 @@ fingerprint.  This package supplies the machinery those checks need:
 * :mod:`~repro.lint.flow.callgraph` — call resolution plus the
   interprocedural summary fixpoint;
 * :mod:`~repro.lint.flow.project` — the per-run :class:`Project`
-  context rules share;
-* :mod:`~repro.lint.flow.cache` — the content-hash incremental cache
-  that keeps the full-repo run fast in CI and pre-commit.
+  context rules share.
 
 Everything is pure stdlib, same as the rest of beeslint.
 """
 
 from __future__ import annotations
 
-from .cache import LintCache, file_digest, project_digest
 from .cfg import CFG, Block, build_cfg
 from .callgraph import CallGraph
 from .dataflow import FixpointResult, ForwardAnalysis, run_forward
@@ -42,12 +39,9 @@ __all__ = [
     "FixpointResult",
     "ForwardAnalysis",
     "FunctionInfo",
-    "LintCache",
     "ModuleInfo",
     "Project",
     "build_cfg",
-    "file_digest",
     "module_from_source",
-    "project_digest",
     "run_forward",
 ]

@@ -391,9 +391,10 @@ def build_module_cfg(tree: ast.Module) -> CFG:
         returns=None,
         type_comment=None,
     )
+    # Only the wrapper lacks a location, so set it directly rather than
+    # re-walking the whole module with ast.fix_missing_locations.
     synthetic.lineno = 1
     synthetic.col_offset = 0
-    ast.fix_missing_locations(synthetic)
     return build_cfg(synthetic)
 
 

@@ -1,12 +1,11 @@
 """The per-run whole-program context the flow rules share.
 
 A :class:`Project` is built once per lint invocation from every file
-the engine parsed (plus, under ``--changed``, the unchanged remainder
-of the default paths, so summaries always see the whole program even
-when only a handful of files are re-checked).  Rules reach it through
-``ctx.project`` and stash expensive artifacts — CFGs, interprocedural
-summaries — in :attr:`Project.artifacts` under a rule-owned key, so
-the cost is paid once per run rather than once per file.
+the engine parsed, so summaries always see the whole program.  Rules
+reach it through ``ctx.project`` and stash expensive artifacts — CFGs,
+interprocedural summaries — in :attr:`Project.artifacts` under a
+rule-owned key, so the cost is paid once per run rather than once per
+file.
 """
 
 from __future__ import annotations

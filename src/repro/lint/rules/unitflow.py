@@ -34,7 +34,9 @@ from typing import Iterator
 
 from ..findings import Finding
 from ..flow.callgraph import CallGraph, fixpoint_summaries
-from ..flow.cfg import CFG, Block, build_module_cfg, evaluated_nodes
+from ..flow.cfg import (
+    CFG, Block, build_module_cfg, evaluated_nodes, iter_function_nodes,
+)
 from ..flow.dataflow import ForwardAnalysis, run_forward
 from ..flow.symbols import FunctionInfo
 from ..registry import FileContext, Rule, register
@@ -258,14 +260,25 @@ class UnitFlowRule(Rule):
         module = project.module_at(ctx.path)
         if module is None:
             return
+        functions = list(module.functions.values())
+        for class_info in module.classes.values():
+            functions.extend(class_info.methods.values())
         scopes: "list[tuple[FunctionInfo | None, CFG]]" = [
             (None, build_module_cfg(ctx.tree))
         ]
-        for function in module.functions.values():
+        for function in functions:
             scopes.append((function, project.cfg_of(function)))
-        for class_info in module.classes.values():
-            for method in class_info.methods.values():
-                scopes.append((method, project.cfg_of(method)))
+            # Nested defs are scopes of their own; closures keep the
+            # enclosing class so ``self.m()`` still resolves.
+            for node in iter_function_nodes(function.node)[1:]:
+                nested = FunctionInfo(
+                    name=node.name,
+                    qualname=f"{function.qualname}.<locals>.{node.name}",
+                    node=node,
+                    module=module,
+                    class_info=function.class_info,
+                )
+                scopes.append((nested, project.cfg_of(nested)))
         for function, cfg in scopes:
             yield from self._check_scope(
                 ctx, function, cfg, resolver, summaries

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.aiu import ApproximateImageUploading, fitted_quality_size_factor
+from repro.core.aiu import ApproximateImageUploading
 from repro.imaging.ssim import ssim
 
 
@@ -55,24 +55,3 @@ class TestPrepare:
     def test_monotone_bytes_in_ebat(self, aiu, scene_image):
         sizes = [aiu.prepare(scene_image, ebat=e).upload_bytes for e in (0.0, 0.5, 1.0)]
         assert sizes == sorted(sizes)
-
-
-class TestFastCodec:
-    def test_fitted_curve_monotone(self):
-        factors = [fitted_quality_size_factor(p) for p in (0.0, 0.3, 0.6, 0.85, 0.95)]
-        assert factors == sorted(factors, reverse=True)
-
-    def test_fitted_bounds(self):
-        assert fitted_quality_size_factor(0.0) == pytest.approx(1.0)
-        assert 0.0 < fitted_quality_size_factor(0.95) < 1.0
-
-    def test_fast_mode_close_to_exact(self, scene_image):
-        exact = ApproximateImageUploading(exact_codec=True).prepare(scene_image, 1.0)
-        fast = ApproximateImageUploading(exact_codec=False).prepare(scene_image, 1.0)
-        assert fast.upload_bytes == pytest.approx(exact.upload_bytes, rel=0.25)
-
-    def test_fast_mode_keeps_bitmap(self, scene_image):
-        import numpy as np
-
-        fast = ApproximateImageUploading(exact_codec=False).prepare(scene_image, 1.0)
-        assert np.array_equal(fast.image.bitmap, scene_image.bitmap)

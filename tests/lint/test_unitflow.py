@@ -6,7 +6,7 @@ only a summary can know — must be flagged; the same arithmetic with
 ``sorted`` suffixes everywhere stays BEES102's finding, not ours.
 """
 
-from repro.lint import lint_source, resolve_rules
+from repro.lint import lint_paths, lint_source, resolve_rules
 
 RULE = "unit-flow"
 
@@ -104,6 +104,33 @@ class TestFlowMixes:
         assert len(findings) == 1
         assert "comparison" in findings[0].message
 
+    def test_nested_function_body_is_analysed(self):
+        # A closure is its own scope: the same body that is flagged at
+        # top level must be flagged inside ``outer`` too.
+        body = "    total = o.size_bytes\n    return total + o.cost_joules\n"
+        top_level = "def g(o):\n" + body
+        nested = (
+            "def outer(o):\n"
+            "    def g():\n"
+            + body.replace("    ", "        ")
+            + "    return g\n"
+        )
+        assert len(findings_for(top_level)) == 1
+        findings = findings_for(nested)
+        assert len(findings) == 1
+        assert findings[0].line == 4
+
+    def test_nested_function_inside_a_method_is_analysed(self):
+        source = (
+            "class Meter:\n"
+            "    def report(self, o):\n"
+            "        async def g():\n"
+            "            total = o.size_bytes\n"
+            "            return total + o.cost_joules\n"
+            "        return g\n"
+        )
+        assert len(findings_for(source)) == 1
+
 
 class TestDeclarationSites:
     def test_assignment_into_differently_suffixed_name(self):
@@ -169,3 +196,29 @@ class TestDeclarationSites:
             "# beeslint: disable=unit-flow (score blend, unitless by design)\n"
         )
         assert not findings_for(source)
+
+
+class TestAcrossFiles:
+    def test_summary_follows_a_helper_into_another_module(self, tmp_path):
+        # unit-flow summaries cross file boundaries: the finding in
+        # user.py depends only on what helper.py returns.
+        (tmp_path / "helper.py").write_text(
+            "def measure(payload):\n"
+            "    sent_bytes = len(payload)\n"
+            "    return sent_bytes\n"
+        )
+        (tmp_path / "user.py").write_text(
+            "from helper import measure\n"
+            "def drain(payload, battery_joules):\n"
+            "    return measure(payload) + battery_joules\n"
+        )
+        rules = resolve_rules(select=[RULE])
+        [finding] = lint_paths([str(tmp_path)], rules=rules).findings
+        assert finding.path.endswith("user.py")
+        (tmp_path / "helper.py").write_text(
+            "def measure(payload):\n"
+            "    spent_joules = 0.5 * len(payload)\n"
+            "    return spent_joules\n"
+        )
+        # joules + joules is fine.
+        assert lint_paths([str(tmp_path)], rules=rules).findings == ()

@@ -336,3 +336,67 @@ class TestJournalCommands:
         assert "journal" in out
         assert "cbrd.verdict" in out
         assert path.exists()
+
+
+class TestLint:
+    DIRTY = (
+        "def drain(payload, battery_joules):\n"
+        "    total = len(payload)\n"
+        "    sent_bytes = total\n"
+        "    spent = battery_joules\n"
+        "    return sent_bytes + spent\n"
+    )
+
+    def tree(self, tmp_path, source):
+        (tmp_path / "module.py").write_text(source)
+        return str(tmp_path)
+
+    def test_finding_exits_one(self, tmp_path, capsys):
+        assert main(["lint", self.tree(tmp_path, self.DIRTY)]) == 1
+        out = capsys.readouterr().out
+        assert "[unit-flow]" in out
+        assert "beeslint: 1 finding in 1 file(s)" in out
+
+    def test_clean_tree_exits_zero(self, tmp_path, capsys):
+        root = self.tree(tmp_path, "def double(n):\n    return n + n\n")
+        assert main(["lint", root]) == 0
+        assert "beeslint: 0 findings in 1 file(s)" in capsys.readouterr().out
+
+    def test_sarif_file_written_alongside_console_summary(
+        self, tmp_path, capsys
+    ):
+        import json
+
+        sarif = tmp_path / "out.sarif"
+        root = self.tree(tmp_path, self.DIRTY)
+        assert main(["lint", root, "--sarif", str(sarif)]) == 1
+        assert "beeslint: 1 finding" in capsys.readouterr().out
+        document = json.loads(sarif.read_text())
+        assert document["version"] == "2.1.0"
+        [run] = document["runs"]
+        assert [r["ruleId"] for r in run["results"]] == ["BEES110"]
+
+    def test_sarif_dash_keeps_stdout_pure(self, tmp_path, capsys):
+        import json
+
+        assert main(["lint", self.tree(tmp_path, self.DIRTY), "--sarif", "-"]) == 1
+        assert json.loads(capsys.readouterr().out)["version"] == "2.1.0"
+
+    def test_json_format_parses(self, tmp_path, capsys):
+        import json
+
+        root = self.tree(tmp_path, self.DIRTY)
+        assert main(["lint", root, "--format", "json"]) == 1
+        document = json.loads(capsys.readouterr().out)
+        assert document["ok"] is False
+        assert [f["rule"] for f in document["findings"]] == ["unit-flow"]
+
+    def test_help_lists_no_removed_options(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", "--help"])
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        assert "--sarif" in out
+        assert "--changed" not in out
+        assert "--no-cache" not in out
+        assert "{console,json}" in out
