@@ -33,7 +33,6 @@ from repro.features.matching import DEFAULT_HAMMING_THRESHOLD, mutual_matches
 from repro.fleet import FleetRunner
 from repro.index.lsh import HammingLSH
 from repro.kernels.batch import batch_similarity_matrix
-from repro.kernels.cache import MatchCountCache
 from repro.kernels.hamming import hamming_distance_matrix
 from repro.obs.journal import journal_to, read_journal
 from repro.obs.profiling import SamplingProfiler
@@ -257,9 +256,7 @@ def bench_similarity_batches(batch_sizes, n_descriptors, seed, repeats):
         # plenty for a >= 5x signal against a 3x gate.
         effective = 1 if n_sets >= 64 else repeats
         legacy_seconds, expected = _best_of(effective, legacy_similarity_matrix, sets)
-        kernel_seconds, actual = _best_of(
-            effective, lambda s: batch_similarity_matrix(s, cache=MatchCountCache()), sets
-        )
+        kernel_seconds, actual = _best_of(effective, batch_similarity_matrix, sets)
         assert np.array_equal(expected, actual)
         rows[int(n_sets)] = {
             "legacy_seconds": legacy_seconds,

@@ -39,10 +39,9 @@ def similarity_matrix(feature_sets: "list[FeatureSet]") -> np.ndarray:
 
     Computed by the batched kernel
     (:func:`repro.kernels.batch.batch_similarity_matrix`), which hoists
-    the per-set descriptor preparation out of the O(n²) pair loop and
-    consults the match-count cache — the matrix is byte-identical to
-    the historical per-pair :func:`~repro.features.similarity.
-    jaccard_similarity` loop.
+    the per-set descriptor preparation out of the O(n²) pair loop — the
+    matrix is byte-identical to the historical per-pair
+    :func:`~repro.features.similarity.jaccard_similarity` loop.
     """
     return batch_similarity_matrix(feature_sets)
 

@@ -75,6 +75,16 @@ class CareDropPolicy(DropPolicy):
     one side of it: if the candidate belongs to the pair it is simply
     rejected (it adds no information); otherwise the buffer member of
     the pair goes.  Ties and the no-similarity case fall back to FIFO.
+
+    Every overflow re-scores every pair of the buffer, and epidemic
+    routing spreads copies of one image (sharing one :class:`FeatureSet`)
+    over many nodes, so the policy remembers each pair's score, keyed on
+    the identity of both feature sets.  An entry holds references to
+    both sets, so their ``id()`` cannot be reused by another object
+    while it lives.  Equation 2 is symmetric, so a pair is scored once
+    whichever order it comes in.  The memo lives as long as the policy:
+    :class:`~repro.dtn.routing.EpidemicSimulation` shares one policy
+    across its nodes.
     """
 
     name = "care"
@@ -83,6 +93,14 @@ class CareDropPolicy(DropPolicy):
         if similarity_floor < 0:
             raise SimulationError("similarity_floor must be >= 0")
         self.similarity_floor = similarity_floor
+        self._scores: "dict[tuple[int, int], tuple[FeatureSet, FeatureSet, float]]" = {}
+
+    def _similarity(self, a: FeatureSet, b: FeatureSet) -> float:
+        key = (id(a), id(b)) if id(a) <= id(b) else (id(b), id(a))
+        entry = self._scores.get(key)
+        if entry is None:
+            entry = self._scores[key] = (a, b, jaccard_similarity(a, b))
+        return entry[2]
 
     def select_victim(self, buffer, candidate):
         best_pair: "tuple[int, int] | None" = None
@@ -91,7 +109,7 @@ class CareDropPolicy(DropPolicy):
         candidate_index = len(entries) - 1
         for i in range(len(entries)):
             for j in range(i + 1, len(entries)):
-                similarity = jaccard_similarity(
+                similarity = self._similarity(
                     entries[i].features, entries[j].features
                 )
                 if similarity > best_similarity:

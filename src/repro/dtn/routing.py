@@ -27,7 +27,7 @@ from ..errors import SimulationError
 from ..network.lossy import ContactLoss
 from ..obs.journal import get_journal
 from ..obs.runtime import get_obs
-from .node import CarriedImage, DropPolicy, DtnNode
+from .node import CareDropPolicy, CarriedImage, DropPolicy, DtnNode
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,13 @@ class DeliveryReport:
 
 @dataclass
 class EpidemicSimulation:
-    """Pairwise random contacts + gateway drains."""
+    """Pairwise random contacts + gateway drains.
+
+    ``policy_factory`` (default :class:`~repro.dtn.node.CareDropPolicy`)
+    is called once; every node shares that policy, so a content-aware
+    policy scores a pair of carried images once per simulation however
+    many nodes carry them.
+    """
 
     n_nodes: int
     buffer_capacity: int
@@ -98,17 +104,15 @@ class EpidemicSimulation:
         if not 0.0 <= self.gateway_probability <= 1.0:
             raise SimulationError("gateway_probability must be in [0, 1]")
         self._rng = np.random.default_rng(self.seed)
-        self.nodes = []
-        for index in range(self.n_nodes):
-            if self.policy_factory is None:
-                node = DtnNode(node_id=f"node-{index}", capacity=self.buffer_capacity)
-            else:
-                node = DtnNode(
-                    node_id=f"node-{index}",
-                    capacity=self.buffer_capacity,
-                    policy=self.policy_factory(),
-                )
-            self.nodes.append(node)
+        policy = (self.policy_factory or CareDropPolicy)()
+        self.nodes = [
+            DtnNode(
+                node_id=f"node-{index}",
+                capacity=self.buffer_capacity,
+                policy=policy,
+            )
+            for index in range(self.n_nodes)
+        ]
 
     # -- workload ---------------------------------------------------------------
 

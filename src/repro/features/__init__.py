@@ -10,7 +10,6 @@ from .keypoints import Keypoints, detect_fast
 from .matching import (
     DEFAULT_HAMMING_THRESHOLD,
     DEFAULT_L2_THRESHOLD,
-    cached_match_count,
     hamming_distance_matrix,
     l2_distance_matrix,
     match_count,
@@ -18,7 +17,6 @@ from .matching import (
     resolve_threshold,
 )
 from .orb import OrbExtractor
-from .serialize import deserialize_features, serialize_features
 from .pca_sift import PcaSiftExtractor
 from .sift import SiftExtractor
 from .similarity import jaccard_similarity
@@ -34,8 +32,6 @@ __all__ = [
     "PcaSiftExtractor",
     "SiftExtractor",
     "SpaceOverhead",
-    "cached_match_count",
-    "deserialize_features",
     "detect_fast",
     "feature_bytes",
     "resolve_threshold",
@@ -44,6 +40,5 @@ __all__ = [
     "l2_distance_matrix",
     "match_count",
     "mutual_matches",
-    "serialize_features",
     "space_overheads",
 ]

@@ -7,16 +7,10 @@ meaningful (each descriptor participates in at most one match).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from ..errors import FeatureError
-from ..kernels.cache import MatchCountCache, get_match_cache, match_key
 from ..kernels.hamming import hamming_distance_matrix as _kernel_hamming
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .base import FeatureSet
 
 #: Default Hamming ceiling for a 256-bit ORB descriptor match.  28 bits
 #: (11% of the descriptor) is a strict "good match" cut-off for rBRIEF;
@@ -135,44 +129,3 @@ def match_count(
     else:
         dist = l2_distance_matrix(desc_a, desc_b)
     return int(mutual_matches(dist, limit).shape[0])
-
-
-def cached_match_count(
-    features_a: "FeatureSet",
-    features_b: "FeatureSet",
-    threshold: float | None = None,
-    cache: "MatchCountCache | None" = None,
-) -> int:
-    """:func:`match_count` behind the process-wide LRU cache.
-
-    Keys combine the image ids with blake2b content fingerprints of
-    both descriptor matrices (see :mod:`repro.kernels.cache`), so a hit
-    is byte-identical to recomputation by construction; the key is
-    canonically ordered, matching the symmetry of mutual matching.
-    CBRD verification and repeated fleet rounds re-score the same pairs
-    constantly — those become dict lookups.
-    """
-    if features_a.kind != features_b.kind:
-        raise FeatureError(
-            f"cannot compare {features_a.kind!r} with {features_b.kind!r} features"
-        )
-    if len(features_a) == 0 or len(features_b) == 0:
-        return 0
-    kind = features_a.kind
-    limit = resolve_threshold(kind, threshold)
-    if cache is None:
-        cache = get_match_cache()
-    key = match_key(
-        kind,
-        limit,
-        features_a.image_id,
-        features_a.descriptors,
-        features_b.image_id,
-        features_b.descriptors,
-    )
-    cached = cache.get(key)
-    if cached is not None:
-        return cached
-    count = match_count(features_a.descriptors, features_b.descriptors, kind, limit)
-    cache.put(key, count)
-    return count

@@ -14,7 +14,7 @@ from __future__ import annotations
 from ..errors import FeatureError
 from ..obs.runtime import get_obs
 from .base import FeatureSet
-from .matching import cached_match_count
+from .matching import match_count
 
 
 def _jaccard(
@@ -27,10 +27,9 @@ def _jaccard(
     n_a, n_b = len(features_a), len(features_b)
     if n_a == 0 and n_b == 0:
         return 0.0
-    # The kernel-layer cache makes repeat scorings of a pair (CBRD
-    # verify across rounds, SSMM revisits) a dict lookup; counts are
-    # identical to the uncached path for every input.
-    matches = cached_match_count(features_a, features_b, threshold)
+    matches = match_count(
+        features_a.descriptors, features_b.descriptors, features_a.kind, threshold
+    )
     union = n_a + n_b - matches
     if union <= 0:
         return 1.0

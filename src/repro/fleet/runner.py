@@ -41,7 +41,6 @@ from ..core.server import BeesServer
 from ..energy import Battery
 from ..errors import SimulationError
 from ..index import FeatureIndex, ShardedFeatureIndex
-from ..kernels.cache import get_match_cache
 from ..network import DegradedNetConfig, FluctuatingChannel, Uplink
 from ..obs import get_obs
 from ..obs.journal import get_journal
@@ -164,7 +163,6 @@ class FleetRunner:
                 devices=[device.name for device in devices],
                 net=None if self.net is None else self.net.describe(),
             )
-        cache_stats_start = get_match_cache().stats()
         t0 = time.perf_counter()
         with obs.span(
             "fleet.run",
@@ -174,7 +172,7 @@ class FleetRunner:
             n_shards=self.n_shards,
             n_rounds=self.n_rounds,
             seed=self.seed,
-        ) as run_span:
+        ):
             if self.mode == "concurrent":
                 max_workers = self.workers or self.n_devices
                 with ThreadPoolExecutor(max_workers=max_workers) as pool:
@@ -187,19 +185,6 @@ class FleetRunner:
                     self._run_round(
                         round_no, devices, server, reports, halted, None
                     )
-            if obs.enabled:
-                # Repeat CBRD verifications across rounds land in the
-                # kernel match cache; hit-or-miss never changes a
-                # decision, so this is diagnostics only.
-                cache_stats = get_match_cache().stats()
-                run_span.set_attribute(
-                    "kernel_cache_hits",
-                    cache_stats["hits"] - cache_stats_start["hits"],
-                )
-                run_span.set_attribute(
-                    "kernel_cache_misses",
-                    cache_stats["misses"] - cache_stats_start["misses"],
-                )
         wall_seconds = time.perf_counter() - t0  # beeslint: disable=raw-timing (FleetResult wall clock, reported not recorded)
         result = FleetResult(
             mode=self.mode,
@@ -243,9 +228,6 @@ class FleetRunner:
         assert self.workload is not None
         obs = get_obs()
         journal = get_journal()
-        round_cache_start = (
-            get_match_cache().stats() if journal.enabled else None
-        )
         active = [
             number
             for number in range(self.n_devices)
@@ -330,23 +312,10 @@ class FleetRunner:
             if obs.enabled:
                 obs.fleet_queue_depth.set(0)
                 obs.fleet_rounds.inc()
-            if journal.enabled and round_cache_start is not None:
+            if journal.enabled:
                 journal.emit(
                     "fleet.round",
                     round=round_no,
                     n_active=len(active),
                     n_committed=committed,
-                )
-                # Aggregated per-round cache deltas: the shared LRU
-                # races across device threads (hit-or-miss never
-                # changes a decision), so this event is diagnostics
-                # only and diffs ignore it (DIFF_IGNORED_EVENTS).
-                cache_stats = get_match_cache().stats()
-                journal.emit(
-                    "kernel.cache",
-                    round=round_no,
-                    hits=cache_stats["hits"] - round_cache_start["hits"],
-                    misses=(
-                        cache_stats["misses"] - round_cache_start["misses"]
-                    ),
                 )

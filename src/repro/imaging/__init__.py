@@ -1,4 +1,4 @@
-"""Image substrate: bitmaps, transforms, codecs, and quality metrics.
+"""Image substrate: bitmaps, transforms, codecs, and SSIM.
 
 This subpackage replaces the OpenCV image operations the BEES prototype
 links against, implemented from scratch on numpy.
@@ -8,7 +8,6 @@ from .bitmap import compress_bitmap, compress_image, compressed_dimensions, pixe
 from .image import DEFAULT_NOMINAL_BYTES, Image
 from .io import read_netpbm, write_pgm, write_ppm
 from .jpeg import JpegEncoded, compress_quality, decode, encode, proportion_to_quality
-from .quality import mse, psnr
 from .resolution import compress_resolution, compressed_resolution
 from .ssim import ssim, ssim_map
 from .synth import PerturbationSpec, SceneGenerator
@@ -27,9 +26,7 @@ __all__ = [
     "compressed_resolution",
     "decode",
     "encode",
-    "mse",
     "pixel_fraction",
-    "psnr",
     "read_netpbm",
     "proportion_to_quality",
     "ssim",

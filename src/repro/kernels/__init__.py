@@ -13,8 +13,6 @@ out in:
 * :mod:`~repro.kernels.majority` — the bit-plane byte-wise majority
   vote behind k-replica forward redundancy
   (:mod:`repro.network.transfer`);
-* :mod:`~repro.kernels.cache` — the LRU match-count cache keyed by
-  content fingerprints;
 * :mod:`~repro.kernels.batch` — the batched all-pairs SSMM similarity
   matrix (import as ``repro.kernels.batch``: it builds on
   :mod:`repro.features`, which itself uses the kernels above, so the
@@ -25,14 +23,6 @@ results — ``tests/kernels`` proves each one byte-identical to the
 pre-kernel reference implementations.
 """
 
-from .cache import (
-    DEFAULT_CACHE_ENTRIES,
-    MatchCountCache,
-    descriptor_fingerprint,
-    get_match_cache,
-    match_key,
-    set_match_cache,
-)
 from .hamming import (
     BACKENDS,
     DEFAULT_BACKEND,
@@ -48,17 +38,11 @@ __all__ = [
     "BACKENDS",
     "BucketStore",
     "DEFAULT_BACKEND",
-    "DEFAULT_CACHE_ENTRIES",
-    "MatchCountCache",
-    "descriptor_fingerprint",
-    "get_match_cache",
     "group_query_keys",
     "hamming_distance_matrix",
     "hamming_distance_matrix_u64",
     "majority_vote_bytes",
     "majority_vote_stats",
-    "match_key",
     "pack_rows_u64",
     "popcount_u64",
-    "set_match_cache",
 ]

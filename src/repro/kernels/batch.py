@@ -8,10 +8,7 @@ the pair loop:
 
 * descriptors are packed to uint64 words (binary) or cast to float64
   with precomputed squared norms (float) **once per set**;
-* the distance ceiling is resolved **once per batch**;
-* every pair consults the shared :mod:`match-count cache
-  <repro.kernels.cache>` before computing, so pairs the server already
-  verified — or a previous batch already scored — cost a dict lookup.
+* the distance ceiling is resolved **once per batch**.
 
 Per-pair arithmetic is kept operation-for-operation identical to the
 pairwise path (same cast targets, same reduction order, same
@@ -29,7 +26,6 @@ from ..errors import FeatureError
 from ..features.base import FeatureSet
 from ..features.matching import mutual_matches, resolve_threshold
 from ..obs.runtime import get_obs
-from .cache import MatchCountCache, get_match_cache, match_key
 from .hamming import hamming_distance_matrix_u64, pack_rows_u64
 
 
@@ -75,47 +71,19 @@ def _pair_distances(a: PreparedSet, b: PreparedSet) -> np.ndarray:
     return np.sqrt(np.maximum(sq, 0.0))
 
 
-def pair_match_count(
-    a: PreparedSet,
-    b: PreparedSet,
-    kind: str,
-    limit: float,
-    cache: "MatchCountCache | None",
-) -> int:
-    """Mutual-match count of one prepared pair, through the cache."""
+def pair_match_count(a: PreparedSet, b: PreparedSet, limit: float) -> int:
+    """Mutual-match count of one prepared pair."""
     if len(a.features) == 0 or len(b.features) == 0:
         return 0
-    key = None
-    if cache is not None:
-        key = match_key(
-            kind,
-            limit,
-            a.features.image_id,
-            a.features.descriptors,
-            b.features.image_id,
-            b.features.descriptors,
-        )
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-    count = int(mutual_matches(_pair_distances(a, b), limit).shape[0])
-    if cache is not None:
-        cache.put(key, count)
-    return count
+    return int(mutual_matches(_pair_distances(a, b), limit).shape[0])
 
 
-def _pair_jaccard(
-    a: PreparedSet,
-    b: PreparedSet,
-    kind: str,
-    limit: float,
-    cache: "MatchCountCache | None",
-) -> float:
+def _pair_jaccard(a: PreparedSet, b: PreparedSet, limit: float) -> float:
     # Branch-for-branch the pairwise _jaccard, over hoisted inputs.
     n_a, n_b = len(a.features), len(b.features)
     if n_a == 0 and n_b == 0:
         return 0.0
-    matches = pair_match_count(a, b, kind, limit, cache)
+    matches = pair_match_count(a, b, limit)
     union = n_a + n_b - matches
     if union <= 0:
         return 1.0
@@ -125,7 +93,6 @@ def _pair_jaccard(
 def batch_similarity_matrix(
     feature_sets: "list[FeatureSet]",
     threshold: "float | None" = None,
-    cache: "MatchCountCache | None" = None,
 ) -> np.ndarray:
     """The pairwise Equation-2 similarity matrix, diagonal 1.
 
@@ -133,7 +100,7 @@ def batch_similarity_matrix(
     jaccard_similarity` per pair; the batch shape exists so the per-set
     preparation and threshold resolution happen once.  With
     observability enabled the whole batch records a single
-    ``kernels.similarity_matrix`` span (pair count, cache hits) instead
+    ``kernels.similarity_matrix`` span (kind, set and pair counts) instead
     of n² per-pair spans.
     """
     n = len(feature_sets)
@@ -147,19 +114,14 @@ def batch_similarity_matrix(
                 f"cannot compare {kind!r} with {features.kind!r} features"
             )
     limit = resolve_threshold(kind, threshold)
-    if cache is None:
-        cache = get_match_cache()
-    hits_before = cache.hits
     prepared = [prepare_set(features, binary=kind == "orb") for features in feature_sets]
     obs = get_obs()
     with obs.span(
         "kernels.similarity_matrix", kind=kind, n=n, pairs=n * (n - 1) // 2
-    ) as span:
+    ):
         for i in range(n):
             for j in range(i + 1, n):
                 weights[i, j] = weights[j, i] = _pair_jaccard(
-                    prepared[i], prepared[j], kind, limit, cache
+                    prepared[i], prepared[j], limit
                 )
-        if obs.enabled:
-            span.set_attribute("cache_hits", cache.hits - hits_before)
     return weights

@@ -1,22 +1,22 @@
-"""The descriptor match-count cache.
+"""A bounded LRU of descriptor match counts — no longer on any BEES path.
 
-CBRD verification and repeated fleet rounds score the same image pairs
-over and over: every round's queries are verified against the same
-top-voted stored images, and the SSMM batch matrix revisits pairs the
-server already verified.  Match counts are pure functions of the two
-descriptor matrices, the kind, and the threshold, so they cache
-perfectly.
+Every Equation-2 pair score used to pass through a process-wide
+instance of this cache.  Measured, it reused nothing in fleet runs
+(0 hits in 960 lookups for an 8-device, 3-round fleet in either mode,
+and a 0.0 hit rate on every end-to-end workload) while each lookup paid
+two blake2b digests and a lock, so the similarity layer now scores
+every pair directly.  The one caller that really re-scores pairs, the
+CARE drop policy, keeps its own per-simulation memo
+(:class:`repro.dtn.node.CareDropPolicy`).
 
-Keys are built from **content fingerprints** (blake2b over the
-descriptor bytes + shape + dtype), not from image ids alone: ids name a
-cache entry for debuggability, but the fingerprint guarantees a stale
-or reused id can never alias a different descriptor set — a cache hit
-is byte-identical to recomputation by construction.  Keys are
-canonically ordered, matching the symmetry of mutual matching.
+The module remains only because the end-to-end benchmark
+(``benchmarks/e2e/run.py``) imports :func:`get_match_cache` to clear it
+between passes and to report ``kernels.cache.hit_rate``; nothing under
+``src/`` uses it.  It goes once that benchmark stops importing it.
 
-The cache is a bounded LRU behind a lock, safe for the concurrent
-fleet's device threads; hit-or-miss never changes a decision, so the
-sequential/concurrent equivalence guarantee is untouched.
+Keys are built from content fingerprints (blake2b over the descriptor
+bytes + shape + dtype) plus the image ids, canonically ordered, so a
+hit is byte-identical to recomputation by construction.
 """
 
 from __future__ import annotations
@@ -28,11 +28,9 @@ from collections import OrderedDict
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..obs.runtime import get_obs
 
 #: Default entry budget.  A key is ~200 bytes and a value is one int,
-#: so the full cache stays well under a megabyte while covering many
-#: fleet rounds of verify pairs.
+#: so the full cache stays well under a megabyte.
 DEFAULT_CACHE_ENTRIES = 8192
 
 #: One cache key: (kind, threshold, (id_a, digest_a), (id_b, digest_b)).
@@ -91,9 +89,6 @@ class MatchCountCache:
             else:
                 self._entries.move_to_end(key)
                 self.hits += 1
-        obs = get_obs()
-        if obs.enabled:
-            obs.kernel_cache_events.inc(event="miss" if count is None else "hit")
         return count
 
     def put(self, key: object, count: int) -> None:
@@ -121,7 +116,7 @@ class MatchCountCache:
             }
 
 
-#: The process-wide cache the similarity layer consults.
+#: The process-wide instance the end-to-end benchmark reads.
 _GLOBAL_CACHE = MatchCountCache()
 
 

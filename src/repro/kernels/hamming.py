@@ -8,8 +8,8 @@ table.  The word loop accumulates one ``(block, m)`` plane at a time,
 so the ``(block, m, words)`` XOR tensor of the naive formulation is
 never materialised.
 
-Popcount backends, selected once at import (overridable per call for
-the differential tests and the old-numpy CI leg):
+Popcount backends, selected once at import by whether numpy has
+``np.bitwise_count`` (overridable per call for the differential tests):
 
 ``bitwise_count``
     ``np.bitwise_count`` (numpy >= 2.0) — a single vectorised ufunc.
@@ -28,13 +28,11 @@ pre-kernel implementation materialised.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from ..errors import FeatureError
 
-#: Backend names accepted by :func:`popcount_u64` and the env override.
+#: Backend names accepted by the per-call ``backend=`` argument.
 BACKENDS = ("bitwise_count", "swar")
 
 #: Target element count of one blocked XOR intermediate (uint64 words);
@@ -52,25 +50,9 @@ _FOUR = np.uint64(4)
 _FIFTYSIX = np.uint64(56)
 
 
-def _resolve_backend() -> str:
-    """The process-wide popcount backend (env-overridable for CI)."""
-    forced = os.environ.get("REPRO_POPCOUNT_BACKEND", "").strip().lower()
-    if forced:
-        if forced not in BACKENDS:
-            raise FeatureError(
-                f"REPRO_POPCOUNT_BACKEND must be one of {BACKENDS}, got {forced!r}"
-            )
-        if forced == "bitwise_count" and not hasattr(np, "bitwise_count"):
-            raise FeatureError(
-                "REPRO_POPCOUNT_BACKEND=bitwise_count but this numpy "
-                "has no np.bitwise_count (needs numpy >= 2.0)"
-            )
-        return forced
-    return "bitwise_count" if hasattr(np, "bitwise_count") else "swar"
-
-
-#: Resolved once; :func:`popcount_u64` takes a per-call override.
-DEFAULT_BACKEND = _resolve_backend()
+#: Resolved once from the installed numpy; :func:`popcount_u64` takes a
+#: per-call override.
+DEFAULT_BACKEND = "bitwise_count" if hasattr(np, "bitwise_count") else "swar"
 
 
 def popcount_u64(words: np.ndarray, backend: "str | None" = None) -> np.ndarray:

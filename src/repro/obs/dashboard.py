@@ -101,17 +101,6 @@ def render_frame(
                     sparkline(_tail(values), lo=0.0),
                 ]
             )
-    cache = _series_groups(snapshot, "cache_hit_rate")
-    for label, values in cache:
-        if values:
-            rate_rows.append(
-                [
-                    "cache_hit_rate",
-                    label,
-                    f"{values[-1] * 100:.0f}%",
-                    sparkline(_tail(values), lo=0.0, hi=1.0),
-                ]
-            )
     if rate_rows:
         lines.append("")
         lines.append(format_table(["rate", "labels", "now", "trend"], rate_rows))

@@ -21,9 +21,9 @@ Design rules the rest of the repo relies on:
 * **Records are deterministic.**  No wall-clock timestamps inside
   records; float payloads round-trip exactly through JSON (``repr``
   based), so replaying energy sums in round order is *byte*-identical
-  to the live run.  The only nondeterministic event type is
-  ``kernel.cache`` (the shared LRU races across device threads) and it
-  is excluded from diffs (:data:`DIFF_IGNORED_EVENTS`).
+  to the live run.  Events that depend on the run's configuration
+  rather than its decisions are excluded from diffs
+  (:data:`DIFF_IGNORED_EVENTS`).
 * **One global monotonic sequence.**  ``seq`` increases under a lock,
   so any single device's events are strictly ordered even when many
   pool threads interleave (pinned by
@@ -55,11 +55,12 @@ HEADER_EVENT = "journal.header"
 #: Records buffered in memory before a write hits the file.
 DEFAULT_FLUSH_EVERY = 256
 
-#: Event types excluded from cross-run diffs: ``kernel.cache`` is
-#: genuinely nondeterministic (the shared LRU races across device
-#: threads and never changes a decision); ``index.route`` and the run
-#: lifecycle events depend on the *configuration* (shard count, mode)
-#: that an equivalence diff deliberately allows to differ.
+#: Event types excluded from cross-run diffs: ``index.route`` and the
+#: run lifecycle events depend on the *configuration* (shard count,
+#: mode) that an equivalence diff deliberately allows to differ.
+#: ``kernel.cache`` is no longer emitted; journals written while the
+#: match-count cache existed still carry it (nondeterministic hit/miss
+#: deltas), so it stays ignored for them.
 DIFF_IGNORED_EVENTS = frozenset(
     {"kernel.cache", "index.route", "fleet.run.start", "fleet.run.end"}
 )

@@ -8,7 +8,7 @@ over the last window" — without touching any instrumentation call site.
 periodically and differencing against the previous sample:
 
 * counter deltas divided by the sample interval become **rates**
-  (``goodput_bytes_per_s``, ``joules_per_s``, ``cache_hit_rate``);
+  (``goodput_bytes_per_s``, ``joules_per_s``, ``uploads_per_s``);
 * gauges pass through as-is (``queue_depth``, per-shard occupancy);
 * histogram *bucket-count deltas* form a windowed sub-histogram whose
   quantiles come from :func:`repro.obs.metrics.bucket_quantile`
@@ -34,7 +34,7 @@ import time
 from collections import deque
 
 from ..errors import ObservabilityError
-from .metrics import Counter, Gauge, HistogramSeries, bucket_quantile
+from .metrics import Gauge, HistogramSeries, bucket_quantile
 from .runtime import Observability, get_obs
 
 #: Default points of history per series (at the default 1 s cadence,
@@ -212,20 +212,6 @@ class StreamingAggregator:
                 self._prev_counters[key] = total
                 if dt is not None:
                     self._append(key, now, max(0.0, total - previous) / dt, out)
-        # Cache hit rate: hits / lookups over the window (a ratio of two
-        # counter deltas, so it reflects *recent* behaviour, not the
-        # all-time average).
-        hits = _scalar(obs.kernel_cache_events, event="hit")
-        misses = _scalar(obs.kernel_cache_events, event="miss")
-        previous_hits = self._prev_counters.get("cache_hits", 0.0)
-        previous_misses = self._prev_counters.get("cache_misses", 0.0)
-        self._prev_counters["cache_hits"] = hits
-        self._prev_counters["cache_misses"] = misses
-        if dt is not None:
-            delta_hits = max(0.0, hits - previous_hits)
-            delta_total = delta_hits + max(0.0, misses - previous_misses)
-            if delta_total > 0:
-                self._append("cache_hit_rate", now, delta_hits / delta_total, out)
 
     def _sample_histograms(self, now: float, dt: "float | None", out: dict) -> None:
         histogram = self.obs.stage_seconds
@@ -276,8 +262,8 @@ class StreamingAggregator:
             self._append(key, now, wall, out)
 
 
-def _scalar(metric: "Counter | Gauge", **labels: object) -> float:
-    value = metric.value(**labels)
+def _scalar(metric: Gauge) -> float:
+    value = metric.value()
     return float(value) if not isinstance(value, HistogramSeries) else 0.0
 
 

@@ -37,9 +37,7 @@ Standard metrics (all labelled where it matters):
 * ``bees_fleet_rounds_total`` / ``bees_fleet_queue_depth`` and the
   per-shard ``bees_index_shard_contention_total{shard}`` /
   ``bees_index_shard_entries{shard}`` pair for the concurrent fleet
-  runtime (:mod:`repro.fleet`);
-* ``bees_kernel_cache_events_total{event}`` (``hit|miss``) for the
-  kernel layer's match-count cache (:mod:`repro.kernels.cache`).
+  runtime (:mod:`repro.fleet`).
 """
 
 from __future__ import annotations
@@ -187,11 +185,6 @@ class Observability:
             "bees_index_shard_entries",
             "Feature-index entries held per shard",
             ("shard",),
-        )
-        self.kernel_cache_events = registry.counter(
-            "bees_kernel_cache_events_total",
-            "Match-count cache lookups by outcome (event=hit|miss)",
-            ("event",),
         )
 
     # -- tracing -------------------------------------------------------------

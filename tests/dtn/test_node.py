@@ -1,7 +1,10 @@
 """Tests for DTN nodes and drop policies."""
 
+from dataclasses import replace
+
 import pytest
 
+import repro.dtn.node as dtn_node
 from repro.dtn.node import CareDropPolicy, CarriedImage, DtnNode, FifoDropPolicy
 from repro.errors import SimulationError
 from repro.features.orb import OrbExtractor
@@ -98,3 +101,30 @@ class TestCarePolicy:
     def test_rejects_negative_floor(self):
         with pytest.raises(SimulationError):
             CareDropPolicy(similarity_floor=-0.1)
+
+    def test_new_feature_set_under_same_image_id_is_rescored(
+        self, carried, monkeypatch
+    ):
+        scored = []
+        real = dtn_node.jaccard_similarity
+
+        def counting(a, b):
+            scored.append((a.image_id, b.image_id))
+            return real(a, b)
+
+        monkeypatch.setattr(dtn_node, "jaccard_similarity", counting)
+        policy = CareDropPolicy()
+        buffer = [carried["dtn1"], carried["dtn2"]]
+        assert policy.select_victim(buffer, carried["dtn3"]) == 0  # FIFO
+        assert len(scored) == 3
+        # dtn1 again, but carrying other features: dtn3's content under
+        # dtn1's id.  A memo keyed on ids would serve the stale score.
+        relabelled = CarriedImage(
+            image=carried["dtn1"].image,
+            features=replace(carried["dtn3"].features, image_id="dtn1"),
+        )
+        buffer = [relabelled, carried["dtn2"]]
+        assert policy.select_victim(buffer, carried["dtn3"]) is None
+        # Both pairs with the new feature set are scored; (dtn2, dtn3)
+        # is remembered.
+        assert len(scored) == 5

@@ -5,18 +5,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import FeatureError
-from repro.features.base import FeatureSet
 from repro.features.matching import (
     DEFAULT_HAMMING_THRESHOLD,
     L2_THRESHOLDS,
-    cached_match_count,
     hamming_distance_matrix,
     l2_distance_matrix,
     match_count,
     mutual_matches,
     resolve_threshold,
 )
-from repro.kernels.cache import MatchCountCache
 
 
 class TestHamming:
@@ -214,53 +211,3 @@ class TestResolveThreshold:
         with pytest.raises(FeatureError):
             resolve_threshold("surf", None)
 
-
-def _feature_set(image_id, seed, kind="orb", n=8):
-    rng = np.random.default_rng(seed)
-    descriptors = rng.integers(0, 256, (n, 32)).astype(np.uint8)
-    return FeatureSet(
-        kind=kind,
-        descriptors=descriptors,
-        xs=np.zeros(n, dtype=np.float32),
-        ys=np.zeros(n, dtype=np.float32),
-        pixels_processed=n,
-        image_id=image_id,
-    )
-
-
-class TestCachedMatchCount:
-    def test_hit_equals_recomputation(self):
-        cache = MatchCountCache()
-        a, b = _feature_set("a", 0), _feature_set("b", 1)
-        cold = cached_match_count(a, b, cache=cache)
-        warm = cached_match_count(a, b, cache=cache)
-        assert cold == warm == match_count(a.descriptors, b.descriptors, "orb")
-        assert cache.stats() == {"entries": 1, "hits": 1, "misses": 1}
-
-    def test_symmetric_key_shares_entry(self):
-        cache = MatchCountCache()
-        a, b = _feature_set("a", 0), _feature_set("b", 1)
-        cached_match_count(a, b, cache=cache)
-        cached_match_count(b, a, cache=cache)
-        assert cache.stats() == {"entries": 1, "hits": 1, "misses": 1}
-
-    def test_content_change_misses_despite_same_id(self):
-        cache = MatchCountCache()
-        a, b = _feature_set("a", 0), _feature_set("b", 1)
-        cached_match_count(a, b, cache=cache)
-        changed = _feature_set("a", 7)  # same id, different descriptors
-        cached_match_count(changed, b, cache=cache)
-        assert cache.stats()["entries"] == 2
-
-    def test_empty_sides_bypass_cache(self):
-        cache = MatchCountCache()
-        empty = _feature_set("e", 0, n=0)
-        full = _feature_set("f", 1)
-        assert cached_match_count(empty, full, cache=cache) == 0
-        assert cache.stats() == {"entries": 0, "hits": 0, "misses": 0}
-
-    def test_kind_mismatch_rejected(self):
-        with pytest.raises(FeatureError):
-            cached_match_count(
-                _feature_set("a", 0, kind="orb"), _feature_set("b", 1, kind="sift")
-            )

@@ -23,6 +23,7 @@ from repro.fleet import (
     replay_journal,
 )
 from repro.obs import disable_journal, first_divergence, journal_to, read_journal
+from repro.obs.journal import DIFF_IGNORED_EVENTS
 
 
 @pytest.fixture(autouse=True)
@@ -152,6 +153,47 @@ class TestReplayIntegrity:
             again.run()
         with pytest.raises(SimulationError, match="2 fleet runs"):
             replay_journal(path)
+
+    def test_older_journal_with_kernel_cache_events_still_replays(self, tmp_path):
+        # Journals written while the match-count cache existed carry a
+        # coordinator ``kernel.cache`` record after every ``fleet.round``
+        # and number every later record one higher.
+        path = tmp_path / "live.jsonl"
+        older = tmp_path / "older.jsonl"
+        result = journaled_run(path, seed=5, devices=3, mode="concurrent", shards=4)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        out = [lines[0]]
+        seq = 0
+        for line in lines[1:]:
+            raw = json.loads(line)
+            raw["seq"] = seq
+            seq += 1
+            out.append(json.dumps(raw))
+            if raw["event"] == "fleet.round":
+                out.append(json.dumps({
+                    "seq": seq,
+                    "event": "kernel.cache",
+                    "device": None,
+                    "image": None,
+                    "span": None,
+                    "data": {"round": raw["data"]["round"], "hits": 0, "misses": 40},
+                }))
+                seq += 1
+        older.write_text("\n".join(out) + "\n", encoding="utf-8")
+        injected = read_journal(older)
+        assert len(injected.events("kernel.cache")) == 2
+        report = replay_journal(older)
+        assert report.ok
+        assert report.fingerprint == result.fingerprint()
+        assert first_divergence(read_journal(path), injected) is None
+        assert "kernel.cache" in DIFF_IGNORED_EVENTS
+
+    def test_new_journals_carry_no_kernel_cache_events(self, tmp_path):
+        path = tmp_path / "live.jsonl"
+        journaled_run(path)
+        journal = read_journal(path)
+        assert journal.events("fleet.round")
+        assert not journal.events("kernel.cache")
 
     def test_truncated_journal_reports_an_incomplete_run(self, tmp_path):
         path = tmp_path / "live.jsonl"

@@ -13,7 +13,6 @@ import pytest
 from repro.core.ssmm import partition_components, similarity_matrix
 from repro.features.matching import hamming_distance_matrix
 from repro.index.lsh import HammingLSH
-from repro.kernels.cache import MatchCountCache, set_match_cache
 
 from .reference import (
     ReferenceHammingLSH,
@@ -26,15 +25,6 @@ from .reference import (
 KINDS = ("orb", "sift", "pca-sift")
 SEEDS = (0, 1, 2)
 BATCH_SIZES = (2, 5, 9)
-
-
-@pytest.fixture()
-def fresh_cache():
-    """Route the global cache to a fresh instance for one test."""
-    cache = MatchCountCache()
-    previous = set_match_cache(cache)
-    yield cache
-    set_match_cache(previous)
 
 
 class TestHammingDifferential:
@@ -73,24 +63,14 @@ class TestSimilarityMatrixDifferential:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("n_sets", BATCH_SIZES)
-    def test_byte_identical_to_reference(self, kind, seed, n_sets, fresh_cache):
+    def test_byte_identical_to_reference(self, kind, seed, n_sets):
         sets = synthetic_feature_sets(kind, n_sets, n_descriptors=24, seed=seed)
         expected = reference_similarity_matrix(sets)
         actual = similarity_matrix(sets)
         assert actual.dtype == expected.dtype
         assert np.array_equal(actual, expected)
 
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_warm_cache_identical_to_cold(self, kind, fresh_cache):
-        sets = synthetic_feature_sets(kind, 6, n_descriptors=20, seed=9)
-        cold = similarity_matrix(sets)
-        assert fresh_cache.stats()["hits"] == 0
-        warm = similarity_matrix(sets)
-        assert fresh_cache.stats()["hits"] == 15  # all 6*5/2 pairs
-        assert np.array_equal(cold, warm)
-        assert np.array_equal(warm, reference_similarity_matrix(sets))
-
-    def test_some_synthetic_pairs_actually_match(self, fresh_cache):
+    def test_some_synthetic_pairs_actually_match(self):
         # Guard the generator itself: a degenerate all-zeros matrix
         # would make every differential above vacuous.
         for kind in KINDS:
@@ -98,7 +78,7 @@ class TestSimilarityMatrixDifferential:
             off_diagonal = similarity_matrix(sets) - np.eye(5)
             assert off_diagonal.max() > 0.0, kind
 
-    def test_real_extractor_features(self, small_batch_features, fresh_cache):
+    def test_real_extractor_features(self, small_batch_features):
         _, feature_sets = small_batch_features
         expected = reference_similarity_matrix(feature_sets)
         assert np.array_equal(similarity_matrix(feature_sets), expected)

@@ -98,17 +98,6 @@ class TestStreamingAggregator:
             pytest.approx(1.0)
         )
 
-    def test_cache_hit_rate_is_windowed(self):
-        obs = configure()
-        aggregator = StreamingAggregator(obs)
-        obs.kernel_cache_events.inc(90, event="hit")  # all-time: 90 hits
-        aggregator.sample(now=0.0)
-        obs.kernel_cache_events.inc(1, event="hit")
-        obs.kernel_cache_events.inc(3, event="miss")
-        appended = aggregator.sample(now=1.0)
-        # the window saw 1 hit / 4 lookups, not the all-time 91/94
-        assert appended["cache_hit_rate"] == pytest.approx(0.25)
-
     def test_no_lookups_appends_no_hit_rate(self):
         aggregator = StreamingAggregator(configure())
         aggregator.sample(now=0.0)

@@ -3,7 +3,7 @@
 Module-level invariants live next to their modules; this file holds the
 properties that span layers: energy conservation through the device,
 Equation-2 metric axioms on random descriptor sets, submodularity of
-weighted sums, serialization stability, and policy-pipeline coupling.
+weighted sums, and policy-pipeline coupling.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from repro.core.policies import LinearPolicy, eac_policy, eau_policy, edr_policy
 from repro.core.ssmm import SubmodularSelector, partition_components
 from repro.energy import Battery, EnergyMeter, WorkCost
 from repro.features.base import FeatureSet
-from repro.features.serialize import deserialize_features, serialize_features
 from repro.features.similarity import jaccard_similarity
 from repro.imaging.bitmap import compressed_dimensions
 from repro.imaging.resolution import size_factor as resolution_size_factor
@@ -55,28 +54,6 @@ class TestSimilarityMetricAxioms:
     def test_identity(self, seed, n):
         a = _feature_set(seed, n)
         assert jaccard_similarity(a, a) == pytest.approx(1.0)
-
-
-class TestSerializationStability:
-    @given(st.integers(0, 10**6), st.integers(0, 30))
-    @settings(max_examples=30)
-    def test_roundtrip_is_identity(self, seed, n):
-        original = _feature_set(seed, n, image_id=f"img-{seed}")
-        restored = deserialize_features(serialize_features(original))
-        assert np.array_equal(restored.descriptors, original.descriptors)
-        assert restored.image_id == original.image_id
-
-    @given(st.integers(0, 10**6), st.integers(1, 30))
-    @settings(max_examples=20)
-    def test_roundtrip_preserves_similarity(self, seed, n):
-        a = _feature_set(seed, n, image_id="a")
-        b = _feature_set(seed + 9, n, image_id="b")
-        direct = jaccard_similarity(a, b)
-        wired = jaccard_similarity(
-            deserialize_features(serialize_features(a)),
-            deserialize_features(serialize_features(b)),
-        )
-        assert wired == pytest.approx(direct)
 
 
 class TestEnergyConservation:
