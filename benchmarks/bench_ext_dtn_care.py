@@ -119,12 +119,15 @@ def run_dtn_comparison(
     queues, n_scenes = _node_queues(n_images, n_inbatch_similar)
     results = {}
     for policy_factory in (FifoDropPolicy, CareDropPolicy):
+        # One policy for every seed: the images (and so CARE's pair
+        # scores) are the same across seeds, only the contacts differ.
+        policy = policy_factory()
         per_seed = []
         for seed in range(n_seeds):
             sim = EpidemicSimulation(
                 n_nodes=N_NODES,
                 buffer_capacity=CAPACITY,
-                policy_factory=policy_factory,
+                policy_factory=lambda: policy,
                 contact_bandwidth=2,
                 contacts_per_round=3,
                 gateway_probability=GATEWAY_PROBABILITY,
@@ -140,7 +143,7 @@ def run_dtn_comparison(
             per_seed.append(
                 (report.n_unique_groups, report.n_delivered, report.transmissions)
             )
-        results[policy_factory().name] = per_seed
+        results[policy.name] = per_seed
     return {"n_scenes": n_scenes, "results": results}
 
 
@@ -161,12 +164,13 @@ def run_contact_loss_sweep(
     queues, n_scenes = _node_queues(n_images, n_inbatch_similar)
     results = {}
     for level in loss_levels:
+        policy = CareDropPolicy()
         per_seed = []
         for seed in range(n_seeds):
             sim = EpidemicSimulation(
                 n_nodes=N_NODES,
                 buffer_capacity=CAPACITY,
-                policy_factory=CareDropPolicy,
+                policy_factory=lambda: policy,
                 contact_bandwidth=2,
                 contacts_per_round=3,
                 gateway_probability=GATEWAY_PROBABILITY,

@@ -3,7 +3,7 @@ pre-kernel hot paths.
 
 Not a paper figure: this bench guards the vectorized similarity kernel
 layer the reproduction adds (blocked uint64 Hamming, batched LSH vote
-aggregation, the prepared-set SSMM similarity matrix).  Each case times
+aggregation) and the prepared-set SSMM similarity matrix built on it.  Each case times
 the kernel against a frozen copy of the implementation it replaced —
 the uint8 XOR tensor + popcount-table gather, the dict-of-list LSH
 buckets with per-key Python vote loops (timed for the index build and
@@ -30,9 +30,9 @@ import numpy as np
 from repro.analysis.reporting import format_table
 from repro.features.base import FeatureSet
 from repro.features.matching import DEFAULT_HAMMING_THRESHOLD, mutual_matches
+from repro.features.similarity import similarity_matrix
 from repro.fleet import FleetRunner
 from repro.index.lsh import HammingLSH
-from repro.kernels.batch import batch_similarity_matrix
 from repro.kernels.hamming import hamming_distance_matrix
 from repro.obs.journal import journal_to, read_journal
 from repro.obs.profiling import SamplingProfiler
@@ -256,7 +256,7 @@ def bench_similarity_batches(batch_sizes, n_descriptors, seed, repeats):
         # plenty for a >= 5x signal against a 3x gate.
         effective = 1 if n_sets >= 64 else repeats
         legacy_seconds, expected = _best_of(effective, legacy_similarity_matrix, sets)
-        kernel_seconds, actual = _best_of(effective, batch_similarity_matrix, sets)
+        kernel_seconds, actual = _best_of(effective, similarity_matrix, sets)
         assert np.array_equal(expected, actual)
         rows[int(n_sets)] = {
             "legacy_seconds": legacy_seconds,

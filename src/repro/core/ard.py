@@ -67,42 +67,6 @@ class CrossBatchDetector:
                 votes=0,
             )
         result: QueryResult = server.query_features(features)
-        return self._classify(features, result, threshold)
-
-    def decide_batch(
-        self, feature_sets: "list[FeatureSet]", server: "BeesServer", ebat: float
-    ) -> "list[CbrdDecision]":
-        """Classify a whole batch through one batched server query.
-
-        Decision-identical to calling :meth:`decide` per image at the
-        same ``ebat`` (one battery reading covers one batch interval);
-        the batched query lets a sharded server index serve the round
-        in one fan-out.
-        """
-        threshold = self.threshold_for(ebat)
-        if not self.enabled:
-            return [
-                self._emit(
-                    CbrdDecision(
-                        image_id=features.image_id,
-                        redundant=False,
-                        max_similarity=0.0,
-                        threshold=threshold,
-                        best_match_id=None,
-                    ),
-                    votes=0,
-                )
-                for features in feature_sets
-            ]
-        results = server.query_features_batch(feature_sets)
-        return [
-            self._classify(features, result, threshold)
-            for features, result in zip(feature_sets, results)
-        ]
-
-    def _classify(
-        self, features: FeatureSet, result: QueryResult, threshold: float
-    ) -> CbrdDecision:
         return self._emit(
             CbrdDecision(
                 image_id=features.image_id,

@@ -57,35 +57,6 @@ class BeesServer:
         obs.index_size.set(len(self.index))
         return result
 
-    def query_features_batch(
-        self, feature_sets: "list[FeatureSet]"
-    ) -> "list[QueryResult]":
-        """Answer one CBRD query per feature set, in input order.
-
-        Result-identical to calling :meth:`query_features` per set; the
-        batch shape exists so a fleet round's worth of queries shares
-        one span and one metrics update, and so a sharded index can be
-        handed the whole round for cross-shard fan-out at once.
-        """
-        self.queries_served += len(feature_sets)
-        obs = get_obs()
-        if not obs.enabled:
-            return self.index.query_batch(feature_sets)
-        with obs.span(
-            "server.query_batch",
-            n_queries=len(feature_sets),
-            index_size=len(self.index),
-        ) as span:
-            t0 = time.perf_counter()
-            results = self.index.query_batch(feature_sets)
-            latency = time.perf_counter() - t0  # beeslint: disable=raw-timing (feeds the index_query_latency gauge below)
-            span.set_attribute("n_found", sum(1 for r in results if r.found))
-        obs.index_queries.inc(len(feature_sets))
-        if feature_sets:
-            obs.index_query_latency.set(latency / len(feature_sets))
-        obs.index_size.set(len(self.index))
-        return results
-
     def query_top(self, features: FeatureSet, k: int) -> "list[tuple[str, float]]":
         """Top-*k* most similar stored images (precision experiments)."""
         return self.index.query_top(features, k)

@@ -30,20 +30,9 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..features.base import FeatureSet
-from ..kernels.batch import batch_similarity_matrix
+# Re-exported: the SSMM graph's edge weights are Equation 2 itself.
+from ..features.similarity import similarity_matrix as similarity_matrix
 from ..obs.journal import DecisionJournal, get_journal
-
-
-def similarity_matrix(feature_sets: "list[FeatureSet]") -> np.ndarray:
-    """Pairwise Equation-2 similarity matrix; the diagonal is 1.
-
-    Computed by the batched kernel
-    (:func:`repro.kernels.batch.batch_similarity_matrix`), which hoists
-    the per-set descriptor preparation out of the O(n²) pair loop — the
-    matrix is byte-identical to the historical per-pair
-    :func:`~repro.features.similarity.jaccard_similarity` loop.
-    """
-    return batch_similarity_matrix(feature_sets)
 
 
 def partition_components(weights: np.ndarray, cut_threshold: float) -> np.ndarray:

@@ -20,6 +20,7 @@ copies arrived intact — mirroring the uplink's replica-voting recovery
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -79,12 +80,14 @@ class EpidemicSimulation:
     ``policy_factory`` (default :class:`~repro.dtn.node.CareDropPolicy`)
     is called once; every node shares that policy, so a content-aware
     policy scores a pair of carried images once per simulation however
-    many nodes carry them.
+    many nodes carry them.  A factory that returns one policy object
+    for several simulations over the same images shares those scores
+    across the simulations too.
     """
 
     n_nodes: int
     buffer_capacity: int
-    policy_factory: "type[DropPolicy] | None" = None
+    policy_factory: "Callable[[], DropPolicy] | None" = None
     contact_bandwidth: int = 3
     contacts_per_round: int = 2
     gateway_probability: float = 0.15

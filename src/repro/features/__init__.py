@@ -10,9 +10,6 @@ from .keypoints import Keypoints, detect_fast
 from .matching import (
     DEFAULT_HAMMING_THRESHOLD,
     DEFAULT_L2_THRESHOLD,
-    hamming_distance_matrix,
-    l2_distance_matrix,
-    match_count,
     mutual_matches,
     resolve_threshold,
 )
@@ -35,10 +32,7 @@ __all__ = [
     "detect_fast",
     "feature_bytes",
     "resolve_threshold",
-    "hamming_distance_matrix",
     "jaccard_similarity",
-    "l2_distance_matrix",
-    "match_count",
     "mutual_matches",
     "space_overheads",
 ]

@@ -1,8 +1,10 @@
-"""Descriptor matching: Hamming for binary, L2 for float descriptors.
+"""Descriptor matching: the match ceilings and the mutual-match rule.
 
 Matches are mutual nearest neighbours under a distance ceiling — the
 conservative scheme that makes the Jaccard set-intersection of Equation 2
-meaningful (each descriptor participates in at most one match).
+meaningful (each descriptor participates in at most one match).  The
+distances themselves (Hamming for binary, L2 for float descriptors) are
+computed by :func:`repro.features.similarity.distance_matrix`.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import FeatureError
-from ..kernels.hamming import hamming_distance_matrix as _kernel_hamming
 
 #: Default Hamming ceiling for a 256-bit ORB descriptor match.  28 bits
 #: (11% of the descriptor) is a strict "good match" cut-off for rBRIEF;
@@ -39,31 +40,6 @@ L2_THRESHOLDS = {
 
 #: Lowe ratio: the best match must beat the second best by this factor.
 DEFAULT_RATIO = 0.7
-
-
-def hamming_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise Hamming distances between packed binary descriptor rows.
-
-    Delegates to the blocked uint64 kernel
-    (:func:`repro.kernels.hamming.hamming_distance_matrix`); the
-    distances are identical to the historical uint8-XOR + popcount-table
-    implementation for every input.
-    """
-    return _kernel_hamming(a, b)
-
-
-def l2_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise Euclidean distances between float descriptor rows."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise FeatureError(f"incompatible descriptor shapes {a.shape} / {b.shape}")
-    sq = (
-        (a * a).sum(axis=1)[:, None]
-        + (b * b).sum(axis=1)[None, :]
-        - 2.0 * (a @ b.T)
-    )
-    return np.sqrt(np.maximum(sq, 0.0))
 
 
 def mutual_matches(
@@ -112,20 +88,3 @@ def resolve_threshold(kind: str, threshold: float | None) -> float:
     if kind in L2_THRESHOLDS:
         return float(L2_THRESHOLDS[kind] if threshold is None else threshold)
     raise FeatureError(f"unknown descriptor kind {kind!r}")
-
-
-def match_count(
-    desc_a: np.ndarray,
-    desc_b: np.ndarray,
-    kind: str,
-    threshold: float | None = None,
-) -> int:
-    """Number of mutual matches between two descriptor matrices."""
-    if len(desc_a) == 0 or len(desc_b) == 0:
-        return 0
-    limit = resolve_threshold(kind, threshold)
-    if kind == "orb":
-        dist = hamming_distance_matrix(desc_a, desc_b)
-    else:
-        dist = l2_distance_matrix(desc_a, desc_b)
-    return int(mutual_matches(dist, limit).shape[0])

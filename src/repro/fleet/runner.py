@@ -27,7 +27,7 @@ opens — ``fleet.device`` and the whole BEES pipeline underneath —
 lands in one connected trace tree (``tests/obs/test_propagation.py``
 pins this);
 ``bees_fleet_rounds_total``, ``bees_fleet_queue_depth``, and the
-per-shard contention/occupancy series cover the metrics side.
+per-shard occupancy gauge cover the metrics side.
 """
 
 from __future__ import annotations

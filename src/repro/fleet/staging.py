@@ -57,8 +57,8 @@ class StagedServer:
     """One device's round-frozen view of the shared server.
 
     Exposes the full surface schemes use (``query_features`` /
-    ``query_features_batch`` / ``query_top`` / ``receive_image`` /
-    ``query_response_bytes`` / ``store.add``); queries answer from the
+    ``query_top`` / ``receive_image`` / ``query_response_bytes`` /
+    ``store.add``); queries answer from the
     shared server, writes stage locally until :meth:`commit`.
     """
 
@@ -78,11 +78,6 @@ class StagedServer:
 
     def query_features(self, features: FeatureSet) -> QueryResult:
         return self.base.query_features(features)
-
-    def query_features_batch(
-        self, feature_sets: "list[FeatureSet]"
-    ) -> "list[QueryResult]":
-        return self.base.query_features_batch(feature_sets)
 
     def query_top(self, features: FeatureSet, k: int) -> "list[tuple[str, float]]":
         return self.base.query_top(features, k)

@@ -193,23 +193,14 @@ class FeatureIndex:
         """
         return self._lsh.keys(packed)
 
-    def vote_counts_from_keys(self, keys: np.ndarray) -> "dict[str, int]":
-        """LSH votes per stored ``image_id`` for precomputed *keys*.
-
-        A stored image's vote count depends only on its own descriptors
-        and the query, so per-shard counts merge into exactly the counts
-        a single index would report.
-        """
-        votes = self._lsh.votes_from_keys(keys)
-        return {self._entries[ref].image_id: count for ref, count in votes.items()}
-
     def vote_counts_from_grouped(self, grouped: "GroupedKeys") -> "dict[str, int]":
         """LSH votes for keys already fused and deduplicated.
 
         Shard fan-out entry point: the coordinator groups a query's
         keys once (:func:`~repro.kernels.voting.group_query_keys`) and
         every shard gathers its buckets from the shared grouped form
-        instead of re-running the unique pass.  Counts equal :meth:`vote_counts_from_keys` exactly.
+        instead of re-running the unique pass.  Counts equal
+        :meth:`vote_counts` exactly.
         """
         votes = self._lsh.votes_from_grouped(grouped)
         return {self._entries[ref].image_id: count for ref, count in votes.items()}
@@ -218,7 +209,8 @@ class FeatureIndex:
         """LSH votes per stored ``image_id`` for a query feature set."""
         if not self._entries or len(features) == 0:
             return {}
-        return self.vote_counts_from_keys(self.hash_keys(self._packed(features)))
+        votes = self._lsh.votes(self._packed(features))
+        return {self._entries[ref].image_id: count for ref, count in votes.items()}
 
     def features_of(self, image_id: str) -> FeatureSet:
         """The stored feature set of one indexed image."""
@@ -254,7 +246,3 @@ class FeatureIndex:
         return QueryResult.best_of(
             self.query_top(features, 1), len(self._entries), self.verify_top_k
         )
-
-    def query_batch(self, feature_sets: "list[FeatureSet]") -> "list[QueryResult]":
-        """One :meth:`query` result per input, in input order."""
-        return [self.query(features) for features in feature_sets]

@@ -30,10 +30,11 @@ Design notes, because the equivalence guarantee depends on them:
   insert); a concurrent reader binds the tuple once per vote, so it sees
   every insert whole or not at all, never a torn one.  The fleet runner
   additionally never interleaves queries with writes for the *same*
-  round (round barrier), so readers observe a frozen index.  Writer locks exist only
-  to serialise writer/writer races within a shard; the non-blocking
-  first acquire counts contention into
-  ``bees_index_shard_contention_total{shard}``.
+  round (round barrier), so readers observe a frozen index.  Writer
+  locks serialise writer/writer races within a shard.  The fleet runner
+  commits every write on its coordinator thread at the round barrier,
+  so no program path contends for them today; they keep direct
+  concurrent ``add`` callers safe.
 """
 
 from __future__ import annotations
@@ -42,14 +43,12 @@ import hashlib
 import threading
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..errors import IndexError_
 from ..features.base import FeatureSet
-from ..kernels.voting import GroupedKeys, group_query_keys
+from ..kernels.voting import group_query_keys
 from ..obs import get_obs
 from ..obs.journal import get_journal
-from .index import NO_MATCH, FeatureIndex, QueryResult, verify_votes
+from .index import FeatureIndex, QueryResult, verify_votes
 
 DEFAULT_N_SHARDS = 4
 
@@ -71,8 +70,8 @@ class ShardedFeatureIndex:
 
     Drop-in compatible with :class:`FeatureIndex` for everything the
     server touches (``add`` / ``query`` / ``query_top`` / ``__len__`` /
-    ``__contains__`` / ``features_of`` / ``image_ids``), plus batched
-    queries and per-shard introspection.
+    ``__contains__`` / ``features_of`` / ``image_ids``), plus per-shard
+    introspection.
     """
 
     kind: str = "orb"
@@ -113,18 +112,6 @@ class ShardedFeatureIndex:
         """Entries per shard, in shard order."""
         return [len(shard) for shard in self._shards]
 
-    def shard_skew(self) -> float:
-        """Occupancy skew: max shard size over the mean (1.0 = even).
-
-        The ``repro top`` dashboard and the fleet telemetry tests use
-        this to spot routing hot-spots; an empty index has no skew.
-        """
-        sizes = self.shard_sizes()
-        total = sum(sizes)
-        if total == 0:
-            return 1.0
-        return max(sizes) / (total / len(sizes))
-
     # -- mutation ------------------------------------------------------------
 
     def add(self, features: FeatureSet) -> None:
@@ -133,17 +120,10 @@ class ShardedFeatureIndex:
         if not image_id:
             raise IndexError_("features must carry an image_id to be indexed")
         shard_no = self.shard_of(image_id)
-        lock = self._locks[shard_no]
-        obs = get_obs()
-        if not lock.acquire(blocking=False):
-            if obs.enabled:
-                obs.shard_contention.inc(shard=shard_no)
-            lock.acquire()
-        try:
+        with self._locks[shard_no]:
             self._shards[shard_no].add(features)
             size = len(self._shards[shard_no])
-        finally:
-            lock.release()
+        obs = get_obs()
         if obs.enabled:
             obs.shard_entries.set(size, shard=shard_no)
         journal = get_journal()
@@ -164,17 +144,9 @@ class ShardedFeatureIndex:
         # One hash pass serves every shard: identical LSH geometry.
         packed = self._shards[0].packed_descriptors(features)
         keys = self._shards[0].hash_keys(packed)
-        return self._merged_votes_from_keys(keys)
-
-    def _merged_votes_from_keys(self, keys: "np.ndarray") -> "dict[str, int]":
-        # Group (fused unique+counts) once in the coordinator; each
-        # shard only gathers its own posting runs from the shared form.
-        # The historical shape paid the unique pass again inside every
-        # shard's vote_counts_from_keys call.
+        # Group (fused unique+counts) once here; each shard only
+        # gathers its own posting runs from the shared form.
         grouped = group_query_keys(keys, self.bits_per_key)
-        return self._merged_votes_from_grouped(grouped)
-
-    def _merged_votes_from_grouped(self, grouped: "GroupedKeys") -> "dict[str, int]":
         votes: "dict[str, int]" = {}
         for shard in self._shards:
             if len(shard):
@@ -202,44 +174,6 @@ class ShardedFeatureIndex:
         return QueryResult.best_of(
             self.query_top(features, 1), len(self), self.verify_top_k
         )
-
-    def query_batch(self, feature_sets: "list[FeatureSet]") -> "list[QueryResult]":
-        """One :meth:`query` result per input, in input order.
-
-        The batched entry point the server uses for cross-shard CBRD.
-        The whole round's descriptors are stacked and hashed in **one**
-        LSH key pass (one ``unpackbits`` + bit-sample gather instead of
-        one per query) before the per-query shard fan-out; answers are
-        identical to calling :meth:`query` per feature set.
-        """
-        n_entries = len(self)
-        results = [NO_MATCH] * len(feature_sets)
-        nonempty = [i for i, features in enumerate(feature_sets) if len(features)]
-        if not n_entries or not nonempty:
-            return results
-        with get_obs().span(
-            "index.query_batch",
-            n_queries=len(nonempty),
-            n_shards=self.n_shards,
-            n_entries=n_entries,
-        ):
-            packed = [
-                self._shards[0].packed_descriptors(feature_sets[i])
-                for i in nonempty
-            ]
-            batched_keys = self._shards[0].hash_keys(np.concatenate(packed, axis=0))
-            offsets = np.cumsum([0] + [rows.shape[0] for rows in packed])
-            for position, i in enumerate(nonempty):
-                keys = batched_keys[offsets[position] : offsets[position + 1]]
-                top = verify_votes(
-                    feature_sets[i],
-                    self._merged_votes_from_keys(keys),
-                    1,
-                    self.verify_top_k,
-                    self.features_of,
-                )
-                results[i] = QueryResult.best_of(top, n_entries, self.verify_top_k)
-        return results
 
     # -- introspection -------------------------------------------------------
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..errors import IndexError_
 from ..features.base import FeatureSet
-from ..features.matching import hamming_distance_matrix
+from ..kernels.hamming import hamming_distance_matrix
 
 
 def _majority_centroid(descriptors: np.ndarray) -> np.ndarray:

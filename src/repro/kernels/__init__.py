@@ -12,11 +12,12 @@ out in:
   from the shared grouped form);
 * :mod:`~repro.kernels.majority` — the bit-plane byte-wise majority
   vote behind k-replica forward redundancy
-  (:mod:`repro.network.transfer`);
-* :mod:`~repro.kernels.batch` — the batched all-pairs SSMM similarity
-  matrix (import as ``repro.kernels.batch``: it builds on
-  :mod:`repro.features`, which itself uses the kernels above, so the
-  package namespace stays a leaf of that layering).
+  (:mod:`repro.network.transfer`).
+
+The layer imports nothing from :mod:`repro.features`.  The one
+Equation-2 pair function (:mod:`repro.features.similarity`) is built on
+:mod:`~repro.kernels.hamming`, so an import in the other direction
+would be a cycle; the pair code lives with the feature types it scores.
 
 Everything here is exact: the kernels change evaluation strategy, never
 results — ``tests/kernels`` proves each one byte-identical to the

@@ -23,8 +23,8 @@ exactly that, per class:
    exempt (no concurrent peer exists yet), ``*_locked`` helpers are
    assumed held (but *calling* one without the lock is its own
    finding), and methods that call ``.acquire()`` manually opt out of
-   the inference — hand-rolled protocols (the sharded index's
-   contention-counting acquire) are reviewed by humans, not guessed at.
+   the inference — hand-rolled protocols are reviewed by humans, not
+   guessed at.
 
 Deliberately lock-free reads are real and fine (CPython atomicity,
 single-threaded phases) — they just have to say so with an inline

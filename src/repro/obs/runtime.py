@@ -35,9 +35,8 @@ Standard metrics (all labelled where it matters):
 * ``bees_dtn_transmissions_total{kind}`` / ``bees_dtn_delivered_total``
   for the epidemic DTN;
 * ``bees_fleet_rounds_total`` / ``bees_fleet_queue_depth`` and the
-  per-shard ``bees_index_shard_contention_total{shard}`` /
-  ``bees_index_shard_entries{shard}`` pair for the concurrent fleet
-  runtime (:mod:`repro.fleet`).
+  per-shard ``bees_index_shard_entries{shard}`` gauge for the concurrent
+  fleet runtime (:mod:`repro.fleet`).
 """
 
 from __future__ import annotations
@@ -175,11 +174,6 @@ class Observability:
             "bees_fleet_queue_depth",
             "Device batches admitted to the current fleet round and not "
             "yet finished",
-        )
-        self.shard_contention = registry.counter(
-            "bees_index_shard_contention_total",
-            "Sharded-index writes that found their shard lock already held",
-            ("shard",),
         )
         self.shard_entries = registry.gauge(
             "bees_index_shard_entries",

@@ -47,26 +47,6 @@ class TestDecide:
         assert not decision.redundant
         assert seeded_server.queries_served == served_before
 
-    def test_decide_batch_matches_decide(
-        self, seeded_server, orb_features_alt_view, orb, generator
-    ):
-        detector = CrossBatchDetector()
-        unique = orb.extract(generator.view(777, 0, image_id="u"))
-        batch = [orb_features_alt_view, unique]
-        expected = [detector.decide(f, seeded_server, ebat=0.6) for f in batch]
-        assert detector.decide_batch(batch, seeded_server, ebat=0.6) == expected
-
-    def test_decide_batch_disabled_skips_query(
-        self, seeded_server, orb_features_alt_view
-    ):
-        detector = CrossBatchDetector(enabled=False)
-        served_before = seeded_server.queries_served
-        decisions = detector.decide_batch(
-            [orb_features_alt_view], seeded_server, ebat=1.0
-        )
-        assert not decisions[0].redundant
-        assert seeded_server.queries_served == served_before
-
     def test_borderline_similarity_depends_on_ebat(
         self, seeded_server, orb_features, monkeypatch
     ):

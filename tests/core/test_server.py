@@ -49,33 +49,3 @@ class TestServer:
         server.receive_image(scene_image, orb_features)
         top = server.query_top(orb_features, 2)
         assert top[0][0] == scene_image.image_id
-
-
-class TestBatchQueries:
-    def test_batch_matches_sequential(
-        self, scene_image, orb_features, orb_features_alt_view, orb_features_other
-    ):
-        server = BeesServer()
-        server.receive_image(scene_image, orb_features)
-        queries = [orb_features_alt_view, orb_features_other]
-        batched = server.query_features_batch(queries)
-        assert batched == [server.index.query(q) for q in queries]
-        assert server.queries_served == len(queries)
-
-    def test_batch_on_sharded_index(
-        self, scene_image, orb_features, orb_features_alt_view
-    ):
-        from repro.index import ShardedFeatureIndex
-
-        server = BeesServer(index=ShardedFeatureIndex(n_shards=4))
-        server.receive_image(scene_image, orb_features)
-        reference = BeesServer()
-        reference.receive_image(scene_image, orb_features)
-        assert server.query_features_batch([orb_features_alt_view]) == (
-            reference.query_features_batch([orb_features_alt_view])
-        )
-
-    def test_empty_batch(self):
-        server = BeesServer()
-        assert server.query_features_batch([]) == []
-        assert server.queries_served == 0

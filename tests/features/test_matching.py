@@ -5,15 +5,40 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import FeatureError
+from repro.features.base import FeatureSet
 from repro.features.matching import (
     DEFAULT_HAMMING_THRESHOLD,
     L2_THRESHOLDS,
-    hamming_distance_matrix,
-    l2_distance_matrix,
-    match_count,
     mutual_matches,
     resolve_threshold,
 )
+from repro.features.similarity import distance_matrix, jaccard_similarity, prepare_set
+from repro.kernels.hamming import hamming_distance_matrix
+
+
+def _features(descriptors, kind):
+    n = len(descriptors)
+    return FeatureSet(
+        kind=kind,
+        descriptors=descriptors,
+        xs=np.zeros(n),
+        ys=np.zeros(n),
+        pixels_processed=n,
+    )
+
+
+def l2_distances(a, b):
+    """L2 distances through the Equation-2 pair code's float path."""
+    return distance_matrix(
+        prepare_set(_features(np.asarray(a), "sift")),
+        prepare_set(_features(np.asarray(b), "sift")),
+    )
+
+
+def orb_jaccard(desc_a, desc_b, threshold=None):
+    return jaccard_similarity(
+        _features(desc_a, "orb"), _features(desc_b, "orb"), threshold
+    )
 
 
 class TestHamming:
@@ -63,17 +88,21 @@ class TestHamming:
 class TestL2:
     def test_zero_for_identical(self):
         a = np.array([[1.0, 2.0, 3.0]])
-        assert l2_distance_matrix(a, a)[0, 0] == pytest.approx(0.0)
+        assert l2_distances(a, a)[0, 0] == pytest.approx(0.0)
 
     def test_known_distance(self):
         a = np.array([[0.0, 0.0]])
         b = np.array([[3.0, 4.0]])
-        assert l2_distance_matrix(a, b)[0, 0] == pytest.approx(5.0)
+        assert l2_distances(a, b)[0, 0] == pytest.approx(5.0)
 
     def test_non_negative(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(5, 8))
-        assert (l2_distance_matrix(a, a) >= 0).all()
+        assert (l2_distances(a, a) >= 0).all()
+
+    def test_rejects_mismatched_dims(self):
+        with pytest.raises(FeatureError):
+            l2_distances(np.zeros((2, 8)), np.zeros((2, 4)))
 
 
 class TestMutualMatches:
@@ -162,26 +191,29 @@ class TestMutualMatches:
 
 
 class TestMatchCount:
+    """Mutual-match counting as Equation 2 sees it (one match of a
+    one-descriptor pair scores 1.0, no match scores 0.0)."""
+
     def test_empty_sets(self):
         empty = np.zeros((0, 32), dtype=np.uint8)
-        assert match_count(empty, empty, "orb") == 0
+        assert orb_jaccard(empty, empty) == 0.0
 
     def test_identical_orb_sets_all_match(self):
         rng = np.random.default_rng(0)
         desc = rng.integers(0, 256, (10, 32)).astype(np.uint8)
-        assert match_count(desc, desc, "orb") == 10
+        assert orb_jaccard(desc, desc) == 1.0
 
     def test_unknown_kind_rejected(self):
         desc = np.zeros((2, 32), dtype=np.uint8)
         with pytest.raises(FeatureError):
-            match_count(desc, desc, "surf")
+            jaccard_similarity(_features(desc, "surf"), _features(desc, "surf"))
 
     def test_explicit_threshold_respected(self):
         a = np.zeros((1, 32), dtype=np.uint8)
         b = np.zeros((1, 32), dtype=np.uint8)
         b[0, 0] = 0b00001111  # distance 4
-        assert match_count(a, b, "orb", threshold=3) == 0
-        assert match_count(a, b, "orb", threshold=4) == 1
+        assert orb_jaccard(a, b, threshold=3) == 0.0
+        assert orb_jaccard(a, b, threshold=4) == 1.0
 
     def test_default_threshold_boundary(self):
         # A pair at distance exactly DEFAULT_HAMMING_THRESHOLD matches;
@@ -193,8 +225,8 @@ class TestMatchCount:
         over = np.packbits(
             np.r_[np.ones(DEFAULT_HAMMING_THRESHOLD + 1, np.uint8), np.zeros(255 - DEFAULT_HAMMING_THRESHOLD, np.uint8)]
         )[None, :]
-        assert match_count(a, at, "orb") == 1
-        assert match_count(a, over, "orb") == 0
+        assert orb_jaccard(a, at) == 1.0
+        assert orb_jaccard(a, over) == 0.0
 
 
 class TestResolveThreshold:

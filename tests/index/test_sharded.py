@@ -99,11 +99,6 @@ class TestEquivalence:
             assert actual == expected
             assert sharded.query_top(query, 4) == single.query_top(query, 4)
 
-    def test_query_batch_matches_sequential_queries(self, corpus):
-        sharded = _fill(ShardedFeatureIndex(n_shards=4), corpus[:9])
-        queries = corpus[9:]
-        assert sharded.query_batch(queries) == [sharded.query(q) for q in queries]
-
     def test_empty_index_and_empty_query(self, corpus):
         sharded = ShardedFeatureIndex(n_shards=4)
         assert not sharded.query(corpus[0]).found

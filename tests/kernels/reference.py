@@ -20,9 +20,12 @@ input.  They intentionally share no code with ``repro.kernels``:
 * :func:`reference_majority_vote` — the per-byte, per-bit Python
   majority-vote loop the bit-plane kernel replaces.
 
-``mutual_matches`` and ``l2_distance_matrix`` are imported from
-production: the kernel layer did not change them, and reusing them
-keeps the differentials focused on what did change.
+* :func:`reference_l2_distance_matrix` — the float-descriptor L2
+  matrix, norms recomputed on every call.
+
+``mutual_matches`` is imported from production: the kernel layer did
+not change it, and reusing it keeps the differentials focused on what
+did change.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ import numpy as np
 from repro.features.matching import (
     DEFAULT_HAMMING_THRESHOLD,
     L2_THRESHOLDS,
-    l2_distance_matrix,
     mutual_matches,
 )
 
@@ -49,6 +51,18 @@ def reference_hamming_distance_matrix(a, b):
     return _POPCOUNT[xor].sum(axis=2).astype(np.int64)
 
 
+def reference_l2_distance_matrix(a, b):
+    """The pre-kernel L2 matrix over float descriptor rows."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    sq = (
+        (a * a).sum(axis=1)[:, None]
+        + (b * b).sum(axis=1)[None, :]
+        - 2.0 * (a @ b.T)
+    )
+    return np.sqrt(np.maximum(sq, 0.0))
+
+
 def reference_match_count(desc_a, desc_b, kind, threshold=None):
     """The pre-kernel ``match_count`` body."""
     if len(desc_a) == 0 or len(desc_b) == 0:
@@ -57,7 +71,7 @@ def reference_match_count(desc_a, desc_b, kind, threshold=None):
         dist = reference_hamming_distance_matrix(desc_a, desc_b)
         limit = DEFAULT_HAMMING_THRESHOLD if threshold is None else threshold
     else:
-        dist = l2_distance_matrix(desc_a, desc_b)
+        dist = reference_l2_distance_matrix(desc_a, desc_b)
         limit = L2_THRESHOLDS[kind] if threshold is None else threshold
     return int(mutual_matches(dist, limit).shape[0])
 

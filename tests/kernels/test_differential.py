@@ -11,12 +11,15 @@ import numpy as np
 import pytest
 
 from repro.core.ssmm import partition_components, similarity_matrix
-from repro.features.matching import hamming_distance_matrix
+from repro.features.base import FeatureSet
+from repro.features.similarity import jaccard_similarity
 from repro.index.lsh import HammingLSH
+from repro.kernels.hamming import hamming_distance_matrix
 
 from .reference import (
     ReferenceHammingLSH,
     reference_hamming_distance_matrix,
+    reference_jaccard,
     reference_partition_components,
     reference_similarity_matrix,
     synthetic_feature_sets,
@@ -25,6 +28,9 @@ from .reference import (
 KINDS = ("orb", "sift", "pca-sift")
 SEEDS = (0, 1, 2)
 BATCH_SIZES = (2, 5, 9)
+#: Explicit match ceilings looser than each kind's default, so the
+#: threshold argument is exercised on pairs the default would reject.
+EXPLICIT_THRESHOLDS = {"orb": 40, "sift": 0.6, "pca-sift": 0.3}
 
 
 class TestHammingDifferential:
@@ -82,6 +88,50 @@ class TestSimilarityMatrixDifferential:
         _, feature_sets = small_batch_features
         expected = reference_similarity_matrix(feature_sets)
         assert np.array_equal(similarity_matrix(feature_sets), expected)
+
+
+class TestJaccardDifferential:
+    """CBRD's pairwise verify path against the frozen per-pair loop."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_identical_to_reference(self, kind, seed, explicit):
+        threshold = EXPLICIT_THRESHOLDS[kind] if explicit else None
+        sets = synthetic_feature_sets(kind, 5, n_descriptors=24, seed=seed)
+        off_diagonal = []
+        for i, a in enumerate(sets):
+            for j, b in enumerate(sets):
+                expected = reference_jaccard(a, b, threshold)
+                actual = jaccard_similarity(a, b, threshold)
+                assert type(actual) is type(expected)
+                assert actual == expected
+                if i != j:
+                    off_diagonal.append(actual)
+        # Some distinct pair must match, or the check is vacuous.
+        assert max(off_diagonal) > 0.0
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_empty_sets(self, kind, explicit):
+        threshold = EXPLICIT_THRESHOLDS[kind] if explicit else None
+        full = synthetic_feature_sets(kind, 1, n_descriptors=24, seed=0)[0]
+        empty = FeatureSet(
+            kind=kind,
+            descriptors=full.descriptors[:0],
+            xs=full.xs[:0],
+            ys=full.ys[:0],
+            pixels_processed=0,
+        )
+        for a, b in [(empty, empty), (empty, full), (full, empty)]:
+            expected = reference_jaccard(a, b, threshold)
+            assert jaccard_similarity(a, b, threshold) == expected == 0.0
+
+    def test_real_extractor_features(self, small_batch_features):
+        _, feature_sets = small_batch_features
+        for a in feature_sets:
+            for b in feature_sets:
+                assert jaccard_similarity(a, b) == reference_jaccard(a, b)
 
 
 class TestLshVotingDifferential:

@@ -191,9 +191,9 @@ class TestRealCode:
             return handle.read(), path
 
     def test_sharded_index_has_zero_findings(self):
-        # The acceptance bar: the hand-rolled contention-counting lock
-        # protocol in the sharded index must produce no false positives
-        # (its lock-free reads are deliberate and documented).
+        # The acceptance bar: the sharded index's per-shard locks must
+        # produce no false positives (its lock-free reads are
+        # deliberate and documented).
         source, path = self.repo_file("src", "repro", "index", "sharded.py")
         assert findings_for(source, path=path) == ()
 

@@ -98,11 +98,6 @@ class TestStreamingAggregator:
             pytest.approx(1.0)
         )
 
-    def test_no_lookups_appends_no_hit_rate(self):
-        aggregator = StreamingAggregator(configure())
-        aggregator.sample(now=0.0)
-        assert "cache_hit_rate" not in aggregator.sample(now=1.0)
-
     def test_gauges_pass_through_every_sample(self):
         obs = configure()
         aggregator = StreamingAggregator(obs)
