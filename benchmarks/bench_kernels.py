@@ -35,7 +35,6 @@ from repro.fleet import FleetRunner
 from repro.index.lsh import HammingLSH
 from repro.kernels.hamming import hamming_distance_matrix
 from repro.obs.journal import journal_to, read_journal
-from repro.obs.profiling import SamplingProfiler
 
 from common import merge_params
 
@@ -47,8 +46,6 @@ PARAMS = {
     "lsh_n_images": 256,
     "lsh_n_queries": 48,
     "repeats": 3,
-    "profile_repeats": 5,
-    "profile_passes": 48,
     "journal_repeats": 3,
     "journal_devices": 2,
     "journal_rounds": 2,
@@ -60,8 +57,6 @@ QUICK_PARAMS = {
     "lsh_n_images": 192,
     "lsh_n_queries": 32,
     "repeats": 2,
-    "profile_repeats": 3,
-    "profile_passes": 24,
     "journal_repeats": 2,
     "journal_rounds": 1,
 }
@@ -70,11 +65,6 @@ QUICK_PARAMS = {
 #: "Performance kernels" section); the bench asserts them.
 MIN_SIMILARITY_SPEEDUP = 3.0
 MIN_VOTING_SPEEDUP = 2.0
-
-#: Ceiling on the sampling profiler's wall-time overhead, asserted by
-#: ``test_kernels`` (the observability layer's "low-overhead" promise,
-#: measured min-of-N against the same kernel workload).
-MAX_PROFILER_OVERHEAD = 0.05
 
 #: Ceiling on the decision journal's CPU-time overhead, asserted by
 #: ``test_kernels``: a fully journaled fleet run may cost at most 5%
@@ -266,66 +256,17 @@ def bench_similarity_batches(batch_sizes, n_descriptors, seed, repeats):
     return rows
 
 
-def bench_profiler_overhead(dist_rows, seed, repeats, passes):
-    """Same kernel workload bare vs. under the sampling profiler.
-
-    Interleaving bare/profiled pairs cancels machine drift (thermal,
-    governor, co-tenants), and the gated metric is **process CPU
-    time**: it charges the sampler thread's own cycles to the profiled
-    side but is immune to external load, where wall time on a shared
-    host swings far more than the 5% budget being measured.  On an
-    unloaded machine the two converge.
-    """
-    rng = np.random.default_rng(seed)
-    a = _descriptor_rows(rng, dist_rows)
-    b = _descriptor_rows(rng, dist_rows)
-
-    def workload():
-        for _ in range(passes):
-            hamming_distance_matrix(a, b)
-
-    workload()  # warm-up: caches, allocator, frequency governor
-    profiler = SamplingProfiler()
-    bare_times = []
-    profiled_times = []
-    wall_times = []
-    for _ in range(repeats):
-        started = time.process_time()
-        workload()
-        bare_times.append(time.process_time() - started)
-        profiler.start()
-        try:
-            wall_started = time.perf_counter()
-            started = time.process_time()
-            workload()
-            profiled_times.append(time.process_time() - started)
-            wall_times.append(time.perf_counter() - wall_started)
-        finally:
-            profiler.stop()
-    stats = profiler.stats()
-    bare_seconds = min(bare_times)
-    profiled_seconds = min(profiled_times)
-    overhead = profiled_seconds / max(bare_seconds, 1e-9) - 1.0
-    return {
-        "bare_seconds": bare_seconds,
-        "profiled_seconds": profiled_seconds,
-        "profiled_wall_seconds": min(wall_times),
-        "overhead_fraction": overhead,
-        "samples": stats.n_samples,
-        "hz": stats.hz,
-    }
-
-
 def bench_journal_overhead(journal_devices, journal_rounds, journal_batch, seed, repeats):
     """The same fleet run with the decision journal off vs. on.
 
     The journaled side records every decision site (CBRD verdicts, AIU
     prepares, policy applications, SSMM selections, batch summaries) to
     a real JSONL file, so the measurement includes serialization and
-    buffered I/O, not just the emit calls.  Interleaved pairs and
-    **process CPU time** min-of-N, exactly like the profiler gate: the
-    journal's promise is "always on" observability, so it gets the same
-    5% budget.  Decisions must not move — both sides' fingerprints are
+    buffered I/O, not just the emit calls.  Interleaving off/on pairs
+    cancels machine drift, and the gated metric is **process CPU time**
+    min-of-N, which is immune to external load where wall time on a
+    shared host swings far more than the budget: the journal's promise
+    is "always on" observability, so it gets a 5% budget.  Decisions must not move — both sides' fingerprints are
     asserted identical each repeat.
     """
 
@@ -380,9 +321,6 @@ def run(params: "dict | None" = None) -> dict:
                 p["batch_sizes"], p["n_descriptors"], p["seed"], p["repeats"]
             ).items()
         },
-        "profiler_overhead": bench_profiler_overhead(
-            p["dist_rows"], p["seed"], p["profile_repeats"], p["profile_passes"]
-        ),
         "journal_overhead": bench_journal_overhead(
             p["journal_devices"],
             p["journal_rounds"],
@@ -426,15 +364,6 @@ def test_kernels(benchmark, emit):
                 f"{row['speedup']:.1f}x",
             ]
         )
-    overhead = data["profiler_overhead"]
-    rows.append(
-        [
-            "sampling profiler overhead",
-            f"{overhead['bare_seconds']:.4f} s",
-            f"{overhead['profiled_seconds']:.4f} s",
-            f"{overhead['overhead_fraction'] * 100:+.1f}%",
-        ]
-    )
     journal = data["journal_overhead"]
     rows.append(
         [
@@ -458,10 +387,6 @@ def test_kernels(benchmark, emit):
     assert (
         data["lsh_votes"]["speedup"] >= MIN_VOTING_SPEEDUP
     ), f"LSH voting kernel below {MIN_VOTING_SPEEDUP}x"
-    assert overhead["overhead_fraction"] <= MAX_PROFILER_OVERHEAD, (
-        f"profiler overhead {overhead['overhead_fraction']:.1%} exceeds "
-        f"the {MAX_PROFILER_OVERHEAD:.0%} budget"
-    )
     assert journal["overhead_fraction"] <= MAX_JOURNAL_OVERHEAD, (
         f"journal overhead {journal['overhead_fraction']:.1%} exceeds "
         f"the {MAX_JOURNAL_OVERHEAD:.0%} budget"

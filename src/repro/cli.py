@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Twelve subcommands drive the main experiments without writing code:
+Eleven subcommands drive the main experiments without writing code:
 
 * ``compare``  — one controlled batch through every scheme (Fig. 7/10/11)
 * ``lifetime`` — the battery drain race (Fig. 9)
@@ -8,22 +8,18 @@ Twelve subcommands drive the main experiments without writing code:
 * ``fleet``    — the concurrent multi-device fleet simulation
 * ``share``    — run a scheme over a folder of real PPM/PGM photos
 * ``bench``    — the benchmark telemetry harness (run/list/compare/report)
-* ``slo``      — check SLO specs against bench artifacts (exit 1 on burn)
-* ``top``      — live fleet dashboard (terminal frames + HTML snapshot)
+* ``slo``      — check SLO specs against bench artifacts (exit 1 on violation)
 * ``journal``  — the decision journal (explain/diff/replay/stats)
 * ``lint``     — the beeslint static-analysis suite over the repo
 * ``metrics``  — render a captured Prometheus metrics file as a table
 * ``info``     — versions, device profile, policies, observability
 
 ``compare``, ``lifetime``, ``coverage``, and ``fleet run`` accept
-``--trace PATH`` (JSONL span log), ``--metrics PATH`` (Prometheus text
-exposition), and ``--profile PATH`` (a folded-stack CPU profile with
-samples attributed to BEES stage spans), any of which switch the
-:mod:`repro.obs` layer on for the run.  ``bench run --profile`` covers
-the bench suite the same way.  ``fleet run --journal PATH`` and
-``top --journal PATH`` additionally record the decision-provenance
-journal (:mod:`repro.obs.journal`) that the ``journal`` subcommands
-read back.
+``--trace PATH`` (JSONL span log) and ``--metrics PATH`` (Prometheus
+text exposition), either of which switches the :mod:`repro.obs` layer
+on for the run.  ``fleet run --journal PATH`` additionally records the
+decision-provenance journal (:mod:`repro.obs.journal`) that the
+``journal`` subcommands read back.
 """
 
 from __future__ import annotations
@@ -63,54 +59,21 @@ def _fast_generator() -> SceneGenerator:
 
 
 @contextlib.contextmanager
-def _profiler(args: argparse.Namespace):
-    """Run a sampling profiler around a block when ``--profile`` asks.
-
-    Yields the profiler (or ``None``); on clean exit writes the
-    folded-stack file and prints the session stats.
-    """
-    profile_path = getattr(args, "profile", None)
-    if profile_path is None:
-        yield None
-        return
-    from .obs.profiling import GLOBAL_TRACER, SamplingProfiler
-
-    profiler = SamplingProfiler(
-        tracer=GLOBAL_TRACER, hz=getattr(args, "profile_hz", 97.0)
-    )
-    profiler.start()
-    try:
-        yield profiler
-        stats = profiler.stop()
-        lines = profiler.write_folded(profile_path)
-        print(
-            f"\nwrote {profile_path} ({lines} stacks, {stats.n_samples} samples "
-            f"at ~{stats.effective_hz:.0f} Hz over {stats.wall_seconds:.2f} s)"
-        )
-    finally:
-        if profiler.running:
-            profiler.stop()
-
-
-@contextlib.contextmanager
 def _observability(args: argparse.Namespace):
-    """Enable tracing/metrics/profiling for one command when flags ask.
+    """Enable tracing/metrics for one command when flags ask.
 
     Configures the global :mod:`repro.obs` context before the run,
     flushes the export files afterwards, and always resets to the
     disabled default so back-to-back ``main()`` calls stay independent.
-    ``--profile`` implies an enabled (in-memory) context — the profiler
-    needs the tracer's active-span table for stage attribution.
     """
     trace_path = getattr(args, "trace", None)
     metrics_path = getattr(args, "metrics", None)
-    if trace_path is None and metrics_path is None and getattr(args, "profile", None) is None:
+    if trace_path is None and metrics_path is None:
         yield obs_module.get_obs()
         return
     obs = obs_module.configure(trace_path=trace_path, metrics_path=metrics_path)
     try:
-        with _profiler(args):
-            yield obs
+        yield obs
         for path in obs.flush():
             print(f"\nwrote {path}")
     finally:
@@ -125,19 +88,6 @@ def _add_obs_flags(subparser: argparse.ArgumentParser) -> None:
     subparser.add_argument(
         "--metrics", metavar="PATH", default=None,
         help="write Prometheus-format metrics of the run to PATH",
-    )
-    _add_profile_flags(subparser)
-
-
-def _add_profile_flags(subparser: argparse.ArgumentParser) -> None:
-    subparser.add_argument(
-        "--profile", metavar="PATH", default=None,
-        help="sample the run with the span-attributing profiler and "
-        "write folded stacks (flamegraph input) to PATH",
-    )
-    subparser.add_argument(
-        "--profile-hz", type=float, default=97.0, metavar="HZ",
-        help="profiler sampling rate (default 97 Hz)",
     )
 
 
@@ -417,11 +367,10 @@ def cmd_bench_run(args: argparse.Namespace) -> int:
     selected = args.cases or bench_module.case_ids()
     print(f"running {len(selected)} bench case(s) [{mode}]:")
     try:
-        with _profiler(args):
-            artifact = bench_module.run_suite(
-                case_ids=args.cases, quick=args.quick, params=params,
-                progress=progress,
-            )
+        artifact = bench_module.run_suite(
+            case_ids=args.cases, quick=args.quick, params=params,
+            progress=progress,
+        )
         path = bench_module.save_suite(artifact, out=args.out)
     except BenchError as exc:
         raise SystemExit(f"bench run failed: {exc}") from None
@@ -472,7 +421,7 @@ def cmd_bench_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_slo_check(args: argparse.Namespace) -> int:
-    """Evaluate an SLO spec against a bench artifact; exit 1 on burn."""
+    """Evaluate an SLO spec against a bench artifact; exit 1 on violation."""
     from .errors import ObservabilityError
 
     try:
@@ -516,83 +465,6 @@ def cmd_slo_check(args: argparse.Namespace) -> int:
     if failures and args.format != "json":
         print(f"\n{len(failures)} SLO(s) violated")
     return 1 if failures else 0
-
-
-def cmd_top(args: argparse.Namespace) -> int:
-    """Run a fleet under live sampling and render the dashboard."""
-    import threading
-
-    from .errors import ObservabilityError
-    from .fleet import FleetRunner  # lazy: keeps startup lean
-
-    spec = None
-    if args.spec is not None:
-        try:
-            spec = obs_module.load_spec(args.spec)
-        except ObservabilityError as exc:
-            raise SystemExit(f"top failed: {exc}") from None
-    obs = obs_module.configure()
-    journal = (
-        None
-        if args.journal is None
-        else obs_module.configure_journal(path=args.journal)
-    )
-    try:
-        try:
-            runner = FleetRunner(
-                n_devices=args.devices,
-                n_rounds=args.rounds,
-                batch_size=args.batch_size,
-                n_shards=args.shards,
-                seed=args.seed,
-                scheme=args.scheme,
-                mode=args.mode,
-            )
-        except SimulationError as exc:
-            raise SystemExit(str(exc)) from None
-        aggregator = obs_module.StreamingAggregator(obs)
-        aggregator.sample()  # baseline for the rate series
-        done = threading.Event()
-        failure: "list[BaseException]" = []
-
-        def work() -> None:
-            try:
-                runner.run()
-            except BaseException as exc:  # surfaced after the join
-                failure.append(exc)
-            finally:
-                done.set()
-
-        worker = threading.Thread(target=work, name="repro-top-fleet", daemon=True)
-        worker.start()
-        while not done.wait(args.interval):
-            aggregator.sample()
-            if not args.once:
-                frame = obs_module.render_frame(aggregator, obs, spec, journal=journal)
-                print("\x1b[2J\x1b[H" + frame, flush=True)
-        worker.join()
-        if failure:
-            raise SystemExit(f"top failed: fleet run raised {failure[0]}")
-        aggregator.sample()
-        frame = obs_module.render_frame(aggregator, obs, spec, journal=journal)
-        print(frame if args.once else "\x1b[2J\x1b[H" + frame, flush=True)
-        if journal is not None:
-            print(f"\nwrote {args.journal}")
-        if args.html is not None:
-            import pathlib
-
-            html = obs_module.render_html(aggregator, spec)
-            pathlib.Path(args.html).write_text(html)
-            print(f"\nwrote {args.html}")
-        if spec is not None:
-            verdicts = obs_module.evaluate_live(spec, aggregator)
-            if any(not verdict.ok for verdict in verdicts):
-                return 1
-    finally:
-        if journal is not None:
-            obs_module.disable_journal()
-        obs_module.disable()
-    return 0
 
 
 def cmd_bench_report(args: argparse.Namespace) -> int:
@@ -911,7 +783,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override one case parameter (requires a single --cases entry; "
         "VALUE is parsed as JSON, repeatable)",
     )
-    _add_profile_flags(bench_run)
     bench_run.set_defaults(handler=cmd_bench_run)
 
     bench_list = bench_commands.add_parser("list", help="list registered cases")
@@ -957,7 +828,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_report.set_defaults(handler=cmd_bench_report)
 
     slo = commands.add_parser(
-        "slo", help="declarative SLOs over bench artifacts (exit 1 on burn)"
+        "slo", help="declarative SLOs over bench artifacts (exit 1 on violation)"
     )
     slo_commands = slo.add_subparsers(dest="slo_command", required=True)
     slo_check = slo_commands.add_parser(
@@ -976,43 +847,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="verdict output format (default: console)",
     )
     slo_check.set_defaults(handler=cmd_slo_check)
-
-    top = commands.add_parser(
-        "top", help="live fleet dashboard (runs a fleet under sampling)"
-    )
-    top.add_argument("--devices", type=int, default=4)
-    top.add_argument("--shards", type=int, default=4)
-    top.add_argument("--rounds", type=int, default=6)
-    top.add_argument("--batch-size", type=int, default=8)
-    top.add_argument("--seed", type=int, default=0)
-    top.add_argument("--scheme", default="bees")
-    top.add_argument(
-        "--mode", choices=["sequential", "concurrent"], default="concurrent"
-    )
-    top.add_argument(
-        "--interval", type=float, default=1.0, metavar="SECONDS",
-        help="sampling / redraw cadence (default 1.0 s)",
-    )
-    top.add_argument(
-        "--once", action="store_true",
-        help="print a single final frame instead of redrawing live "
-        "(the CI smoke mode)",
-    )
-    top.add_argument(
-        "--html", metavar="PATH", default=None,
-        help="also write a self-contained HTML snapshot report to PATH",
-    )
-    top.add_argument(
-        "--spec", metavar="PATH", default=None,
-        help="SLO spec whose live objectives the dashboard evaluates "
-        "(exit 1 if any burn-rate alert fires)",
-    )
-    top.add_argument(
-        "--journal", metavar="PATH", default=None,
-        help="record the decision journal to PATH and show its live "
-        "counters as a dashboard panel",
-    )
-    top.set_defaults(handler=cmd_top)
 
     journal = commands.add_parser(
         "journal", help="decision journal: explain, diff, replay, stats"

@@ -5,7 +5,7 @@ layer — spans (``obs.span``) or the ``bees_stage_seconds`` /
 ``bees_link_transfer_seconds`` histograms — so latency numbers share
 one pipeline, one bucket layout, and one export path.  A bare
 ``time.perf_counter() - t0`` recorded ad hoc bypasses all of it: the
-number never reaches an artifact, a dashboard, or an SLO.
+number never reaches an artifact, a trace, or an SLO.
 
 The rule flags subtraction expressions where either operand is a wall
 clock read (``time.time`` / ``perf_counter`` / ``monotonic`` and their
@@ -15,8 +15,8 @@ clock read (``time.time`` / ``perf_counter`` / ``monotonic`` and their
     ...
     elapsed = time.perf_counter() - t0   # BEES107
 
-Sanctioned homes for raw deltas — the tracer and profiler internals
-(they *are* the obs helpers), the bench harness's wall clock, and the
+Sanctioned homes for raw deltas — the tracer internals (it *is*
+the obs helper), the bench harness's wall clock, and the
 micro-benchmarks' timing loops — carry explicit
 ``# beeslint: disable=raw-timing`` / ``disable-file=raw-timing``
 suppressions with justifications, which keeps every exception visible
@@ -118,7 +118,7 @@ class RawTimingRule(Rule):
                     binop,
                     "raw clock delta recorded outside the obs layer; time "
                     "it with obs.span(...) or a bees_* histogram so the "
-                    "number reaches artifacts, dashboards, and SLOs "
+                    "number reaches artifacts, traces, and SLOs "
                     "(suppress with a justification if this IS an obs "
                     "helper or a benchmark timing loop)",
                 )

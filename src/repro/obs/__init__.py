@@ -11,20 +11,15 @@ every layer of the reproduction a shared tracing and metrics substrate:
   exposition, console tables;
 * :mod:`repro.obs.runtime` — the process-wide context wired into the
   client pipeline, server index, uplink, DTN, and every baseline;
-* :mod:`repro.obs.profiling` — a sampling profiler that attributes
-  wall time to BEES stage spans and emits folded stacks;
-* :mod:`repro.obs.live` — ring-buffer time series derived from the
-  registry (rates, windowed quantiles, per-device span feeds);
-* :mod:`repro.obs.slo` — declarative SLO specs with artifact checks
-  and multi-window burn-rate evaluation;
-* :mod:`repro.obs.dashboard` — the ``repro top`` terminal frames and
-  the self-contained HTML snapshot report.
+* :mod:`repro.obs.journal` — the decision-provenance journal that
+  ``repro journal`` explains, diffs, replays and summarises;
+* :mod:`repro.obs.slo` — declarative SLO specs checked against bench
+  artifacts.
 
 Disabled by default: :func:`get_obs` returns a context whose spans are
 a shared no-op and whose hot-path guards are a single attribute check.
 """
 
-from .dashboard import render_frame, render_html
 from .exporters import (
     console_summary,
     generate_latest,
@@ -56,7 +51,6 @@ from .journal import (
     read_journal,
     set_journal,
 )
-from .live import LiveSampler, RingBuffer, StreamingAggregator, series_key
 from .metrics import (
     DEFAULT_STAGE_BUCKETS,
     MAX_LABEL_SETS,
@@ -67,7 +61,6 @@ from .metrics import (
     MetricsRegistry,
     bucket_quantile,
 )
-from .profiling import ProfileStats, SamplingProfiler, parse_folded
 from .runtime import (
     PIPELINE_STAGES,
     Observability,
@@ -76,13 +69,10 @@ from .runtime import (
     get_obs,
 )
 from .slo import (
-    BurnWindow,
     Slo,
     SloResult,
     SloSpec,
-    burn_rate,
     evaluate_artifact,
-    evaluate_live,
     format_results,
     load_spec,
     parse_spec,
@@ -97,7 +87,6 @@ __all__ = [
     "MAX_LABEL_SETS",
     "PIPELINE_STAGES",
     "SCHEMA_VERSION",
-    "BurnWindow",
     "CardinalityWarning",
     "Counter",
     "DecisionJournal",
@@ -108,17 +97,12 @@ __all__ = [
     "JournalFile",
     "JournalRecord",
     "JournalStats",
-    "LiveSampler",
     "MetricsRegistry",
     "Observability",
-    "ProfileStats",
-    "RingBuffer",
-    "SamplingProfiler",
     "Slo",
     "SloResult",
     "SloSpec",
     "Span",
-    "StreamingAggregator",
     "TraceContext",
     "Tracer",
     "bucket_quantile",
@@ -133,24 +117,18 @@ __all__ = [
     "journal_to",
     "read_journal",
     "set_journal",
-    "burn_rate",
     "configure",
     "console_summary",
     "disable",
     "evaluate_artifact",
-    "evaluate_live",
     "format_results",
     "generate_latest",
     "get_obs",
     "load_spec",
-    "parse_folded",
     "parse_prometheus",
     "parse_spec",
     "read_jsonl",
-    "render_frame",
-    "render_html",
     "render_metrics_file",
-    "series_key",
     "spans_to_jsonl",
     "write_jsonl",
     "write_prometheus",

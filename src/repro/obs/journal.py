@@ -139,9 +139,9 @@ class DecisionJournal:
     """A buffered, append-only JSONL writer of :class:`JournalRecord`.
 
     With ``path=None`` the journal records in memory only (``records``)
-    — handy for tests and the live dashboard panel; with a path, records
-    stream to disk through a bounded buffer flushed every
-    ``flush_every`` events and on :meth:`flush`/:meth:`close`.
+    — handy for tests; with a path, records stream to disk through a
+    bounded buffer flushed every ``flush_every`` events and on
+    :meth:`flush`/:meth:`close`.
     """
 
     def __init__(
@@ -165,8 +165,6 @@ class DecisionJournal:
         self._binding = _DeviceBinding()
         self._buffer: "list[str]" = []
         self._handle: "IO[str] | None" = None
-        self._counts: "dict[str, int]" = {}
-        self._device_counts: "dict[str, int]" = {}
         if self.enabled and self.path is not None:
             self._handle = self.path.open("w", encoding="utf-8")
             header: "dict[str, object]" = {
@@ -227,11 +225,6 @@ class DecisionJournal:
                 data=data,
             )
             self._seq += 1
-            self._counts[event] = self._counts.get(event, 0) + 1
-            if device is not None:
-                self._device_counts[device] = (
-                    self._device_counts.get(device, 0) + 1
-                )
             if self._handle is not None:
                 self._buffer.append(json.dumps(record.to_json_dict()))
                 if len(self._buffer) >= self.flush_every:
@@ -261,19 +254,6 @@ class DecisionJournal:
             if self._handle is not None:
                 self._handle.close()
                 self._handle = None
-
-    # -- introspection (feeds the ``repro top`` journal panel) ---------------
-
-    def snapshot(self) -> "dict[str, object]":
-        """Live counters: total events, per-event and per-device counts."""
-        with self._lock:
-            return {
-                "run": self.run_id,
-                "path": None if self.path is None else str(self.path),
-                "events": self._seq,
-                "by_event": dict(self._counts),
-                "by_device": dict(self._device_counts),
-            }
 
 
 #: The process-wide journal; disabled by default so every decision site

@@ -209,8 +209,7 @@ def bucket_quantile(
     observations spread uniformly inside a bucket), the first bucket
     interpolated from zero, and anything landing in the implicit +Inf
     bucket clamped to the largest finite bound.  Returns ``nan`` for an
-    empty distribution.  Shared by :meth:`Histogram.quantile` and the
-    windowed delta-histogram series in :mod:`repro.obs.live`.
+    empty distribution.  The kernel behind :meth:`Histogram.quantile`.
     """
     if count == 0:
         return math.nan

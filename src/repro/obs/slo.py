@@ -1,4 +1,4 @@
-"""Declarative SLOs over bench artifacts and live telemetry.
+"""Declarative SLOs over bench artifacts.
 
 An SLO spec is a JSON file (the committed one lives at
 ``slo/bees_slo.json``) declaring, per objective, **what to measure**
@@ -41,24 +41,10 @@ Indicator sources against a ``BENCH_*.json`` artifact:
 Objectives are ``{"max": v}``, ``{"min": v}``, or both.  Evaluation
 (:func:`evaluate_artifact`) never throws on a missing indicator: a
 missing value *fails* the SLO with a diagnostic, because an SLO that
-silently vanishes is how regressions ship.
-
-**Live burn rate.**  For streaming series (:mod:`repro.obs.live`), a
-``live`` block on an SLO turns the objective into an error budget::
-
-    "live": {
-      "series": "stage_p99{scheme=BEES,stage=image_upload}",
-      "target": 0.99,
-      "windows": [{"short_s": 30, "long_s": 300, "max_burn_rate": 2.0}]
-    }
-
-Each sample violating the objective consumes budget; the *burn rate* of
-a window is ``error_fraction / (1 - target)`` (1.0 = exactly spending
-the budget).  Following the multi-window pattern, a window pair only
-fires when **both** its short and long windows exceed
-``max_burn_rate`` — the long window keeps one transient spike from
-paging, the short window ends the alert quickly once the problem
-stops.
+silently vanishes is how regressions ship.  For the same reason
+:func:`parse_spec` rejects an SLO without an ``indicator`` or with a
+``live`` block, so a stale spec fails loudly instead of silently
+losing a check.
 """
 
 from __future__ import annotations
@@ -66,52 +52,14 @@ from __future__ import annotations
 import json
 import math
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ObservabilityError
-from .live import StreamingAggregator
 
 #: Bump when the spec layout changes incompatibly.
 SPEC_VERSION = 1
 
 _SOURCES = ("stage_quantile", "case_total", "ratio", "result_value", "wall_seconds")
-
-
-@dataclass(frozen=True)
-class BurnWindow:
-    """One multi-window burn-rate alerting pair."""
-
-    short_seconds: float
-    long_seconds: float
-    max_burn_rate: float
-
-    def __post_init__(self) -> None:
-        if not 0 < self.short_seconds <= self.long_seconds:
-            raise ObservabilityError(
-                f"burn window needs 0 < short_s <= long_s, "
-                f"got {self.short_seconds}/{self.long_seconds}"
-            )
-        if self.max_burn_rate <= 0:
-            raise ObservabilityError(
-                f"max_burn_rate must be positive, got {self.max_burn_rate}"
-            )
-
-
-@dataclass(frozen=True)
-class LiveBinding:
-    """How one SLO reads the streaming aggregator."""
-
-    series: str
-    target: float
-    windows: "tuple[BurnWindow, ...]"
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.target < 1.0:
-            raise ObservabilityError(
-                f"live target must be in (0, 1), got {self.target}"
-            )
-        if not self.windows:
-            raise ObservabilityError("live SLO needs at least one burn window")
 
 
 @dataclass(frozen=True)
@@ -124,7 +72,6 @@ class Slo:
     minimum: "float | None" = None
     claim: str = ""
     description: str = ""
-    live: "LiveBinding | None" = None
 
     def within(self, value: float) -> bool:
         """Whether *value* satisfies the objective."""
@@ -161,13 +108,12 @@ class SloSpec:
 
 @dataclass
 class SloResult:
-    """One SLO's verdict against one artifact or live window."""
+    """One SLO's verdict against one artifact."""
 
     slo: Slo
     value: float
     ok: bool
     detail: str = ""
-    burn_rates: "list[dict]" = field(default_factory=list)
 
     @property
     def name(self) -> str:
@@ -184,18 +130,21 @@ def _parse_slo(index: int, raw: object) -> Slo:
     name = raw.get("name")
     if not isinstance(name, str) or not name:
         raise ObservabilityError(f"{where} needs a non-empty 'name'")
+    where = f"{where} {name!r}"
+    if "live" in raw:
+        raise ObservabilityError(
+            f"{where}: 'live' blocks are not supported; SLOs are checked "
+            "against bench artifacts only"
+        )
     indicator = raw.get("indicator")
-    if indicator is None and isinstance(raw.get("live"), dict):
-        indicator = {}  # live-only SLO: no artifact indicator to check
     if not isinstance(indicator, dict):
         raise ObservabilityError(f"{where}: 'indicator' must be an object")
-    if indicator:
-        source = indicator.get("source")
-        if source not in _SOURCES:
-            raise ObservabilityError(
-                f"{where}: indicator source must be one of {_SOURCES}, "
-                f"got {source!r}"
-            )
+    source = indicator.get("source")
+    if source not in _SOURCES:
+        raise ObservabilityError(
+            f"{where}: indicator source must be one of {_SOURCES}, "
+            f"got {source!r}"
+        )
     objective = raw.get("objective")
     if not isinstance(objective, dict) or not (
         "max" in objective or "min" in objective
@@ -206,27 +155,6 @@ def _parse_slo(index: int, raw: object) -> Slo:
     for bound in ("max", "min"):
         if bound in objective and not isinstance(objective[bound], (int, float)):
             raise ObservabilityError(f"{where}: objective.{bound} must be a number")
-    live = None
-    if "live" in raw:
-        block = raw["live"]
-        if not isinstance(block, dict):
-            raise ObservabilityError(f"{where}: 'live' must be an object")
-        series = block.get("series")
-        if not isinstance(series, str) or not series:
-            raise ObservabilityError(f"{where}: live.series must name a series")
-        windows = tuple(
-            BurnWindow(
-                short_seconds=float(window.get("short_s", 0)),
-                long_seconds=float(window.get("long_s", 0)),
-                max_burn_rate=float(window.get("max_burn_rate", 0)),
-            )
-            for window in block.get("windows", [])
-        )
-        live = LiveBinding(
-            series=series,
-            target=float(block.get("target", 0.99)),
-            windows=windows,
-        )
     return Slo(
         name=name,
         indicator=dict(indicator),
@@ -234,7 +162,6 @@ def _parse_slo(index: int, raw: object) -> Slo:
         minimum=float(objective["min"]) if "min" in objective else None,
         claim=str(raw.get("claim", "")),
         description=str(raw.get("description", "")),
-        live=live,
     )
 
 
@@ -357,8 +284,6 @@ def evaluate_artifact(spec: SloSpec, artifact: dict) -> "list[SloResult]":
     """
     results = []
     for slo in spec:
-        if not slo.indicator:
-            continue  # live-only SLO: nothing to read from an artifact
         value, detail = _indicator_value(artifact, slo.indicator)
         if value is None:
             results.append(
@@ -371,88 +296,11 @@ def evaluate_artifact(spec: SloSpec, artifact: dict) -> "list[SloResult]":
     return results
 
 
-# -- live burn-rate evaluation -------------------------------------------------
-
-
-def burn_rate(values: "list[float]", slo: Slo) -> float:
-    """The budget burn rate of one window of samples.
-
-    ``error_fraction / (1 - target)`` with the error fraction measured
-    against the SLO's own min/max objective; an empty window burns
-    nothing.
-    """
-    assert slo.live is not None
-    if not values:
-        return 0.0
-    errors = sum(1 for value in values if not slo.within(value))
-    error_fraction = errors / len(values)
-    return error_fraction / (1.0 - slo.live.target)
-
-
-def evaluate_live(
-    spec: SloSpec,
-    aggregator: StreamingAggregator,
-    now: "float | None" = None,
-) -> "list[SloResult]":
-    """Multi-window burn-rate check of every live-bound SLO.
-
-    SLOs without a ``live`` block are skipped (they are artifact-only).
-    A window pair violates only when **both** its short and long burn
-    rates exceed the pair's ``max_burn_rate``; the SLO fails when any
-    pair violates.  A series with no samples yet passes trivially (no
-    traffic, no burn).
-    """
-    results = []
-    snapshot = aggregator.snapshot()
-    for slo in spec:
-        if slo.live is None:
-            continue
-        points = snapshot.get(slo.live.series, [])
-        buffer_now = now if now is not None else (points[-1][0] if points else 0.0)
-        latest = points[-1][1] if points else math.nan
-        rates = []
-        violated = False
-        for window in slo.live.windows:
-            short_values = [
-                v for t, v in points if t >= buffer_now - window.short_seconds
-            ]
-            long_values = [
-                v for t, v in points if t >= buffer_now - window.long_seconds
-            ]
-            short_burn = burn_rate(short_values, slo)
-            long_burn = burn_rate(long_values, slo)
-            fired = (
-                short_burn > window.max_burn_rate
-                and long_burn > window.max_burn_rate
-            )
-            violated = violated or fired
-            rates.append(
-                {
-                    "short_s": window.short_seconds,
-                    "long_s": window.long_seconds,
-                    "short_burn": short_burn,
-                    "long_burn": long_burn,
-                    "max_burn_rate": window.max_burn_rate,
-                    "fired": fired,
-                }
-            )
-        results.append(
-            SloResult(
-                slo=slo,
-                value=latest,
-                ok=not violated,
-                detail=f"series {slo.live.series}",
-                burn_rates=rates,
-            )
-        )
-    return results
-
-
 # -- reporting -----------------------------------------------------------------
 
 
 def format_results(results: "list[SloResult]") -> str:
-    """A console table over SLO verdicts (artifact or live)."""
+    """A console table over SLO verdicts."""
     from ..analysis.reporting import format_table
 
     rows = []

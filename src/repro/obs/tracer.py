@@ -37,12 +37,6 @@ span the job opens — the explicit ``fleet.device`` one and anything the
 pipeline opens transitively — lands in one connected trace tree.  The
 older per-span ``parent_span_id`` override is still honoured for
 single-span grafts.
-
-The per-thread active stacks are also registered in a shared,
-lock-guarded ``thread ident -> stack`` table so the sampling profiler
-(:mod:`repro.obs.profiling`) can ask "what span is thread *t* inside
-right now?" from its own sampling thread (:meth:`Tracer.active_path_of`
-/ :meth:`Tracer.active_paths`).
 """
 
 from __future__ import annotations
@@ -214,27 +208,13 @@ class Tracer:
         self.enabled = enabled
         self.finished: "list[Span]" = []
         self._stacks = _ActiveStacks()
-        #: thread ident -> that thread's active stack (the same list
-        #: object the thread-local holds).  Read by the profiler from
-        #: its sampling thread; written under ``_lock``.
-        self._stacks_by_ident: "dict[int, list[Span]]" = {}
         self._next_id = 0
         self._lock = threading.Lock()
 
     @property
     def _stack(self) -> "list[Span]":
         """The calling thread's active-span stack."""
-        stack = self._stacks.spans
-        ident = threading.get_ident()
-        if (
-            self._stacks_by_ident.get(ident)  # beeslint: disable=lock-discipline (benign one-slice racy read; a stale miss only repeats the publish below)
-            is not stack
-        ):
-            # First touch from this thread (or the ident was recycled
-            # from a dead thread): publish the stack for the profiler.
-            with self._lock:
-                self._stacks_by_ident[ident] = stack
-        return stack
+        return self._stacks.spans
 
     def span(
         self,
@@ -291,32 +271,6 @@ class Tracer:
         if not self.enabled:
             return NULL_SPAN
         return _AttachedContext(self, context)
-
-    # -- sampling surface (read by the profiler thread) ----------------------
-
-    def active_path_of(self, ident: int) -> "tuple[str, ...]":
-        """Span names enclosing thread *ident*, outermost first.
-
-        Sampled from a *different* thread, so the read races benignly
-        with the owner's push/pop: the snapshot is taken in one slice
-        (atomic under the GIL) and may be one span stale — fine for a
-        statistical profiler.
-        """
-        stack = self._stacks_by_ident.get(ident)  # beeslint: disable=lock-discipline (documented benign race: one-slice GIL-atomic snapshot from the profiler thread)
-        if not stack:
-            return ()
-        return tuple(span.name for span in stack[:])
-
-    def active_paths(self) -> "dict[int, tuple[str, ...]]":
-        """``thread ident -> active span-name path`` for live threads."""
-        with self._lock:
-            idents = list(self._stacks_by_ident)
-        paths = {}
-        for ident in idents:
-            path = self.active_path_of(ident)
-            if path:
-                paths[ident] = path
-        return paths
 
     @property
     def active(self) -> "Span | None":

@@ -13,7 +13,6 @@ from repro.features.matching import (
     resolve_threshold,
 )
 from repro.features.similarity import distance_matrix, jaccard_similarity, prepare_set
-from repro.kernels.hamming import hamming_distance_matrix
 
 
 def _features(descriptors, kind):
@@ -39,50 +38,6 @@ def orb_jaccard(desc_a, desc_b, threshold=None):
     return jaccard_similarity(
         _features(desc_a, "orb"), _features(desc_b, "orb"), threshold
     )
-
-
-class TestHamming:
-    def test_zero_distance_for_identical(self):
-        desc = np.array([[0xFF, 0x00, 0xAA]], dtype=np.uint8)
-        assert hamming_distance_matrix(desc, desc)[0, 0] == 0
-
-    def test_counts_bit_flips(self):
-        a = np.array([[0b00000000]], dtype=np.uint8)
-        b = np.array([[0b00000111]], dtype=np.uint8)
-        assert hamming_distance_matrix(a, b)[0, 0] == 3
-
-    def test_matrix_shape(self):
-        rng = np.random.default_rng(0)
-        a = rng.integers(0, 256, (5, 32)).astype(np.uint8)
-        b = rng.integers(0, 256, (7, 32)).astype(np.uint8)
-        assert hamming_distance_matrix(a, b).shape == (5, 7)
-
-    def test_symmetric(self):
-        rng = np.random.default_rng(0)
-        a = rng.integers(0, 256, (6, 32)).astype(np.uint8)
-        dist = hamming_distance_matrix(a, a)
-        assert np.array_equal(dist, dist.T)
-
-    def test_max_distance(self):
-        a = np.zeros((1, 32), dtype=np.uint8)
-        b = np.full((1, 32), 255, dtype=np.uint8)
-        assert hamming_distance_matrix(a, b)[0, 0] == 256
-
-    def test_rejects_mismatched_width(self):
-        with pytest.raises(FeatureError):
-            hamming_distance_matrix(
-                np.zeros((2, 32), dtype=np.uint8), np.zeros((2, 16), dtype=np.uint8)
-            )
-
-    @given(st.integers(min_value=0, max_value=2**32 - 1))
-    def test_random_pairs_concentrate_near_half(self, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.integers(0, 256, (4, 32)).astype(np.uint8)
-        b = rng.integers(0, 256, (4, 32)).astype(np.uint8)
-        dist = hamming_distance_matrix(a, b)
-        # Random 256-bit strings differ in ~128 bits (binomial, sd=8).
-        assert dist.min() > 70
-        assert dist.max() < 190
 
 
 class TestL2:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.errors import FeatureError
 from repro.kernels.hamming import (
@@ -106,3 +107,19 @@ class TestBlockedDistance:
         ones = np.full((1, 32), 255, dtype=np.uint8)
         assert hamming_distance_matrix(zeros, ones)[0, 0] == 256
         assert hamming_distance_matrix(ones, ones)[0, 0] == 0
+
+    def test_symmetric(self):
+        rng = np.random.default_rng(0)
+        a = rng.integers(0, 256, (6, 32)).astype(np.uint8)
+        dist = hamming_distance_matrix(a, a)
+        assert np.array_equal(dist, dist.T)
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_random_pairs_concentrate_near_half(self, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, 256, (4, 32)).astype(np.uint8)
+        b = rng.integers(0, 256, (4, 32)).astype(np.uint8)
+        dist = hamming_distance_matrix(a, b)
+        # Random 256-bit strings differ in ~128 bits (binomial, sd=8).
+        assert dist.min() > 70
+        assert dist.max() < 190

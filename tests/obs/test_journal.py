@@ -86,18 +86,6 @@ class TestWriterRoundTrip:
         assert len(journal.records) == 1
         assert journal.records[0].image == "img-9"
 
-    def test_snapshot_counts_events_and_devices(self):
-        journal = DecisionJournal(path=None)
-        with journal.bind("dev-01"):
-            journal.emit("cbrd.verdict", image_id="a")
-            journal.emit("cbrd.verdict", image_id="b")
-        journal.emit("fleet.round")
-        snap = journal.snapshot()
-        assert snap["events"] == 3
-        assert snap["by_event"] == {"cbrd.verdict": 2, "fleet.round": 1}
-        assert snap["by_device"] == {"dev-01": 2}
-        assert snap["path"] is None
-
     def test_disabled_journal_is_a_no_op(self):
         journal = DecisionJournal(enabled=False)
         with journal.bind("dev-00"):

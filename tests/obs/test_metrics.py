@@ -216,7 +216,7 @@ class TestHistogramQuantile:
 
 
 class TestBucketQuantile:
-    """The module-level kernel shared with the live windowed series."""
+    """The module-level kernel behind ``Histogram.quantile``."""
 
     def test_empty_is_nan(self):
         assert math.isnan(bucket_quantile((1.0, 2.0), [0, 0], 0, 0.5))

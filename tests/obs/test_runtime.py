@@ -6,6 +6,7 @@ import pytest
 from repro.baselines import DirectUpload
 from repro.baselines.base import BatchReport
 from repro.core.client import BeesScheme
+from repro.fleet import FleetRunner
 from repro.obs import (
     NULL_SPAN,
     PIPELINE_STAGES,
@@ -121,3 +122,14 @@ class TestPipelineInstrumentation:
         assert len(obs.tracer) == 0
         assert obs.sent_bytes.value(scheme="BEES") == 0
         assert generate_latest(obs.registry).count("bees_stage_seconds_bucket") == 0
+
+
+@pytest.mark.parametrize("mode", ["sequential", "concurrent"])
+class TestFleetRoundMetrics:
+    def test_queue_drains_and_every_round_counts(self, mode):
+        obs = configure()
+        result = FleetRunner(
+            n_devices=3, n_rounds=2, batch_size=4, n_shards=2, mode=mode
+        ).run()
+        assert obs.fleet_queue_depth.value() == 0
+        assert obs.fleet_rounds.value() == result.n_rounds == 2

@@ -1,4 +1,4 @@
-"""Tests for declarative SLOs: spec parsing, artifact + burn-rate checks."""
+"""Tests for declarative SLOs: spec parsing and artifact checks."""
 
 import json
 import math
@@ -7,15 +7,10 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ObservabilityError
-from repro.obs import configure
-from repro.obs.live import StreamingAggregator
 from repro.obs.slo import (
     SPEC_VERSION,
-    BurnWindow,
     Slo,
-    burn_rate,
     evaluate_artifact,
-    evaluate_live,
     format_results,
     load_spec,
     parse_spec,
@@ -64,7 +59,7 @@ class TestSpecParsing:
         spec = load_spec(COMMITTED_SPEC)
         assert len(spec) >= 5
         assert spec.source == COMMITTED_SPEC
-        assert any(slo.live is not None for slo in spec)
+        assert all(slo.indicator for slo in spec)
 
     def test_missing_file(self):
         with pytest.raises(ObservabilityError, match="no such SLO spec"):
@@ -101,33 +96,16 @@ class TestSpecParsing:
         with pytest.raises(ObservabilityError, match="duplicate"):
             parse_spec(_spec(_slo(), _slo()))
 
-    def test_live_only_slo_needs_no_indicator(self):
-        raw = {
-            "name": "queue",
-            "objective": {"max": 64},
-            "live": {
-                "series": "queue_depth",
-                "target": 0.9,
-                "windows": [{"short_s": 60, "long_s": 600, "max_burn_rate": 3.0}],
-            },
-        }
-        spec = parse_spec(_spec(raw))
-        assert spec.slos[0].indicator == {}
-        assert spec.slos[0].live.target == 0.9
-
-    def test_live_target_must_be_fractional(self):
-        raw = _slo(live={
-            "series": "s", "target": 1.0,
-            "windows": [{"short_s": 1, "long_s": 2, "max_burn_rate": 1.0}],
-        })
-        with pytest.raises(ObservabilityError, match="target"):
+    def test_live_block_rejected_naming_the_slo(self):
+        raw = _slo(name="queue", live={"series": "queue_depth", "target": 0.9})
+        with pytest.raises(ObservabilityError, match="'queue'.*'live'"):
             parse_spec(_spec(raw))
 
-    def test_burn_window_ordering_enforced(self):
-        with pytest.raises(ObservabilityError):
-            BurnWindow(short_seconds=300, long_seconds=30, max_burn_rate=1.0)
-        with pytest.raises(ObservabilityError):
-            BurnWindow(short_seconds=30, long_seconds=300, max_burn_rate=0.0)
+    def test_missing_indicator_rejected_naming_the_slo(self):
+        raw = _slo(name="queue")
+        del raw["indicator"]
+        with pytest.raises(ObservabilityError, match="'queue'.*'indicator'"):
+            parse_spec(_spec(raw))
 
 
 class TestObjective:
@@ -228,17 +206,6 @@ class TestArtifactEvaluation:
         (result,) = evaluate_artifact(parse_spec(_spec(slo)), ARTIFACT)
         assert result.ok and result.value == 2.5
 
-    def test_live_only_slos_are_skipped(self):
-        raw = {
-            "name": "queue",
-            "objective": {"max": 64},
-            "live": {
-                "series": "queue_depth",
-                "windows": [{"short_s": 1, "long_s": 2, "max_burn_rate": 1.0}],
-            },
-        }
-        assert evaluate_artifact(parse_spec(_spec(raw)), ARTIFACT) == []
-
     def test_committed_spec_passes_committed_baseline(self):
         spec = load_spec(COMMITTED_SPEC)
         artifact = json.loads(open(COMMITTED_BASELINE).read())
@@ -252,81 +219,6 @@ class TestArtifactEvaluation:
         text = format_results(evaluate_artifact(spec, ARTIFACT))
         assert "PASS" in text and "delay-p99" in text
         assert format_results([]) == "(no SLOs evaluated)"
-
-
-def _live_slo(max_value=1.0, target=0.9, short_s=10, long_s=100, rate=1.0) -> Slo:
-    spec = parse_spec(_spec({
-        "name": "live",
-        "objective": {"max": max_value},
-        "live": {
-            "series": "queue_depth",
-            "target": target,
-            "windows": [
-                {"short_s": short_s, "long_s": long_s, "max_burn_rate": rate}
-            ],
-        },
-    }))
-    return spec.slos[0]
-
-
-class TestBurnRate:
-    def test_empty_window_burns_nothing(self):
-        assert burn_rate([], _live_slo()) == 0.0
-
-    def test_rate_scales_error_fraction_by_budget(self):
-        slo = _live_slo(max_value=1.0, target=0.9)
-        # half the samples violate; budget is 10% -> burn rate 5x
-        assert burn_rate([0.5, 2.0], slo) == pytest.approx(5.0)
-        assert burn_rate([0.5, 0.5], slo) == 0.0
-
-
-class TestLiveEvaluation:
-    def _aggregator_with(self, points) -> StreamingAggregator:
-        aggregator = StreamingAggregator(configure())
-        ring = aggregator._buffer("queue_depth")
-        for t, v in points:
-            ring.append(t, v)
-        return aggregator
-
-    def test_empty_series_passes(self):
-        spec = parse_spec(_spec({
-            "name": "live", "objective": {"max": 1.0},
-            "live": {
-                "series": "queue_depth", "target": 0.9,
-                "windows": [{"short_s": 10, "long_s": 100, "max_burn_rate": 1.0}],
-            },
-        }))
-        (result,) = evaluate_live(spec, self._aggregator_with([]), now=0.0)
-        assert result.ok
-        assert math.isnan(result.value)
-
-    def test_fires_only_when_both_windows_burn(self):
-        spec = parse_spec(_spec({
-            "name": "live", "objective": {"max": 1.0},
-            "live": {
-                "series": "queue_depth", "target": 0.9,
-                "windows": [{"short_s": 10, "long_s": 100, "max_burn_rate": 2.0}],
-            },
-        }))
-        # long window healthy (90 good samples), short window all bad:
-        # short burn 10x, long burn ~1x -> must NOT fire
-        points = [(float(t), 0.5) for t in range(90)]
-        points += [(90.0 + t, 5.0) for t in range(10)]
-        (result,) = evaluate_live(spec, self._aggregator_with(points), now=99.0)
-        [window] = result.burn_rates
-        assert window["short_burn"] > 2.0
-        assert window["long_burn"] <= 2.0
-        assert result.ok
-
-        # sustained violation: both windows burn -> fires
-        points = [(float(t), 5.0) for t in range(100)]
-        (result,) = evaluate_live(spec, self._aggregator_with(points), now=99.0)
-        assert not result.ok
-        assert result.burn_rates[0]["fired"]
-
-    def test_artifact_only_slos_are_skipped(self):
-        spec = parse_spec(_spec(_slo()))
-        assert evaluate_live(spec, self._aggregator_with([]), now=0.0) == []
 
 
 class TestSloCheckCli:

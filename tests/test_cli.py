@@ -175,45 +175,7 @@ class TestMetricsCommand:
             main(["metrics", str(tmp_path / "nope.prom")])
 
 
-class TestTop:
-    def test_once_renders_a_final_frame(self, tmp_path, capsys):
-        html = tmp_path / "dash.html"
-        code = main(
-            [
-                "top", "--once",
-                "--devices", "2",
-                "--rounds", "1",
-                "--batch-size", "4",
-                "--interval", "0.2",
-                "--spec", "slo/bees_slo.json",
-                "--html", str(html),
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "goodput" in out
-        assert "queue depth" in out
-        assert "dev-00" in out
-        assert "\x1b[2J" not in out  # --once never clears the screen
-        text = html.read_text()
-        assert "<html" in text
-        assert "<svg" in text
-
-    def test_bad_spec_fails_cleanly(self):
-        with pytest.raises(SystemExit, match="top failed"):
-            main(["top", "--once", "--spec", "nope.json"])
-
-
 class TestProfileFlags:
-    def test_parser_wires_profile_everywhere(self):
-        parser = build_parser()
-        for argv in (
-            ["fleet", "run", "--profile", "p.folded", "--profile-hz", "50"],
-            ["bench", "run", "--profile", "p.folded"],
-        ):
-            args = parser.parse_args(argv)
-            assert args.profile == "p.folded"
-
     def test_bench_compare_accepts_slo_spec(self):
         args = build_parser().parse_args(
             ["bench", "compare", "base.json", "cand.json", "--slo", "s.json"]
@@ -318,24 +280,6 @@ class TestJournalCommands:
     def test_journal_read_failure_exits_cleanly(self, tmp_path):
         with pytest.raises(SystemExit, match="journal read failed"):
             main(["journal", "stats", str(tmp_path / "missing.jsonl")])
-
-    def test_top_journal_panel(self, tmp_path, capsys):
-        path = tmp_path / "top.jsonl"
-        code = main(
-            [
-                "top", "--once",
-                "--devices", "2",
-                "--rounds", "1",
-                "--batch-size", "3",
-                "--interval", "0.2",
-                "--journal", str(path),
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "journal" in out
-        assert "cbrd.verdict" in out
-        assert path.exists()
 
 
 class TestLint:
