@@ -16,8 +16,6 @@ precision/efficiency trade.
 
 from __future__ import annotations
 
-# beeslint: disable-file=raw-timing (per-query latency timing is the measurement)
-
 import time
 
 import numpy as np

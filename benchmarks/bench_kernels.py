@@ -18,8 +18,6 @@ the test suite's reference module moves.
 
 from __future__ import annotations
 
-# beeslint: disable-file=raw-timing (micro-benchmark timing loops are the measurement)
-
 import os
 import tempfile
 import time

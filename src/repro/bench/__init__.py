@@ -13,16 +13,13 @@ suite:
   per-stage latency quantiles, bytes, joules, and elimination counts;
 * :mod:`repro.bench.schema` — the versioned ``BENCH_<runid>.json``
   artifact (env block, per-case metrics, git SHA);
-* :mod:`repro.bench.compare` — diffs two artifacts and flags
-  regressions beyond configurable thresholds.
+* :mod:`repro.bench.compare` — diffs two artifacts and fails on any
+  drift of their bytes, joules or elimination counts.
 """
 
 from .compare import (
-    DEFAULT_THRESHOLDS,
-    DETERMINISTIC_METRICS,
-    CaseComparison,
     ComparisonResult,
-    MetricDelta,
+    Drift,
     compare_artifacts,
     compare_files,
     format_comparison,
@@ -40,14 +37,11 @@ from .schema import (
 
 __all__ = [
     "CASE_SPECS",
-    "DEFAULT_THRESHOLDS",
-    "DETERMINISTIC_METRICS",
     "SCHEMA_VERSION",
     "BenchCase",
-    "CaseComparison",
     "CaseRun",
     "ComparisonResult",
-    "MetricDelta",
+    "Drift",
     "case_ids",
     "compare_artifacts",
     "compare_files",

@@ -1,204 +1,111 @@
-"""Diff two ``BENCH_*.json`` artifacts and flag regressions.
+"""Diff two ``BENCH_*.json`` artifacts: the accounted series must match exactly.
 
-The comparator scores each case on three headline series — wall-clock
-seconds, total bytes sent, and total energy joules — and flags a
-regression when the candidate grows past a configurable relative
-threshold over the baseline (default: 10%, the figure the paper's own
-bandwidth/energy claims are an order of magnitude larger than).  Bytes
-and joules are deterministic in this simulation, so any growth there is
-a real behaviour change; wall time is hardware-noisy, which is why its
-threshold is separate and why CI treats it as a warning first.
+Bytes, joules and elimination counts come from the accounted model — no
+wall clock enters them — so the same code on the same parameters
+reproduces them exactly, and any difference, up or down, is a
+behaviour change.  For every baseline case the candidate's
+``bytes_sent``, ``energy_joules`` and ``eliminations`` mappings must
+equal the baseline's key for key and value for value.  A case missing
+from the candidate fails; a case only the candidate has is listed but
+not compared.
+
+Wall time is not compared: an artifact's ``wall_seconds`` is printed
+information, and ``benchmarks/e2e`` is what measures the program.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
-from ..errors import BenchError
 from .schema import read_artifact, validate_artifact
 
-#: Relative growth beyond which a metric counts as regressed.
-DEFAULT_THRESHOLDS = {"wall_seconds": 0.10, "bytes_sent": 0.10, "energy_joules": 0.10}
-
-#: The exact-count series: identical inputs must reproduce them to the
-#: byte and joule.  CI gates on these *blockingly* (``--deterministic``)
-#: while wall time stays advisory.
-DETERMINISTIC_METRICS = ("bytes_sent", "energy_joules")
-
-#: Ignore absolute values below this when computing relative growth —
-#: a 3-byte case doubling to 6 bytes is noise, not a regression.
-MIN_BASELINE = {"wall_seconds": 0.05, "bytes_sent": 1024.0, "energy_joules": 0.5}
+#: The per-case mappings that must match exactly.
+EXACT_FIELDS = ("bytes_sent", "energy_joules", "eliminations")
 
 
 @dataclass(frozen=True)
-class MetricDelta:
-    """One metric of one case, in both artifacts."""
+class Drift:
+    """One series whose value differs between the two artifacts.
 
-    metric: str
-    baseline: float
-    candidate: float
-    regressed: bool
-
-    @property
-    def relative(self) -> float:
-        """Relative growth (0.1 = +10%); ``inf`` for a zero baseline."""
-        if self.baseline == 0:
-            return math.inf if self.candidate > 0 else 0.0
-        return self.candidate / self.baseline - 1.0
-
-
-@dataclass
-class CaseComparison:
-    """All compared metrics of one case."""
+    ``None`` on either side means the series is absent there.
+    """
 
     case_id: str
-    deltas: "list[MetricDelta]" = field(default_factory=list)
+    field: str
+    series: str
+    baseline: "float | None"
+    candidate: "float | None"
 
-    @property
-    def regressed(self) -> bool:
-        return any(delta.regressed for delta in self.deltas)
+    def describe(self) -> str:
+        def shown(value: "float | None") -> str:
+            return "absent" if value is None else repr(value)
+
+        return (
+            f"DRIFT {self.case_id} {self.field}[{self.series!r}]: "
+            f"baseline {shown(self.baseline)}, "
+            f"candidate {shown(self.candidate)}"
+        )
 
 
 @dataclass
 class ComparisonResult:
     """The full diff of two artifacts."""
 
-    cases: "list[CaseComparison]" = field(default_factory=list)
+    compared: "list[str]" = field(default_factory=list)
+    drifts: "list[Drift]" = field(default_factory=list)
     missing_in_candidate: "list[str]" = field(default_factory=list)
     added_in_candidate: "list[str]" = field(default_factory=list)
 
     @property
-    def regressions(self) -> "list[CaseComparison]":
-        return [case for case in self.cases if case.regressed]
-
-    @property
     def ok(self) -> bool:
-        """True when nothing regressed and no case disappeared."""
-        return not self.regressions and not self.missing_in_candidate
+        """True when every compared series matches and no case disappeared."""
+        return not self.drifts and not self.missing_in_candidate
 
 
-def _case_totals(case_block: dict) -> dict:
-    """The three headline series of one case block."""
-    return {
-        "wall_seconds": float(case_block["wall_seconds"]),
-        "bytes_sent": float(sum(case_block["bytes_sent"].values())),
-        "energy_joules": float(sum(case_block["energy_joules"].values())),
-    }
-
-
-def compare_artifacts(
-    baseline: dict,
-    candidate: dict,
-    thresholds: "dict | None" = None,
-    metrics: "tuple[str, ...] | None" = None,
-) -> ComparisonResult:
-    """Diff *candidate* against *baseline* (validated artifact dicts).
-
-    *metrics*, when given, restricts the comparison to that subset of
-    the headline series — ``DETERMINISTIC_METRICS`` is the blocking CI
-    gate that ignores hardware-noisy wall time.
-    """
+def compare_artifacts(baseline: dict, candidate: dict) -> ComparisonResult:
+    """Diff *candidate* against *baseline* (artifact dicts, validated here)."""
     validate_artifact(baseline)
     validate_artifact(candidate)
-    limits = dict(DEFAULT_THRESHOLDS)
-    if metrics is not None:
-        unknown = sorted(set(metrics) - set(limits))
-        if unknown:
-            raise BenchError(
-                f"unknown comparison metrics {unknown}; choose from {sorted(limits)}"
-            )
-    for metric, value in (thresholds or {}).items():
-        if metric not in limits:
-            raise BenchError(
-                f"unknown comparison metric {metric!r}; "
-                f"choose from {sorted(limits)}"
-            )
-        limits[metric] = float(value)
     base_cases = baseline["cases"]
     cand_cases = candidate["cases"]
     result = ComparisonResult(
         missing_in_candidate=sorted(set(base_cases) - set(cand_cases)),
         added_in_candidate=sorted(set(cand_cases) - set(base_cases)),
     )
-    for case_id in (key for key in base_cases if key in cand_cases):
-        base_totals = _case_totals(base_cases[case_id])
-        cand_totals = _case_totals(cand_cases[case_id])
-        comparison = CaseComparison(case_id=case_id)
-        for metric, base_value in base_totals.items():
-            if metrics is not None and metric not in metrics:
-                continue
-            cand_value = cand_totals[metric]
-            regressed = (
-                base_value >= MIN_BASELINE[metric]
-                and cand_value > base_value * (1.0 + limits[metric])
-            )
-            comparison.deltas.append(
-                MetricDelta(
-                    metric=metric,
-                    baseline=base_value,
-                    candidate=cand_value,
-                    regressed=regressed,
-                )
-            )
-        result.cases.append(comparison)
+    for case_id in sorted(set(base_cases) & set(cand_cases)):
+        result.compared.append(case_id)
+        for name in EXACT_FIELDS:
+            base = base_cases[case_id][name]
+            cand = cand_cases[case_id][name]
+            for series in sorted(set(base) | set(cand)):
+                if base.get(series) != cand.get(series):
+                    result.drifts.append(
+                        Drift(case_id, name, series, base.get(series), cand.get(series))
+                    )
     return result
 
 
-def compare_files(
-    baseline_path,
-    candidate_path,
-    thresholds: "dict | None" = None,
-    metrics: "tuple[str, ...] | None" = None,
-) -> ComparisonResult:
+def compare_files(baseline_path, candidate_path) -> ComparisonResult:
     """:func:`compare_artifacts` over two artifact files."""
-    return compare_artifacts(
-        read_artifact(baseline_path),
-        read_artifact(candidate_path),
-        thresholds,
-        metrics=metrics,
-    )
+    return compare_artifacts(read_artifact(baseline_path), read_artifact(candidate_path))
 
 
 def format_comparison(result: ComparisonResult) -> str:
-    """Render the per-case delta table plus a verdict line."""
-    from ..analysis.reporting import format_table  # lazy: avoids import cycle
-
-    rows = []
-    for case in result.cases:
-        for delta in case.deltas:
-            relative = delta.relative
-            shown = "new" if math.isinf(relative) else f"{relative:+.1%}"
-            rows.append(
-                [
-                    case.case_id,
-                    delta.metric,
-                    f"{delta.baseline:.4g}",
-                    f"{delta.candidate:.4g}",
-                    shown,
-                    "REGRESSED" if delta.regressed else "ok",
-                ]
-            )
-    lines = []
-    if rows:
-        lines.append(
-            format_table(
-                ["case", "metric", "baseline", "candidate", "delta", "verdict"], rows
-            )
-        )
+    """One line per drift, missing or added case, then a verdict line."""
+    lines = [drift.describe() for drift in result.drifts]
     for case_id in result.missing_in_candidate:
         lines.append(f"MISSING: case {case_id!r} present in baseline only")
     for case_id in result.added_in_candidate:
         lines.append(f"new case {case_id!r} (candidate only, not compared)")
-    verdict = (
-        "no regressions"
-        if result.ok
-        else f"{len(result.regressions)} case(s) regressed"
-        + (
-            f", {len(result.missing_in_candidate)} missing"
-            if result.missing_in_candidate
-            else ""
+    if result.ok:
+        lines.append(
+            f"no drift: {len(result.compared)} case(s) match exactly on "
+            + ", ".join(EXACT_FIELDS)
         )
-    )
-    lines.append(verdict)
+    else:
+        drifted = len({drift.case_id for drift in result.drifts})
+        lines.append(
+            f"{len(result.drifts)} drifted series in {drifted} case(s), "
+            f"{len(result.missing_in_candidate)} missing case(s)"
+        )
     return "\n".join(lines)

@@ -55,7 +55,6 @@ def _harvest(obs) -> dict:
             _series_key(labels): value
             for labels, value in obs.eliminations.labeled_values()
         },
-        "spans": len(obs.tracer.finished),
     }
 
 
@@ -83,7 +82,7 @@ def run_case(case: BenchCase, quick: bool = False, params: "dict | None" = None)
             f"param_{key}": value for key, value in sorted(effective.items())
         }):
             result = case.run(effective)
-        wall = time.perf_counter() - started  # beeslint: disable=raw-timing (the harness wall clock IS the artifact's wall_seconds)
+        wall = time.perf_counter() - started
     finally:
         obs_module.disable()
     if not isinstance(result, dict):

@@ -389,35 +389,13 @@ def cmd_bench_list(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_compare(args: argparse.Namespace) -> int:
-    """Diff two artifacts; exit 1 when the candidate regressed."""
-    thresholds = {
-        "wall_seconds": args.max_wall_growth,
-        "bytes_sent": args.max_bytes_growth,
-        "energy_joules": args.max_energy_growth,
-    }
-    metrics = bench_module.DETERMINISTIC_METRICS if args.deterministic else None
+    """Diff two artifacts; exit 1 when any accounted series drifted."""
     try:
-        result = bench_module.compare_files(
-            args.baseline, args.candidate, thresholds, metrics=metrics
-        )
+        result = bench_module.compare_files(args.baseline, args.candidate)
     except BenchError as exc:
         raise SystemExit(f"bench compare failed: {exc}") from None
     print(bench_module.format_comparison(result))
-    ok = result.ok
-    if args.slo is not None:
-        from .errors import ObservabilityError
-
-        try:
-            spec = obs_module.load_spec(args.slo)
-            verdicts = obs_module.evaluate_artifact(
-                spec, bench_module.read_artifact(args.candidate)
-            )
-        except (BenchError, ObservabilityError) as exc:
-            raise SystemExit(f"slo check failed: {exc}") from None
-        print()
-        print(obs_module.format_results(verdicts))
-        ok = ok and all(verdict.ok for verdict in verdicts)
-    return 0 if ok else 1
+    return 0 if result.ok else 1
 
 
 def cmd_slo_check(args: argparse.Namespace) -> int:
@@ -490,11 +468,10 @@ def cmd_bench_report(args: argparse.Namespace) -> int:
                 format_bytes(sum(case["bytes_sent"].values())),
                 f"{sum(case['energy_joules'].values()):.0f} J",
                 f"{sum(case['eliminations'].values()):.0f}",
-                f"{case.get('spans', 0)}",
             ]
         )
     print()
-    print(format_table(["case", "wall", "bytes", "energy", "elim", "spans"], rows))
+    print(format_table(["case", "wall", "bytes", "energy", "elim"], rows))
     if args.stages:
         stage_rows = []
         for case_id in sorted(artifact["cases"]):
@@ -789,32 +766,11 @@ def build_parser() -> argparse.ArgumentParser:
     bench_list.set_defaults(handler=cmd_bench_list)
 
     bench_compare = bench_commands.add_parser(
-        "compare", help="diff two artifacts; exit 1 on regression"
+        "compare",
+        help="exit 1 unless bytes, joules and eliminations match exactly",
     )
     bench_compare.add_argument("baseline", help="baseline BENCH_*.json")
     bench_compare.add_argument("candidate", help="candidate BENCH_*.json")
-    bench_compare.add_argument(
-        "--max-wall-growth", type=float, default=0.10, metavar="FRAC",
-        help="allowed relative wall-time growth (default 0.10 = +10%%)",
-    )
-    bench_compare.add_argument(
-        "--max-bytes-growth", type=float, default=0.10, metavar="FRAC",
-        help="allowed relative bytes-sent growth (default 0.10)",
-    )
-    bench_compare.add_argument(
-        "--max-energy-growth", type=float, default=0.10, metavar="FRAC",
-        help="allowed relative energy growth (default 0.10)",
-    )
-    bench_compare.add_argument(
-        "--deterministic", action="store_true",
-        help="gate only the exact-count series (bytes, joules) and ignore "
-        "hardware-noisy wall time — the blocking CI mode",
-    )
-    bench_compare.add_argument(
-        "--slo", metavar="SPEC", default=None,
-        help="additionally evaluate the candidate against this SLO spec "
-        "and fail on any violation",
-    )
     bench_compare.set_defaults(handler=cmd_bench_compare)
 
     bench_report = bench_commands.add_parser(

@@ -9,7 +9,6 @@ grow the index as images arrive.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -48,12 +47,9 @@ class BeesServer:
         with obs.span(
             "server.query", image_id=features.image_id, index_size=len(self.index)
         ) as span:
-            t0 = time.perf_counter()
             result = self.index.query(features)
-            latency = time.perf_counter() - t0  # beeslint: disable=raw-timing (feeds the index_query_latency gauge below)
             span.set_attribute("best_similarity", result.best_similarity)
         obs.index_queries.inc()
-        obs.index_query_latency.set(latency)
         obs.index_size.set(len(self.index))
         return result
 

@@ -185,7 +185,7 @@ class FleetRunner:
                     self._run_round(
                         round_no, devices, server, reports, halted, None
                     )
-        wall_seconds = time.perf_counter() - t0  # beeslint: disable=raw-timing (FleetResult wall clock, reported not recorded)
+        wall_seconds = time.perf_counter() - t0
         result = FleetResult(
             mode=self.mode,
             scheme=self.scheme,
@@ -245,6 +245,9 @@ class FleetRunner:
                 for number in active
             }
             proxies = {number: StagedServer(server) for number in active}
+            held: "dict[int, list[BatchReport]]" = {
+                number: [] for number in active
+            }
             if obs.enabled:
                 obs.fleet_queue_depth.set(len(active))
             # Explicit cross-thread propagation: capture the round span
@@ -262,7 +265,7 @@ class FleetRunner:
                 # into each other's streams.
                 with obs.attach(round_context), journal.bind(
                     devices[number].name
-                ):
+                ), obs.hold_batch_reports(held[number]):
                     with obs.span(
                         "fleet.device",
                         device=devices[number].name,
@@ -299,12 +302,15 @@ class FleetRunner:
                     number: futures[number].result() for number in active
                 }
 
-            # The barrier: stage buffers flush in device order — the
-            # one serialization point, identical in both modes.
+            # The barrier: stage buffers and held batch metrics flush in
+            # device order — the one serialization point, identical in
+            # both modes.
             committed = 0
             for number in active:
                 report = round_reports[number]
                 reports[number].append(report)
+                for observed in held[number]:
+                    obs.observe_batch_report(observed)
                 if report.halted:
                     halted[number] = True
                 committed += proxies[number].commit()

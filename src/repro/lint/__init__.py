@@ -12,7 +12,6 @@ BEES103     seeded-rng             every run is reproducible bit-for-bit
 BEES104     float-equality         similarity comparisons are well-defined
 BEES105     obs-coverage           every scheme/benchmark is instrumented
 BEES106     ebat-range             battery fractions stay in [0, 1]
-BEES107     raw-timing             durations flow through spans/histograms
 BEES108     missing-journal-event  decision sites reach the journal
 BEES109     lock-discipline        shared shard state is touched lock-held
 BEES110     unit-flow              bytes/joules/seconds never cross-assign

@@ -15,7 +15,6 @@ from . import (
     nondet,
     obs,
     rng,
-    timing,
     units,
     unitflow,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "nondet",
     "obs",
     "rng",
-    "timing",
     "units",
     "unitflow",
 ]

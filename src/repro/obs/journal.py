@@ -555,7 +555,6 @@ class DeviceStats:
     """Per-device health derived from ``fleet.batch`` events."""
 
     device: str
-    events: int
     batches: int
     images: int
     uploaded: int
@@ -622,12 +621,6 @@ class _DeviceAccumulator:
 def journal_stats(journal: JournalFile) -> JournalStats:
     """Summarise per-device health from a journal's batch events."""
     per_device: "dict[str, _DeviceAccumulator]" = {}
-    event_counts: "dict[str, int]" = {}
-    for record in journal.records:
-        if record.device is not None:
-            event_counts[record.device] = (
-                event_counts.get(record.device, 0) + 1
-            )
     for record in journal.events("fleet.batch"):
         if record.device is None:
             continue
@@ -637,7 +630,6 @@ def journal_stats(journal: JournalFile) -> JournalStats:
     devices = tuple(
         DeviceStats(
             device=device,
-            events=event_counts.get(device, 0),
             batches=slot.batches,
             images=slot.images,
             uploaded=slot.uploaded,

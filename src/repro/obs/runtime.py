@@ -23,8 +23,8 @@ Standard metrics (all labelled where it matters):
   ``bees_batches_total{scheme}``;
 * ``bees_stage_seconds{scheme,stage}`` — simulated seconds per pipeline
   stage (``afe``, ``feature_upload``, ``aiu``, ``image_upload``);
-* ``bees_index_size`` / ``bees_index_query_latency_seconds`` gauges and
-  ``bees_index_queries_total`` for the server-side feature index;
+* the ``bees_index_size`` gauge and ``bees_index_queries_total`` for
+  the server-side feature index;
 * ``bees_link_transfers_total`` / ``bees_link_bytes_total`` and a
   ``bees_link_transfer_seconds`` histogram on the uplink, plus the
   degraded-network set — ``bees_link_chunks_total``,
@@ -41,6 +41,8 @@ Standard metrics (all labelled where it matters):
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
 from .exporters import console_summary, write_jsonl, write_prometheus
@@ -75,6 +77,7 @@ class Observability:
         self.stage_buckets = tuple(stage_buckets)
         self.tracer = Tracer(enabled=enabled)
         self.registry = MetricsRegistry()
+        self._held = threading.local()
         self._register_standard_metrics()
 
     # -- standard metric set -------------------------------------------------
@@ -115,10 +118,6 @@ class Observability:
         self.index_size = registry.gauge(
             "bees_index_size",
             "Feature-index entries held by the server",
-        )
-        self.index_query_latency = registry.gauge(
-            "bees_index_query_latency_seconds",
-            "Wall-clock seconds of the most recent index query",
         )
         self.index_queries = registry.counter(
             "bees_index_queries_total",
@@ -183,21 +182,11 @@ class Observability:
 
     # -- tracing -------------------------------------------------------------
 
-    def span(
-        self,
-        name: str,
-        parent_span_id: "int | None" = None,
-        **attributes: object,
-    ):
-        """A tracer span, or the shared no-op when disabled.
-
-        ``parent_span_id`` pins the parent explicitly — used when the
-        span is opened in a worker thread but belongs under a span the
-        coordinating thread owns (the fleet span tree).
-        """
+    def span(self, name: str, **attributes: object):
+        """A tracer span, or the shared no-op when disabled."""
         if not self.enabled:
             return NULL_SPAN
-        return self.tracer.span(name, parent_span_id=parent_span_id, **attributes)
+        return self.tracer.span(name, **attributes)
 
     def capture_context(self) -> TraceContext:
         """The calling thread's trace context (for worker handoff)."""
@@ -221,13 +210,35 @@ class Observability:
         """Record one image's simulated time in one pipeline stage."""
         self.stage_seconds.observe(seconds, scheme=scheme, stage=stage)
 
+    @contextmanager
+    def hold_batch_reports(self, held: "list[BatchReport]"):
+        """Collect this thread's batch reports into *held* instead of
+        folding them.
+
+        Joules are floats, so their totals depend on the order they are
+        added in.  The fleet runner holds each device's reports on its
+        worker thread and folds them at the round barrier in device
+        order, so the totals do not depend on which thread finishes
+        first.
+        """
+        self._held.reports = held
+        try:
+            yield held
+        finally:
+            self._held.reports = None
+
     def observe_batch_report(self, report: "BatchReport") -> None:
         """Fold one finished :class:`BatchReport` into the metric set.
 
         This is the shared per-batch hook every scheme (BEES and the
         baselines alike) reports through, so scheme-level totals stay
         comparable regardless of how a scheme structures its pipeline.
+        Inside :meth:`hold_batch_reports` the report is only collected.
         """
+        held = getattr(self._held, "reports", None)
+        if held is not None:
+            held.append(report)
+            return
         scheme = report.scheme
         self.batches.inc(scheme=scheme)
         self.sent_bytes.inc(report.sent_bytes, scheme=scheme)

@@ -35,8 +35,9 @@ Indicator sources against a ``BENCH_*.json`` artifact:
     "BEES uses X% of Direct Upload's bandwidth/energy" claims.
 ``result_value``
     A ``path`` walked into the case's free-form ``result`` dict.
-``wall_seconds``
-    The case's wall time (advisory — machines differ).
+
+There is no wall-clock source: an artifact's ``wall_seconds`` is
+printed information, and wall time is judged by ``benchmarks/e2e``.
 
 Objectives are ``{"max": v}``, ``{"min": v}``, or both.  Evaluation
 (:func:`evaluate_artifact`) never throws on a missing indicator: a
@@ -59,7 +60,7 @@ from ..errors import ObservabilityError
 #: Bump when the spec layout changes incompatibly.
 SPEC_VERSION = 1
 
-_SOURCES = ("stage_quantile", "case_total", "ratio", "result_value", "wall_seconds")
+_SOURCES = ("stage_quantile", "case_total", "ratio", "result_value")
 
 
 @dataclass(frozen=True)
@@ -267,11 +268,6 @@ def _indicator_value(artifact: dict, indicator: dict) -> "tuple[float | None, st
         if not isinstance(node, (int, float)):
             return None, f"result path {path!r} is not a number"
         return float(node), "result." + ".".join(str(s) for s in path)
-    if source == "wall_seconds":
-        value = case.get("wall_seconds")
-        if not isinstance(value, (int, float)):
-            return None, "case has no wall_seconds"
-        return float(value), "wall_seconds"
     return None, f"unknown source {source!r}"  # unreachable after parse
 
 

@@ -34,9 +34,7 @@ fix is explicit context capture::
 :meth:`Tracer.attach` seats the captured span at the bottom of the
 worker thread's active stack for the duration of the block, so *every*
 span the job opens — the explicit ``fleet.device`` one and anything the
-pipeline opens transitively — lands in one connected trace tree.  The
-older per-span ``parent_span_id`` override is still honoured for
-single-span grafts.
+pipeline opens transitively — lands in one connected trace tree.
 """
 
 from __future__ import annotations
@@ -143,7 +141,7 @@ class _SpanContext:
 
     def __exit__(self, exc_type, exc_value, traceback) -> bool:
         span = self._span
-        span.duration = time.perf_counter() - span._t0  # beeslint: disable=raw-timing (the tracer IS the obs helper)
+        span.duration = time.perf_counter() - span._t0
         if exc_type is not None:
             span.error = f"{exc_type.__name__}: {exc_value}"
         stack = self._tracer._stack
@@ -216,18 +214,11 @@ class Tracer:
         """The calling thread's active-span stack."""
         return self._stacks.spans
 
-    def span(
-        self,
-        name: str,
-        parent_span_id: "int | None" = None,
-        **attributes: object,
-    ):
+    def span(self, name: str, **attributes: object):
         """Open a span nested under the calling thread's active one.
 
-        ``parent_span_id`` overrides the implicit parent for one span —
-        for whole jobs crossing threads, prefer capturing a
-        :class:`TraceContext` and :meth:`attach`\\ ing it in the worker,
-        which parents everything the job opens, not just the first span.
+        For jobs crossing threads, capture a :class:`TraceContext` and
+        :meth:`attach` it in the worker.
         """
         if not self.enabled:
             return NULL_SPAN
@@ -235,17 +226,13 @@ class Tracer:
             span_id = self._next_id
             self._next_id += 1
         stack = self._stack
-        if parent_span_id is None:
-            parent_id = stack[-1].span_id if stack else None
-        else:
-            parent_id = parent_span_id
         span = Span(
             name=name,
             span_id=span_id,
-            parent_id=parent_id,
-            start=time.time(),  # beeslint: disable=raw-timing (span epoch stamp, not a recorded delta)
+            parent_id=stack[-1].span_id if stack else None,
+            start=time.time(),
             attributes=dict(attributes),
-            _t0=time.perf_counter(),  # beeslint: disable=raw-timing (tracer internals are the obs helper)
+            _t0=time.perf_counter(),
         )
         return _SpanContext(self, span)
 

@@ -67,29 +67,27 @@ class TestBenchCompare:
     def test_self_compare_passes(self, artifact_path, capsys):
         code = main(["bench", "compare", str(artifact_path), str(artifact_path)])
         assert code == 0
-        assert "no regressions" in capsys.readouterr().out
+        assert "no drift" in capsys.readouterr().out
 
     def test_regression_exits_nonzero(self, artifact_path, tmp_path, capsys):
         regressed = json.loads(artifact_path.read_text())
+        # Bytes and joules drift are driven through the CLI in
+        # test_compare.py; here an elimination count alone drifts.
         case = regressed["cases"]["table1_space_overhead"]
-        case["wall_seconds"] *= 3
-        cand_path = tmp_path / "BENCH_slow.json"
+        case["eliminations"]["BEES/cross"] = 1.0
+        cand_path = tmp_path / "BENCH_drift.json"
         cand_path.write_text(json.dumps(regressed))
         code = main(["bench", "compare", str(artifact_path), str(cand_path)])
         assert code == 1
         out = capsys.readouterr().out
-        assert "REGRESSED" in out
-        assert "wall_seconds" in out
+        assert "DRIFT table1_space_overhead eliminations['BEES/cross']" in out
 
-    def test_threshold_flag_loosens_the_gate(self, artifact_path, tmp_path, capsys):
-        regressed = json.loads(artifact_path.read_text())
-        regressed["cases"]["table1_space_overhead"]["wall_seconds"] *= 3
+    def test_wall_time_growth_passes(self, artifact_path, tmp_path, capsys):
+        slower = json.loads(artifact_path.read_text())
+        slower["cases"]["table1_space_overhead"]["wall_seconds"] *= 3
         cand_path = tmp_path / "BENCH_slow.json"
-        cand_path.write_text(json.dumps(regressed))
-        code = main(
-            ["bench", "compare", str(artifact_path), str(cand_path),
-             "--max-wall-growth", "5.0"]
-        )
+        cand_path.write_text(json.dumps(slower))
+        code = main(["bench", "compare", str(artifact_path), str(cand_path)])
         assert code == 0
 
     def test_missing_file_fails_cleanly(self, tmp_path):

@@ -16,6 +16,10 @@ class TestCaseIds:
         modules = [module for _, module, *_ in CASE_SPECS]
         assert len(set(modules)) == len(modules)
 
+    def test_every_bench_module_is_registered(self):
+        on_disk = {path.stem for path in find_benchmarks_dir().glob("bench_*.py")}
+        assert on_disk == {module for _, module, *_ in CASE_SPECS}
+
 
 class TestFindBenchmarksDir:
     def test_resolves_from_repo_layout(self):

@@ -55,7 +55,6 @@ class TestRunCase:
         assert summary["sum"] == pytest.approx(0.6)
         assert {"p50", "p95", "p99"} <= set(summary)
         assert block["result"] == {"ok": True}
-        assert block["spans"] == 1  # just the bench root span
         assert not get_obs().enabled  # restored to the disabled default
 
     def test_full_params_by_default_and_overrides_win(self):
@@ -98,8 +97,6 @@ class TestRunSuiteEndToEnd:
         assert case["wall_seconds"] > 0
         for dataset in case["result"]["space"].values():
             assert set(dataset["features"]) == {"sift", "pca-sift", "orb"}
-        # feature extraction is traced, so the case has child spans
-        assert case["spans"] > 1
 
         assert default_artifact_path(artifact) == f"BENCH_{artifact['run_id']}.json"
         path = save_suite(artifact, out=tmp_path / "BENCH_unit.json")

@@ -15,10 +15,14 @@ linear in the number of *distinct* workloads.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
+from repro.core.client import BeesScheme
 from repro.errors import SimulationError
 from repro.fleet import FleetRunner, FleetWorkload, assert_equivalent
+from repro.obs import configure, disable
 
 SEEDS = (5, 11)
 DEVICE_COUNTS = (1, 4, 16)
@@ -105,3 +109,47 @@ class TestContract:
         assert all(
             (a.bitmap == b.bitmap).all() for a, b in zip(first, again)
         )
+
+
+def _observed_joules(runner: FleetRunner) -> dict:
+    """The ``bees_energy_joules_total`` series one run leaves behind."""
+    obs = configure()
+    try:
+        runner.run()
+        return {
+            tuple(labels.values()): value
+            for labels, value in obs.energy_joules.labeled_values()
+        }
+    finally:
+        disable()
+
+
+class TestObservedTotals:
+    """The metric totals a run leaves in the observability context are as
+    exact as the run's own report: ``repro bench compare`` gates them
+    with ``==``, so they must not depend on thread completion order."""
+
+    DEVICES = 8
+
+    def test_concurrent_joules_series_identical_on_every_run(self):
+        reference = _observed_joules(_runner(SEEDS[0], self.DEVICES, "sequential", 1))
+        assert reference
+        for _ in range(3):
+            concurrent = _observed_joules(
+                _runner(SEEDS[0], self.DEVICES, "concurrent", 4)
+            )
+            assert concurrent == reference
+
+    def test_reverse_completion_order_leaves_joules_unchanged(self, monkeypatch):
+        # Start each device's batch later the lower its number, so the
+        # pool's threads report in reverse device order.
+        process_batch = BeesScheme.process_batch
+
+        def delayed(self, device, server, images):
+            time.sleep(0.02 * (TestObservedTotals.DEVICES - int(device.name[-2:])))
+            return process_batch(self, device, server, images)
+
+        reference = _observed_joules(_runner(SEEDS[0], self.DEVICES, "sequential", 1))
+        monkeypatch.setattr(BeesScheme, "process_batch", delayed)
+        concurrent = _observed_joules(_runner(SEEDS[0], self.DEVICES, "concurrent", 4))
+        assert concurrent == reference

@@ -112,9 +112,9 @@ class TestEngine:
 class TestSelection:
     def test_all_rules_have_unique_names_and_codes(self):
         rules = all_rules()
-        assert len(rules) == 11
-        assert len({r.name for r in rules}) == 11
-        assert len({r.code for r in rules}) == 11
+        assert len(rules) == 10
+        assert len({r.name for r in rules}) == 10
+        assert len({r.code for r in rules}) == 10
         assert all(r.code.startswith("BEES") for r in rules)
         assert all(r.summary for r in rules)
 
@@ -125,7 +125,7 @@ class TestSelection:
     def test_ignore_removes_a_rule(self):
         rules = resolve_rules(ignore=["unit-suffix"])
         assert "unit-suffix" not in {r.name for r in rules}
-        assert len(rules) == 10
+        assert len(rules) == 9
 
     def test_unknown_rule_raises(self):
         with pytest.raises(ConfigurationError):

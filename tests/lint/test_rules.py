@@ -240,75 +240,6 @@ class TestEbatRange:
         assert not findings_for("def f(x):\n    return 2 * x\n", "ebat-range")
 
 
-class TestRawTiming:
-    def test_flags_direct_clock_delta(self):
-        source = (
-            "import time\n"
-            "t0 = time.perf_counter()\n"
-            "elapsed = time.perf_counter() - t0\n"
-        )
-        findings = findings_for(source, "raw-timing")
-        assert len(findings) == 1
-        assert findings[0].rule == "raw-timing"
-
-    @pytest.mark.parametrize(
-        "clock", ["time.time", "time.monotonic", "time.process_time"]
-    )
-    def test_flags_every_clock(self, clock):
-        source = f"import time\nstart = {clock}()\nd = {clock}() - start\n"
-        assert len(findings_for(source, "raw-timing")) == 1
-
-    def test_flags_bare_perf_counter_import(self):
-        source = (
-            "from time import perf_counter\n"
-            "t0 = perf_counter()\n"
-            "dt = perf_counter() - t0\n"
-        )
-        assert len(findings_for(source, "raw-timing")) == 1
-
-    def test_flags_delta_via_keyword_assigned_name(self):
-        source = (
-            "import time\n"
-            "def f(_t0=time.perf_counter()):\n"
-            "    return time.perf_counter() - _t0\n"
-        )
-        assert len(findings_for(source, "raw-timing")) == 1
-
-    def test_allows_non_clock_subtraction(self):
-        assert not findings_for("a = 5\nb = a - 3\n", "raw-timing")
-
-    def test_allows_clock_read_without_delta(self):
-        source = "import time\nstamp = time.time()\n"
-        assert not findings_for(source, "raw-timing")
-
-    def test_line_suppression_is_honoured(self):
-        source = (
-            "import time\n"
-            "t0 = time.perf_counter()\n"
-            "d = time.perf_counter() - t0"
-            "  # beeslint: disable=raw-timing (this IS the helper)\n"
-        )
-        assert not findings_for(source, "raw-timing")
-
-    def test_file_suppression_is_honoured(self):
-        source = (
-            "# beeslint: disable-file=raw-timing (timing module)\n"
-            "import time\n"
-            "t0 = time.perf_counter()\n"
-            "d = time.perf_counter() - t0\n"
-        )
-        assert not findings_for(source, "raw-timing")
-
-    def test_docstring_mention_does_not_suppress(self):
-        source = (
-            '"""beeslint: disable-file=raw-timing (not a comment)."""\n'
-            "import time\n"
-            "t0 = time.perf_counter()\n"
-            "d = time.perf_counter() - t0\n"
-        )
-        assert len(findings_for(source, "raw-timing")) == 1
-
-
 class TestMissingJournalEvent:
     ARD_PATH = "src/repro/core/ard.py"
 

@@ -1,8 +1,8 @@
-"""The repo gate: beeslint must be clean over src/ and benchmarks/.
+"""The repo gate: beeslint must be clean over src/, benchmarks/ and examples/.
 
 This is the test-suite twin of CI's ``python -m repro lint src/
-benchmarks/`` job — a rule regression (or a new violation anywhere in
-the pipeline) fails here even when CI config drifts.
+benchmarks/ examples/`` step — a rule regression (or a new violation
+anywhere in the pipeline) fails here even when CI config drifts.
 """
 
 from pathlib import Path

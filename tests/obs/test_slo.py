@@ -101,6 +101,15 @@ class TestSpecParsing:
         with pytest.raises(ObservabilityError, match="'queue'.*'live'"):
             parse_spec(_spec(raw))
 
+    def test_wall_seconds_source_rejected_naming_the_slo(self):
+        raw = _slo(
+            name="wall",
+            indicator={"source": "wall_seconds", "case": "fig11_delay"},
+            objective={"max": 60},
+        )
+        with pytest.raises(ObservabilityError, match="'wall'.*'wall_seconds'"):
+            parse_spec(_spec(raw))
+
     def test_missing_indicator_rejected_naming_the_slo(self):
         raw = _slo(name="queue")
         del raw["indicator"]
@@ -196,15 +205,6 @@ class TestArtifactEvaluation:
         (result,) = evaluate_artifact(parse_spec(_spec(slo)), ARTIFACT)
         assert not result.ok
         assert "MRC" in result.detail
-
-    def test_wall_seconds(self):
-        slo = _slo(
-            name="wall",
-            indicator={"source": "wall_seconds", "case": "fig11_delay"},
-            objective={"max": 60},
-        )
-        (result,) = evaluate_artifact(parse_spec(_spec(slo)), ARTIFACT)
-        assert result.ok and result.value == 2.5
 
     def test_committed_spec_passes_committed_baseline(self):
         spec = load_spec(COMMITTED_SPEC)

@@ -175,14 +175,6 @@ class TestMetricsCommand:
             main(["metrics", str(tmp_path / "nope.prom")])
 
 
-class TestProfileFlags:
-    def test_bench_compare_accepts_slo_spec(self):
-        args = build_parser().parse_args(
-            ["bench", "compare", "base.json", "cand.json", "--slo", "s.json"]
-        )
-        assert args.slo == "s.json"
-
-
 class TestCoverage:
     def test_tiny_coverage_runs(self, capsys):
         code = main(
