@@ -6,12 +6,14 @@ suppression thins them, and the strongest ``max_keypoints`` survive —
 mirroring OpenCV's ``ORB_create(nfeatures=...)`` behaviour that the BEES
 prototype uses.
 
-All stages are vectorised: the 16-pixel Bresenham circle around every
-interior pixel is gathered at once and packed into two ``uint16`` ring
-masks (one bit per circle pixel brighter, or darker, than the centre by
-the threshold); a 65,536-entry lookup table then says which masks hold
-a circular arc of 9 contiguous bits.  FAST scores and non-maximum
-suppression are then evaluated at the corner pixels only.
+All stages are vectorised and compute only what the keypoints read: the
+16-pixel Bresenham circle around every centre inside the descriptor
+border is gathered at once and packed into two ``uint16`` ring masks
+(one bit per circle pixel brighter, or darker, than the centre by the
+threshold); a 65,536-entry lookup table then says which masks hold a
+circular arc of 9 contiguous bits.  FAST scores and non-maximum
+suppression are evaluated at the corner pixels only, and the Harris
+ranking at the suppression survivors only.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import FeatureError
-from ..imaging.filters import box_blur, local_maxima_at, reflect_pad, sobel_gradients
+from ..imaging.filters import box_blur_at, local_maxima_at, reflect_pad, sobel_gradients
 
 #: Bresenham circle of radius 3 — the 16 FAST test offsets, clockwise
 #: from 12 o'clock, as (dy, dx).
@@ -85,11 +87,16 @@ def _pack_ring(bits: np.ndarray) -> np.ndarray:
     return np.packbits(bits.ravel(), bitorder="little").view("<u2")
 
 
-def fast_corner_mask(plane: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """Run the FAST-9 segment test.
+def fast_corner_mask(
+    plane: np.ndarray, threshold: float, border: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run the FAST-9 segment test on the centres ``border`` px inside the plane.
 
-    Returns ``(mask, score)`` over the full plane; the border of 3 pixels
-    is never a corner.  The score is the sum of absolute circle-to-centre
+    Only centres in ``[b, h - b) x [b, w - b)``, ``b = max(border, 3)``,
+    are tested, on a slice that keeps the 3-px circle around them;
+    ``border=0`` is the whole plane (a circle needs 3 px of room).
+    Returns ``(mask, score)`` over the full plane, both zero outside that
+    region.  The score is the sum of absolute circle-to-centre
     differences beyond the threshold (the standard FAST score used for
     non-maximum suppression); it is zero off the corners.
     """
@@ -101,13 +108,15 @@ def fast_corner_mask(plane: np.ndarray, threshold: float) -> tuple[np.ndarray, n
     h, w = plane.shape
     mask = np.zeros((h, w), dtype=bool)
     score = np.zeros((h, w), dtype=np.float64)
-    if h <= 2 * FAST_BORDER or w <= 2 * FAST_BORDER:
+    b = max(border, FAST_BORDER)
+    if h <= 2 * b or w <= 2 * b:
         return mask, score
 
-    b = FAST_BORDER
-    centre = plane[b : h - b, b : w - b]
-    windows = sliding_window_view(plane, (2 * b + 1, 2 * b + 1))
-    circle = windows[:, :, _RING_ROWS, _RING_COLS]  # (h - 6, w - 6, 16)
+    r = FAST_BORDER
+    region = plane[b - r : h - b + r, b - r : w - b + r]
+    centre = region[r:-r, r:-r]
+    windows = sliding_window_view(region, (2 * r + 1, 2 * r + 1))
+    circle = windows[:, :, _RING_ROWS, _RING_COLS]  # (h - 2b, w - 2b, 16)
     brighter = _pack_ring(circle > (centre + threshold)[:, :, None])
     darker = _pack_ring(circle < (centre - threshold)[:, :, None])
     corner = (_ARC_TABLE[brighter] | _ARC_TABLE[darker]).reshape(centre.shape)
@@ -117,10 +126,10 @@ def fast_corner_mask(plane: np.ndarray, threshold: float) -> tuple[np.ndarray, n
         return mask, score
 
     # The 16 score terms are summed over axis 0 of a (16, m) array, in the
-    # order the frozen reference sums the whole interior: numpy adds several
-    # columns term by term but a single column pairwise, so a lone corner
-    # is scored as a pair unless the interior is that one pixel.
-    pair = max(n, min(corner.size, 2))
+    # order the frozen reference sums the whole 3-px interior: numpy adds
+    # several columns term by term but a single column pairwise, so a lone
+    # corner is scored as a pair unless that interior is one pixel.
+    pair = max(n, min((h - 2 * r) * (w - 2 * r), 2))
     at_y, at_x = np.resize(ys, pair), np.resize(xs, pair)
     ring = np.ascontiguousarray(circle[at_y, at_x].T)
     c = centre[at_y, at_x]
@@ -133,10 +142,26 @@ def fast_corner_mask(plane: np.ndarray, threshold: float) -> tuple[np.ndarray, n
     return mask, score
 
 
-def harris_response(plane: np.ndarray, k: float = 0.04, radius: int = 2) -> np.ndarray:
-    """Harris corner response map (used to rank FAST candidates, as ORB does)."""
-    gx, gy = sobel_gradients(np.asarray(plane, dtype=np.float64))
-    sxx, syy, sxy = box_blur(np.stack([gx * gx, gy * gy, gx * gy]), radius)
+def harris_response(
+    plane: np.ndarray, ys: np.ndarray, xs: np.ndarray, k: float = 0.04, radius: int = 2
+) -> np.ndarray:
+    """Harris corner response at the pixels ``(ys[i], xs[i])``.
+
+    Used to rank FAST candidates, as ORB does.  The Sobel gradients and the
+    box blur's summed-area table are built on the top-left prefix
+    ``plane[:max(ys) + radius + 2, :max(xs) + radius + 2]``: the blur at a
+    pixel reads gradients up to ``radius`` px below and right of it, each
+    gradient one pixel more, and table entries depend on their prefix
+    alone, so every response equals the whole-plane one bit for bit.
+    """
+    plane = np.asarray(plane, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.intp)
+    xs = np.asarray(xs, dtype=np.intp)
+    if len(ys) == 0:
+        return np.zeros(0, dtype=np.float64)
+    reach = max(radius, 0) + 2
+    gx, gy = sobel_gradients(plane[: int(ys.max()) + reach, : int(xs.max()) + reach])
+    sxx, syy, sxy = box_blur_at(np.stack([gx * gx, gy * gy, gx * gy]), radius, ys, xs)
     det = sxx * syy - sxy * sxy
     trace = sxx + syy
     return det - k * trace * trace
@@ -189,30 +214,31 @@ def detect_fast(
 ) -> Keypoints:
     """Detect FAST-9 corners, rank by Harris, keep the strongest.
 
-    ``border`` excludes a margin (descriptor patches need room).
+    ``border`` excludes a margin (descriptor patches need room): only
+    centres in ``[b, h - b) x [b, w - b)``, ``b = max(border, 3)``, are
+    tested, suppressed and ranked.  Suppression reads that region plus an
+    ``nms_radius`` margin of non-corners, clipped to the plane, and Harris
+    is evaluated at the suppression survivors only.  A plane with no such
+    centre has no keypoints.
     """
     if max_keypoints < 1:
         raise FeatureError(f"max_keypoints must be >= 1, got {max_keypoints}")
     plane = np.asarray(plane, dtype=np.float64)
-    mask, score = fast_corner_mask(plane, threshold)
-    if border > 0:
-        h, w = plane.shape
-        if 2 * border >= min(h, w):
-            return Keypoints.empty()
-        mask[:border] = False
-        mask[h - border :] = False
-        mask[:, :border] = False
-        mask[:, w - border :] = False
+    mask, score = fast_corner_mask(plane, threshold, border)
     ys, xs = np.nonzero(mask)
     if len(ys) == 0:
         return Keypoints.empty()
 
-    keep = local_maxima_at(np.where(mask, score, 0.0), ys, xs, radius=nms_radius)
+    h, w = plane.shape
+    b = max(border, FAST_BORDER)
+    lo = max(b - nms_radius, 0)
+    window = score[lo : h - b + nms_radius, lo : w - b + nms_radius]
+    keep = local_maxima_at(window, ys - lo, xs - lo, radius=nms_radius)
     ys, xs = ys[keep], xs[keep]
     if len(ys) == 0:
         return Keypoints.empty()
 
-    harris = harris_response(plane)[ys, xs]
+    harris = harris_response(plane, ys, xs)
     order = np.argsort(-harris, kind="stable")[:max_keypoints]
     ys = ys[order].astype(np.float64)
     xs = xs[order].astype(np.float64)

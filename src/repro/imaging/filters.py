@@ -72,6 +72,22 @@ def gaussian_blur(plane: np.ndarray, sigma: float) -> np.ndarray:
     return _correlate1d(_correlate1d(plane, kernel, axis=0), kernel, axis=1)
 
 
+def _summed_area_table(plane: np.ndarray, radius: int) -> np.ndarray:
+    """Summed-area table of *plane* reflect-padded by *radius*.
+
+    ``sat[..., i, j]`` is the sum of the padded plane's first ``i`` rows
+    and ``j`` columns (a zero row and column lead).  Each entry reads only
+    that top-left prefix, summed in the same order whatever lies beyond it.
+    """
+    size = 2 * radius + 1
+    h, w = plane.shape[-2:]
+    sat = np.zeros(plane.shape[:-2] + (h + size, w + size))
+    np.cumsum(
+        np.cumsum(reflect_pad(plane, radius), axis=-2), axis=-1, out=sat[..., 1:, 1:]
+    )
+    return sat
+
+
 def box_blur(plane: np.ndarray, radius: int) -> np.ndarray:
     """Box blur via a summed-area table; O(1) per pixel in the radius.
 
@@ -87,15 +103,36 @@ def box_blur(plane: np.ndarray, radius: int) -> np.ndarray:
         return plane.copy()
     size = 2 * radius + 1
     h, w = plane.shape[-2:]
-    sat = np.zeros(plane.shape[:-2] + (h + size, w + size))
-    np.cumsum(
-        np.cumsum(reflect_pad(plane, radius), axis=-2), axis=-1, out=sat[..., 1:, 1:]
-    )
+    sat = _summed_area_table(plane, radius)
     total = (
         sat[..., size : size + h, size : size + w]
         - sat[..., 0:h, size : size + w]
         - sat[..., size : size + h, 0:w]
         + sat[..., 0:h, 0:w]
+    )
+    return total / float(size * size)
+
+
+def box_blur_at(
+    plane: np.ndarray, radius: int, ys: np.ndarray, xs: np.ndarray
+) -> np.ndarray:
+    """``box_blur(plane, radius)[..., ys, xs]``, evaluated at those pixels only.
+
+    Same values as the full blur, down to the last bit: the same table
+    entries are combined in the same order.
+    """
+    plane = np.asarray(plane, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.intp)
+    xs = np.asarray(xs, dtype=np.intp)
+    if radius < 1:
+        return plane[..., ys, xs]
+    size = 2 * radius + 1
+    sat = _summed_area_table(plane, radius)
+    total = (
+        sat[..., ys + size, xs + size]
+        - sat[..., ys, xs + size]
+        - sat[..., ys + size, xs]
+        + sat[..., ys, xs]
     )
     return total / float(size * size)
 

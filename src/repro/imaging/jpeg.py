@@ -14,11 +14,16 @@ The paper's *quality compression proportion* maps to libjpeg quality as
 ``quality = 100 * (1 - proportion)`` — proportion 0 is (near) lossless,
 and beyond the suggested fixed proportion of 0.85 the SSIM of the decoded
 image drops sharply, which is exactly why BEES pins it at 0.85.
+
+AIU reads only the size: :func:`compress_quality` quantises one forward
+transform at the target and the nominal proportions and never decodes.
+The :func:`encode` / :func:`decode` round trip gives the lossy pixels
+(Fig. 5(a) scores their SSIM).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -135,22 +140,35 @@ def _estimate_bits(quantised: np.ndarray) -> float:
     return (ac_bits + dc_bits) * CHROMA_BIT_FACTOR
 
 
+def _forward_dct(image: Image) -> tuple[np.ndarray, tuple[int, int], tuple[int, int]]:
+    """``(coefficients, shape, padded_shape)`` of the level-shifted luma plane."""
+    plane = image.gray() - 128.0
+    blocks, padded_shape = _to_blocks(plane)
+    coeffs = np.einsum("ij,njk,lk->nil", _DCT, blocks, _DCT)
+    return coeffs, plane.shape, padded_shape
+
+
+def _quantise(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
+    return np.rint(coeffs / table).astype(np.int32)
+
+
+def _estimated_bytes(quantised: np.ndarray) -> int:
+    return HEADER_BYTES + int(np.ceil(_estimate_bits(quantised) / 8.0))
+
+
 def encode(image: Image, proportion: float) -> JpegEncoded:
     """Quality-compress *image* with the given compression proportion."""
     quality = proportion_to_quality(proportion)
     table = quant_table_for_quality(quality)
-    plane = image.gray() - 128.0
-    blocks, padded_shape = _to_blocks(plane)
-    coeffs = np.einsum("ij,njk,lk->nil", _DCT, blocks, _DCT)
-    quantised = np.rint(coeffs / table).astype(np.int32)
-    size = HEADER_BYTES + int(np.ceil(_estimate_bits(quantised) / 8.0))
+    coeffs, shape, padded_shape = _forward_dct(image)
+    quantised = _quantise(coeffs, table)
     return JpegEncoded(
         coefficients=quantised,
         quant_table=table,
-        shape=plane.shape,
+        shape=shape,
         padded_shape=padded_shape,
         quality=quality,
-        estimated_bytes=size,
+        estimated_bytes=_estimated_bytes(quantised),
     )
 
 
@@ -168,21 +186,27 @@ def size_factor(image: Image, proportion: float) -> float:
 
     Relative to the nominal baseline encoding (the ~quality-80 JPEG the
     700 KB file size corresponds to), so re-encoding at or below the
-    baseline proportion yields a factor of 1.
+    baseline proportion yields a factor of 1.  Both sizes come from one
+    forward transform, quantised at each proportion's table.
     """
-    baseline = encode(image, NOMINAL_QUALITY_PROPORTION).estimated_bytes
-    compressed = encode(image, proportion).estimated_bytes
+    tables = [
+        quant_table_for_quality(proportion_to_quality(p))
+        for p in (NOMINAL_QUALITY_PROPORTION, proportion)
+    ]
+    coeffs, _, _ = _forward_dct(image)
+    baseline, compressed = (_estimated_bytes(_quantise(coeffs, t)) for t in tables)
     return min(1.0, compressed / max(1, baseline))
 
 
 def compress_quality(image: Image, proportion: float) -> Image:
-    """Round-trip *image* through the codec; size shrinks, quality drops.
+    """Quality-compress *image* for upload: the file shrinks, the pixels stay.
 
-    The returned image keeps the original resolution (quality compression
-    "does not change the resolution of an image") but carries the decoded
-    lossy bitmap and a reduced nominal file size.
+    Size-only: the returned image keeps the original bitmap and
+    resolution (quality compression "does not change the resolution of an
+    image") and carries the reduced nominal file size of
+    :func:`size_factor`.  Nothing on the upload path reads the lossy
+    pixels, so none are decoded; ``decode(encode(image, proportion))``
+    gives them.
     """
-    encoded = encode(image, proportion)
-    baseline = encode(image, NOMINAL_QUALITY_PROPORTION).estimated_bytes
-    factor = min(1.0, encoded.estimated_bytes / max(1, baseline))
-    return image.with_bitmap(decode(encoded), nominal_bytes=image.scaled_nominal_bytes(factor))
+    factor = size_factor(image, proportion)
+    return replace(image, nominal_bytes=image.scaled_nominal_bytes(factor))

@@ -1,9 +1,9 @@
 """Tests for Approximate Image Uploading (AIU / EAU)."""
 
+import numpy as np
 import pytest
 
 from repro.core.aiu import ApproximateImageUploading
-from repro.imaging.ssim import ssim
 
 
 @pytest.fixture(scope="module")
@@ -41,9 +41,12 @@ class TestPrepare:
         result = aiu.prepare(scene_image, ebat=1.0)
         assert result.image.resolution == scene_image.resolution
 
-    def test_decoded_image_resembles_original(self, aiu, scene_image):
+    def test_quality_step_keeps_source_pixels(self, aiu, scene_image):
+        # Quality compression only shrinks the file size; the lossy
+        # pixels are the codec's encode/decode round trip.
         result = aiu.prepare(scene_image, ebat=1.0)
-        assert ssim(scene_image, result.image) > 0.75
+        assert np.array_equal(result.image.bitmap, scene_image.bitmap)
+        assert result.upload_bytes < scene_image.nominal_bytes
 
     def test_compression_cost_positive(self, aiu, scene_image):
         assert aiu.prepare(scene_image, ebat=0.5).cost.joules > 0

@@ -5,11 +5,19 @@ the stacked Harris blur, the gather-based reflect pads and the
 single-plane pyramid resize must be *byte-identical* to the
 implementations they replaced (:mod:`.reference`): same keypoints,
 scores, Harris responses, angles and descriptors on every input.
+
+The detector only computes what the descriptor border leaves: FAST on
+the centres inside it, suppression on that region plus its margin, and
+Harris at the survivors over a top-left prefix of the plane.  Planes up
+to 48 px with borders up to 16 px (ORB uses 15) put those crops at every
+offset, and the region and point functions are checked at every pixel
+against the full-plane references.
 """
 
 import hashlib
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.afe import ApproximateFeatureExtraction
@@ -58,18 +66,23 @@ def planes(draw):
     """Small planes: blocky plateaus, few-level integer ties, free floats,
     or one bright spike (a lone corner) on faint float noise.
 
-    Half are at most 7 px on a side, where the 3-px FAST border leaves an
-    interior of at most one pixel (or none).
+    A third are at most 7 px on a side, where the 3-px FAST border leaves
+    an interior of at most one pixel (or none); a third are 25-48 px, big
+    enough for ORB's 15-px descriptor border to leave centres.
     """
-    size = st.one_of(st.integers(min_value=1, max_value=7), st.integers(min_value=8, max_value=24))
+    size = st.one_of(
+        st.integers(min_value=1, max_value=7),
+        st.integers(min_value=8, max_value=24),
+        st.integers(min_value=25, max_value=48),
+    )
     h, w = draw(size), draw(size)
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     kind = draw(st.sampled_from(["plateau", "levels", "floats", "spike"]))
     if kind == "plateau":
         plane = np.full((h, w), float(draw(st.integers(0, 255))))
-        for _ in range(draw(st.integers(0, 8))):
+        for _ in range(draw(st.integers(0, 16))):
             y, x = rng.integers(0, h), rng.integers(0, w)
-            plane[y : y + rng.integers(1, 9), x : x + rng.integers(1, 9)] = rng.integers(0, 256)
+            plane[y : y + rng.integers(1, 13), x : x + rng.integers(1, 13)] = rng.integers(0, 256)
     elif kind == "levels":
         step = draw(st.sampled_from([1.0, 4.0, 12.0, 36.0]))
         plane = rng.integers(0, 8, size=(h, w)).astype(np.float64) * step
@@ -87,6 +100,101 @@ thresholds = st.one_of(
 )
 
 
+#: Bright rectangles (``#``) whose corners tie with their neighbours at the
+#: edge of the detector's region, so only a zero in the suppression margin
+#: beats them: each case's keypoints change if the margin above and left,
+#: below, or right of the region is dropped.  ``(rows, border, nms_radius)``.
+MARGIN_CASES = (
+    # margin above and left
+    (
+        (
+            ".......................",
+            ".......................",
+            "###....................",
+            "###..................##",
+            ".....................##",
+            ".....................##",
+            "....................###",
+            "....................##.",
+            "..###..................",
+            "..###..................",
+            "..###..................",
+            "..###..................",
+            "...##................##",
+            "...##................##",
+            ".......................",
+            ".......................",
+            ".......................",
+            ".......................",
+            ".......................",
+            ".......................",
+            ".......................",
+            ".......................",
+            ".......................",
+            ".......................",
+        ),
+        1,
+        1,
+    ),
+    # margin below
+    (
+        (
+            "......................",
+            "......................",
+            "......................",
+            "......................",
+            "......................",
+            "......................",
+            "..##..................",
+            "..##..................",
+            "..##..................",
+            "..##..................",
+            "......................",
+            "......................",
+            "......................",
+            "...........##..####...",
+            "...........##.........",
+            "..###......##.........",
+            "...........###........",
+            "...........###........",
+            "......................",
+            "......................",
+            "......................",
+            "#.....................",
+        ),
+        4,
+        1,
+    ),
+    # margin right
+    (
+        (
+            "...........",
+            "...........",
+            "...........",
+            "...........",
+            "...........",
+            "...........",
+            "...........",
+            "...........",
+            "..........#",
+            "......##...",
+            "......##...",
+            "......##...",
+            "......##...",
+            "......##...",
+            "......##...",
+            "...........",
+            "...........",
+            "..####.....",
+            "..####..###",
+            "........###",
+        ),
+        3,
+        1,
+    ),
+)
+
+
 class TestLevelPipelineDifferential:
     def test_arc_table_matches_reference_on_every_mask(self):
         words = np.arange(1 << 16)
@@ -97,24 +205,39 @@ class TestLevelPipelineDifferential:
     @given(
         plane=planes(),
         threshold=thresholds,
-        border=st.integers(min_value=0, max_value=6),
+        border=st.integers(min_value=0, max_value=16),
         nms_radius=st.integers(min_value=1, max_value=3),
         max_keypoints=st.integers(min_value=1, max_value=40),
     )
     def test_matches_reference(self, plane, threshold, border, nms_radius, max_keypoints):
-        mask, score = fast_corner_mask(plane, threshold)
+        h, w = plane.shape
         ref_mask, ref_score = reference_fast_corner_mask(plane, threshold)
+        mask, score = fast_corner_mask(plane, threshold)
         assert _same(mask, ref_mask)
         assert _same(score, ref_score)
 
-        response = np.where(mask, score, 0.0)
+        b = max(border, 3)
+        region = np.zeros(plane.shape, dtype=bool)
+        region[b : h - b, b : w - b] = True
+        mask, score = fast_corner_mask(plane, threshold, border)
+        assert _same(mask, ref_mask & region)
+        assert _same(score, np.where(region, ref_score, 0.0))
+
+        response = np.where(ref_mask, ref_score, 0.0)
         ys, xs = np.indices(plane.shape).reshape(2, -1)
         survivors = local_maxima_at(response, ys, xs, radius=nms_radius)
         assert _same(
             survivors.reshape(plane.shape), reference_local_maxima(response, nms_radius)
         )
 
-        assert _same(harris_response(plane), reference_harris_response(plane))
+        # Every pixel at once reads the whole plane; one row (or column)
+        # at a time crops the prefix right below (or beside) it.
+        ref_harris = reference_harris_response(plane)
+        assert _same(harris_response(plane, ys, xs), ref_harris.ravel())
+        for y in range(h):
+            assert _same(harris_response(plane, np.full(w, y), np.arange(w)), ref_harris[y])
+        for x in range(w):
+            assert _same(harris_response(plane, np.arange(h), np.full(h, x)), ref_harris[:, x])
 
         kps = detect_fast(
             plane, threshold, max_keypoints=max_keypoints, nms_radius=nms_radius, border=border
@@ -141,6 +264,19 @@ class TestLevelPipelineDifferential:
             reference_resize_plane(plane, nh, nw),
         )
         assert _same(resize_bilinear(plane, nw, nh), reference_resize_bilinear(plane, nw, nh))
+
+    @pytest.mark.parametrize(
+        "rows, border, nms_radius", MARGIN_CASES, ids=["above-left", "below", "right"]
+    )
+    def test_suppression_margin_cases(self, rows, border, nms_radius):
+        plane = np.array([[100.0 if c == "#" else 0.0 for c in row] for row in rows])
+        kps = detect_fast(plane, 10.0, nms_radius=nms_radius, border=border)
+        ref_xs, ref_ys, ref_responses, _ = reference_detect_fast(
+            plane, 10.0, nms_radius=nms_radius, border=border
+        )
+        assert _same(kps.xs, ref_xs)
+        assert _same(kps.ys, ref_ys)
+        assert _same(kps.responses, ref_responses)
 
 
 class TestFleetFingerprint:

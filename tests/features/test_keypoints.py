@@ -84,14 +84,13 @@ class TestFastCornerMask:
 
 class TestHarris:
     def test_corner_scores_above_edge(self):
-        plane = _corner_plane()
-        response = harris_response(plane)
-        corner_score = response[10, 10]
-        edge_score = response[20, 10]  # middle of the vertical edge
+        # The rectangle's corner, then the middle of its vertical edge.
+        corner_score, edge_score = harris_response(_corner_plane(), [10, 20], [10, 10])
         assert corner_score > edge_score
 
     def test_flat_plane_zero(self):
-        assert np.allclose(harris_response(np.full((20, 20), 50.0)), 0.0)
+        ys, xs = np.indices((20, 20)).reshape(2, -1)
+        assert np.allclose(harris_response(np.full((20, 20), 50.0), ys, xs), 0.0)
 
 
 class TestOrientation:

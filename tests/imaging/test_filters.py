@@ -6,6 +6,7 @@ import pytest
 from repro.errors import ImageError
 from repro.imaging.filters import (
     box_blur,
+    box_blur_at,
     gaussian_blur,
     gaussian_kernel1d,
     gradient_magnitude_orientation,
@@ -76,6 +77,13 @@ class TestBoxBlur:
         blurred = box_blur(stack, 2)
         for plane, expected in zip(blurred, stack):
             assert np.array_equal(plane, box_blur(expected, 2))
+
+    @pytest.mark.parametrize("radius", [0, 1, 2, 3])
+    def test_at_points_is_the_full_blur_bit_for_bit(self, radius):
+        stack = np.random.default_rng(radius).uniform(0, 255, (3, 6, 7))
+        ys, xs = np.indices((6, 7)).reshape(2, -1)
+        at = box_blur_at(stack, radius, ys, xs)
+        assert at.tobytes() == box_blur(stack, radius)[:, ys, xs].tobytes()
 
 
 class TestReflectPad:

@@ -5,8 +5,16 @@ import pytest
 
 from repro.errors import CodecError
 from repro.imaging import jpeg
+from repro.imaging.bitmap import MAX_PROPORTION
 from repro.imaging.image import Image
 from repro.imaging.ssim import ssim
+
+from .reference import reference_encode, reference_nominal_bytes, reference_size_factor
+
+
+def _round_trip(image, proportion):
+    """*image* carrying its decoded lossy pixels."""
+    return image.with_bitmap(jpeg.decode(jpeg.encode(image, proportion)))
 
 
 class TestQualityMapping:
@@ -44,12 +52,11 @@ class TestRoundTrip:
         assert decoded.shape == scene_image.bitmap.shape
 
     def test_mild_compression_high_fidelity(self, scene_image):
-        compressed = jpeg.compress_quality(scene_image, 0.2)
-        assert ssim(scene_image, compressed) > 0.93
+        assert ssim(scene_image, _round_trip(scene_image, 0.2)) > 0.93
 
     def test_heavy_compression_lower_fidelity(self, scene_image):
-        mild = jpeg.compress_quality(scene_image, 0.2)
-        heavy = jpeg.compress_quality(scene_image, 0.95)
+        mild = _round_trip(scene_image, 0.2)
+        heavy = _round_trip(scene_image, 0.95)
         assert ssim(scene_image, heavy) < ssim(scene_image, mild)
 
     def test_non_multiple_of_8_dimensions(self):
@@ -86,3 +93,41 @@ class TestSizeModel:
         compressed = jpeg.compress_quality(scene_image, 0.85)
         assert compressed.nominal_bytes < scene_image.nominal_bytes
         assert compressed.resolution == scene_image.resolution
+
+    def test_compress_quality_keeps_pixels(self, scene_image):
+        compressed = jpeg.compress_quality(scene_image, 0.85)
+        assert np.array_equal(compressed.bitmap, scene_image.bitmap)
+        assert compressed.image_id == scene_image.image_id
+
+
+def _differential_images():
+    """Noise and a noisy gradient at the plane sizes the size path must match on."""
+    rng = np.random.default_rng(5)
+    for h, w in ((1, 1), (7, 9), (37, 53), (72, 96)):
+        noise = rng.integers(0, 256, (h, w, 3)).astype(np.uint8)
+        yield pytest.param(Image(bitmap=noise), id=f"{h}x{w}-noise")
+        ramp = np.add.outer(np.arange(h) * 3.0, np.arange(w) * 2.0)[:, :, None]
+        smooth = np.clip(ramp + rng.normal(0.0, 12.0, (h, w, 3)), 0, 255).astype(np.uint8)
+        yield pytest.param(Image(bitmap=smooth), id=f"{h}x{w}-gradient")
+
+
+class TestSizeDifferential:
+    """The one-transform size path against the frozen encode-twice one."""
+
+    @pytest.mark.parametrize("image", list(_differential_images()))
+    def test_matches_frozen_encode(self, image):
+        # Every quality a proportion in [0, MAX_PROPORTION] maps to.
+        qualities = range(jpeg.proportion_to_quality(MAX_PROPORTION), 101)
+        assert qualities[0] == 5
+        for quality in qualities:
+            proportion = (100 - quality) / 100
+            assert jpeg.proportion_to_quality(proportion) == quality
+            factor = reference_size_factor(image, proportion)
+            assert jpeg.size_factor(image, proportion) == factor
+            assert jpeg.compress_quality(image, proportion).nominal_bytes == (
+                reference_nominal_bytes(image, factor)
+            )
+            encoded = jpeg.encode(image, proportion)
+            quantised, estimated = reference_encode(image, proportion)
+            assert encoded.estimated_bytes == estimated
+            assert np.array_equal(encoded.coefficients, quantised)
