@@ -23,7 +23,7 @@ from .core import BeesConfig, BeesScheme, BeesServer
 from .energy import Battery, DeviceProfile, EnergyMeter
 from .errors import BeesError
 from .imaging import Image, SceneGenerator
-from .obs import Observability, Tracer
+from .obs import Observability
 from .obs import configure as configure_observability
 from .obs import disable as disable_observability
 from .obs import get_obs as get_observability
@@ -55,7 +55,6 @@ __all__ = [
     "SharingScheme",
     "SmartEye",
     "Smartphone",
-    "Tracer",
     "UploadSession",
     "__version__",
     "build_server",

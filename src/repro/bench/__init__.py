@@ -8,7 +8,7 @@ suite:
 * :mod:`repro.bench.registry` — one :class:`BenchCase` per
   ``bench_fig*`` / ``bench_table*`` / ``bench_ext*`` /
   ``bench_ablation*`` module, with full and ``--quick`` parameter sets;
-* :mod:`repro.bench.runner` — executes cases inside a root span with
+* :mod:`repro.bench.runner` — executes cases with
   the :mod:`repro.obs` metric registry active, harvesting wall time,
   per-stage latency quantiles, bytes, joules, and elimination counts;
 * :mod:`repro.bench.schema` — the versioned ``BENCH_<runid>.json``

@@ -1,9 +1,8 @@
 """Execute registered bench cases inside an observability context.
 
 For each case the runner installs a fresh in-memory
-:class:`~repro.obs.runtime.Observability` (tracer + the standard BEES
-metric registry), opens a ``bench.<case_id>`` root span, runs the
-case's ``run(params)``, and harvests:
+:class:`~repro.obs.runtime.Observability` (the standard BEES metric
+registry), runs the case's ``run(params)``, and harvests:
 
 * wall-clock seconds for the whole case,
 * ``bees_stage_seconds`` p50/p95/p99 per ``scheme/stage`` series (via
@@ -75,13 +74,10 @@ def run_case(case: BenchCase, quick: bool = False, params: "dict | None" = None)
     """
     effective = case.parameters(quick=quick)
     effective.update(params or {})
-    obs = obs_module.configure()  # in-memory tracer + metrics, enabled
+    obs = obs_module.configure()  # in-memory metrics, enabled
     started = time.perf_counter()
     try:
-        with obs.span("bench." + case.case_id, quick=quick, **{
-            f"param_{key}": value for key, value in sorted(effective.items())
-        }):
-            result = case.run(effective)
+        result = case.run(effective)
         wall = time.perf_counter() - started
     finally:
         obs_module.disable()

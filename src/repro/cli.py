@@ -15,11 +15,11 @@ Eleven subcommands drive the main experiments without writing code:
 * ``info``     — versions, device profile, policies, observability
 
 ``compare``, ``lifetime``, ``coverage``, and ``fleet run`` accept
-``--trace PATH`` (JSONL span log) and ``--metrics PATH`` (Prometheus
-text exposition), either of which switches the :mod:`repro.obs` layer
-on for the run.  ``fleet run --journal PATH`` additionally records the
-decision-provenance journal (:mod:`repro.obs.journal`) that the
-``journal`` subcommands read back.
+``--metrics PATH`` (Prometheus text exposition), which switches the
+:mod:`repro.obs` metrics on for the run.  ``fleet run --journal PATH``
+additionally records the decision-provenance journal
+(:mod:`repro.obs.journal`) that the ``journal`` subcommands read back.
+Wall time is measured by ``benchmarks/e2e`` (and cProfile), not here.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import sys
 from . import bench as bench_module
 from . import obs as obs_module
 from . import __version__
-from .errors import BenchError, NetworkError, SimulationError
+from .errors import BenchError, NetworkError, ObservabilityError, SimulationError
 from .analysis.charts import bar_chart, sparkline
 from .analysis.reporting import format_bytes, format_table
 from .core.policies import eac_policy, eau_policy, edr_policy
@@ -60,18 +60,17 @@ def _fast_generator() -> SceneGenerator:
 
 @contextlib.contextmanager
 def _observability(args: argparse.Namespace):
-    """Enable tracing/metrics for one command when flags ask.
+    """Enable metrics for one command when ``--metrics`` asks.
 
     Configures the global :mod:`repro.obs` context before the run,
     flushes the export files afterwards, and always resets to the
     disabled default so back-to-back ``main()`` calls stay independent.
     """
-    trace_path = getattr(args, "trace", None)
     metrics_path = getattr(args, "metrics", None)
-    if trace_path is None and metrics_path is None:
+    if metrics_path is None:
         yield obs_module.get_obs()
         return
-    obs = obs_module.configure(trace_path=trace_path, metrics_path=metrics_path)
+    obs = obs_module.configure(metrics_path=metrics_path)
     try:
         yield obs
         for path in obs.flush():
@@ -81,10 +80,6 @@ def _observability(args: argparse.Namespace):
 
 
 def _add_obs_flags(subparser: argparse.ArgumentParser) -> None:
-    subparser.add_argument(
-        "--trace", metavar="PATH", default=None,
-        help="write a JSONL span trace of the run to PATH",
-    )
     subparser.add_argument(
         "--metrics", metavar="PATH", default=None,
         help="write Prometheus-format metrics of the run to PATH",
@@ -400,8 +395,6 @@ def cmd_bench_compare(args: argparse.Namespace) -> int:
 
 def cmd_slo_check(args: argparse.Namespace) -> int:
     """Evaluate an SLO spec against a bench artifact; exit 1 on violation."""
-    from .errors import ObservabilityError
-
     try:
         spec = obs_module.load_spec(args.spec)
         artifact = bench_module.read_artifact(args.artifact)
@@ -499,8 +492,6 @@ def cmd_bench_report(args: argparse.Namespace) -> int:
 
 
 def _read_journal_or_exit(path: str):
-    from .errors import ObservabilityError
-
     try:
         return obs_module.read_journal(path)
     except (ObservabilityError, OSError) as exc:
@@ -580,7 +571,11 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     """Render a captured Prometheus metrics file as a console table."""
-    print(obs_module.render_metrics_file(args.path))
+    try:
+        table = obs_module.render_metrics_file(args.path)
+    except (ObservabilityError, OSError, UnicodeDecodeError) as exc:
+        raise SystemExit(f"metrics read failed: {exc}") from None
+    print(table)
     return 0
 
 
@@ -607,7 +602,7 @@ def cmd_info(args: argparse.Namespace) -> int:
     print(f"  enabled        {obs.enabled}")
     print(f"  exporters      {', '.join(exporters) if exporters else '(none)'}")
     print(f"  metrics        {len(obs.registry)} registered")
-    buckets = ", ".join(f"{b:g}" for b in obs.stage_buckets)
+    buckets = ", ".join(f"{b:g}" for b in obs_module.DEFAULT_STAGE_BUCKETS)
     print(f"  stage buckets  {buckets} s")
     print(f"\nschemes: {', '.join(scheme_names())}")
     return 0

@@ -41,16 +41,11 @@ class BeesServer:
     def query_features(self, features: FeatureSet) -> QueryResult:
         """Answer a CBRD query: the max similarity over stored images."""
         self.queries_served += 1
+        result = self.index.query(features)
         obs = get_obs()
-        if not obs.enabled:
-            return self.index.query(features)
-        with obs.span(
-            "server.query", image_id=features.image_id, index_size=len(self.index)
-        ) as span:
-            result = self.index.query(features)
-            span.set_attribute("best_similarity", result.best_similarity)
-        obs.index_queries.inc()
-        obs.index_size.set(len(self.index))
+        if obs.enabled:
+            obs.index_queries.inc()
+            obs.index_size.set(len(self.index))
         return result
 
     def query_top(self, features: FeatureSet, k: int) -> "list[tuple[str, float]]":
@@ -73,14 +68,9 @@ class BeesServer:
                 f"feature id {features.image_id!r} does not match image "
                 f"{image.image_id!r}"
             )
+        self.store.add(image, received_bytes=received_bytes)
+        self.index.add(features)
         obs = get_obs()
-        with obs.span(
-            "server.receive",
-            image_id=image.image_id,
-            received_bytes=received_bytes if received_bytes is not None else -1,
-        ):
-            self.store.add(image, received_bytes=received_bytes)
-            self.index.add(features)
         if obs.enabled:
             obs.index_size.set(len(self.index))
         journal = get_journal()

@@ -202,13 +202,8 @@ class EpidemicSimulation:
         """Advance *rounds* steps and report what the gateway received."""
         if rounds < 0:
             raise SimulationError(f"rounds must be >= 0, got {rounds}")
-        with get_obs().span(
-            "dtn.run", rounds=rounds, n_nodes=self.n_nodes
-        ) as span:
-            for _ in range(rounds):
-                self.step()
-            span.set_attribute("delivered", len(self.delivered))
-            span.set_attribute("transmissions", self.transmissions)
+        for _ in range(rounds):
+            self.step()
         unique: dict[str, CarriedImage] = {}
         intact_by_id: dict[str, bool] = {}
         saw_corrupt: dict[str, bool] = {}

@@ -49,7 +49,7 @@ class DatasetError(BeesError):
 
 
 class ObservabilityError(BeesError):
-    """A tracing or metrics operation was misused (bad labels, ...)."""
+    """A metrics or journal operation was misused (bad labels, ...)."""
 
 
 class BenchError(BeesError):

@@ -9,7 +9,6 @@ deterministic and machine-independent.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -17,7 +16,6 @@ import numpy as np
 
 from ..errors import FeatureError
 from ..imaging.image import Image
-from ..obs.runtime import get_obs
 
 #: Bytes of keypoint geometry stored per feature (x, y as float32).
 KEYPOINT_BYTES = 8
@@ -71,31 +69,3 @@ class FeatureExtractor(Protocol):
     def extract(self, image: Image) -> FeatureSet:  # pragma: no cover - protocol
         """Extract this algorithm's features from *image*."""
         ...
-
-
-def traced_extract(extract):
-    """Wrap an extractor's ``extract`` in a ``features.extract`` child span.
-
-    The span nests under whatever stage span is open (``bees.afe`` for
-    the BEES client) and records the extractor kind, the image, and the
-    keypoint yield.  The enabled check runs *before* any span plumbing,
-    so with observability off (the default) the wrapper costs one global
-    read and one attribute check.
-    """
-
-    @functools.wraps(extract)
-    def wrapper(self, image: Image) -> FeatureSet:
-        obs = get_obs()
-        if not obs.enabled:
-            return extract(self, image)
-        with obs.span(
-            "features.extract",
-            kind=self.kind,
-            image_id=image.image_id,
-            pixels=image.pixels,
-        ) as span:
-            features = extract(self, image)
-            span.set_attribute("n_features", len(features))
-            return features
-
-    return wrapper

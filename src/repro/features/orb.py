@@ -22,7 +22,7 @@ from ..errors import FeatureError
 from ..imaging.filters import box_blur, reflect_pad
 from ..imaging.image import Image
 from ..imaging.transforms import resize_bilinear_plane
-from .base import FeatureSet, traced_extract
+from .base import FeatureSet
 from .brief import (
     N_ANGLE_BINS,
     PATCH_RADIUS,
@@ -98,7 +98,6 @@ class OrbExtractor:
 
     # -- public API -------------------------------------------------------
 
-    @traced_extract
     def extract(self, image: Image) -> FeatureSet:
         """Extract ORB features from *image*."""
         base = image.gray()

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..errors import FeatureError
 from ..imaging.image import Image
-from .base import FeatureSet, traced_extract
+from .base import FeatureSet
 from .sift import DESCRIPTOR_DIM, SiftExtractor
 
 PCA_DIM = 36
@@ -62,7 +62,6 @@ class PcaSiftExtractor:
         if not 1 <= self.dim <= DESCRIPTOR_DIM:
             raise FeatureError(f"dim must be in [1, {DESCRIPTOR_DIM}], got {self.dim}")
 
-    @traced_extract
     def extract(self, image: Image) -> FeatureSet:
         """Extract PCA-SIFT features: SIFT then project."""
         base = self.sift.extract(image)

@@ -27,7 +27,7 @@ from ..errors import FeatureError
 from ..imaging.filters import gaussian_blur, sobel_gradients
 from ..imaging.image import Image
 from ..imaging.transforms import resize_bilinear_plane
-from .base import FeatureSet, traced_extract
+from .base import FeatureSet
 
 DESCRIPTOR_DIM = 128
 _GRID = 4  # 4x4 spatial cells
@@ -211,7 +211,6 @@ class SiftExtractor:
 
     # -- public API -------------------------------------------------------
 
-    @traced_extract
     def extract(self, image: Image) -> FeatureSet:
         """Extract simplified-SIFT features from *image*."""
         base = image.gray()

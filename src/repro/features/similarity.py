@@ -25,7 +25,6 @@ import numpy as np
 
 from ..errors import FeatureError
 from ..kernels.hamming import hamming_distance_matrix_u64, pack_rows_u64
-from ..obs.runtime import get_obs
 from .base import FeatureSet
 from .matching import mutual_matches, resolve_threshold
 
@@ -90,48 +89,20 @@ def _check_kind(kind: str, features: FeatureSet) -> None:
         raise FeatureError(f"cannot compare {kind!r} with {features.kind!r} features")
 
 
-def _jaccard(
-    features_a: FeatureSet, features_b: FeatureSet, threshold: float | None
-) -> float:
-    _check_kind(features_a.kind, features_b)
-    limit = resolve_threshold(features_a.kind, threshold)
-    return _pair_jaccard(prepare_set(features_a), prepare_set(features_b), limit)
-
-
 def jaccard_similarity(
     features_a: FeatureSet, features_b: FeatureSet, threshold: float | None = None
 ) -> float:
-    """Equation 2: Jaccard similarity of two feature sets in ``[0, 1]``.
-
-    With observability enabled each comparison records a
-    ``features.similarity`` child span (kind, set sizes, score); the
-    enabled check comes first, so the disabled hot path pays one global
-    read and one attribute check on top of the computation.
-    """
-    obs = get_obs()
-    if not obs.enabled:
-        return _jaccard(features_a, features_b, threshold)
-    with obs.span(
-        "features.similarity",
-        kind=features_a.kind,
-        image_a=features_a.image_id,
-        image_b=features_b.image_id,
-        n_a=len(features_a),
-        n_b=len(features_b),
-    ) as span:
-        similarity = _jaccard(features_a, features_b, threshold)
-        span.set_attribute("similarity", similarity)
-        return similarity
+    """Equation 2: Jaccard similarity of two feature sets in ``[0, 1]``."""
+    _check_kind(features_a.kind, features_b)
+    limit = resolve_threshold(features_a.kind, threshold)
+    return _pair_jaccard(prepare_set(features_a), prepare_set(features_b), limit)
 
 
 def similarity_matrix(feature_sets: "list[FeatureSet]") -> np.ndarray:
     """The SSMM graph: pairwise Equation-2 similarities, diagonal 1.
 
     Equal to :func:`jaccard_similarity` on every pair; each set is
-    prepared and the threshold resolved once for the whole batch.  With
-    observability enabled the batch records one
-    ``features.similarity_matrix`` span (kind, set and pair counts)
-    instead of one span per pair.
+    prepared and the threshold resolved once for the whole batch.
     """
     n = len(feature_sets)
     weights = np.eye(n)
@@ -142,12 +113,9 @@ def similarity_matrix(feature_sets: "list[FeatureSet]") -> np.ndarray:
         _check_kind(kind, features)
     limit = resolve_threshold(kind, None)
     prepared = [prepare_set(features) for features in feature_sets]
-    with get_obs().span(
-        "features.similarity_matrix", kind=kind, n=n, pairs=n * (n - 1) // 2
-    ):
-        for i in range(n):
-            for j in range(i + 1, n):
-                weights[i, j] = weights[j, i] = _pair_jaccard(
-                    prepared[i], prepared[j], limit
-                )
+    for i in range(n):
+        for j in range(i + 1, n):
+            weights[i, j] = weights[j, i] = _pair_jaccard(
+                prepared[i], prepared[j], limit
+            )
     return weights

@@ -7,7 +7,7 @@ same workload are *equivalent* iff their fingerprints match, and
 :func:`assert_equivalent` turns a mismatch into a readable per-device
 diff instead of a bare hash inequality.
 
-Wall-clock time, span counts, and per-shard telemetry are
+Wall-clock time and per-shard telemetry are
 deliberately **excluded** from the fingerprint: they legitimately vary
 between the sequential reference and the concurrent run.
 """

@@ -18,16 +18,14 @@ Both execution modes drive the *same* round-barrier protocol
     :func:`repro.fleet.report.assert_equivalent` enforces and the
     differential tests pin.
 
-Instrumentation: the run opens a ``fleet.run`` span with one
-``fleet.round`` child per round and one ``fleet.device`` grandchild per
-device job.  In concurrent mode the round thread captures its
-:class:`~repro.obs.tracer.TraceContext` and each pool job
-:meth:`~repro.obs.tracer.Tracer.attach`\\ es it, so every span the job
-opens — ``fleet.device`` and the whole BEES pipeline underneath —
-lands in one connected trace tree (``tests/obs/test_propagation.py``
-pins this);
-``bees_fleet_rounds_total``, ``bees_fleet_queue_depth``, and the
-per-shard occupancy gauge cover the metrics side.
+Instrumentation: each pool job binds the decision journal to its
+device, so every decision the pipeline emits on a worker thread carries
+that device, and the run, round and batch boundaries are journal events
+(``fleet.run.start``, ``fleet.batch``, ``fleet.round``,
+``fleet.run.end``).  ``bees_fleet_rounds_total``,
+``bees_fleet_queue_depth``, and the per-shard occupancy gauge cover the
+metrics side; batch reports are held per device and folded into the
+metrics at the round barrier in device order.
 """
 
 from __future__ import annotations
@@ -148,7 +146,6 @@ class FleetRunner:
         server = self._build_server()
         reports: "list[list[BatchReport]]" = [[] for _ in range(self.n_devices)]
         halted = [False] * self.n_devices
-        obs = get_obs()
         journal = get_journal()
         if journal.enabled:
             journal.emit(
@@ -164,27 +161,14 @@ class FleetRunner:
                 net=None if self.net is None else self.net.describe(),
             )
         t0 = time.perf_counter()
-        with obs.span(
-            "fleet.run",
-            mode=self.mode,
-            scheme=self.scheme,
-            n_devices=self.n_devices,
-            n_shards=self.n_shards,
-            n_rounds=self.n_rounds,
-            seed=self.seed,
-        ):
-            if self.mode == "concurrent":
-                max_workers = self.workers or self.n_devices
-                with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                    for round_no in range(self.n_rounds):
-                        self._run_round(
-                            round_no, devices, server, reports, halted, pool
-                        )
-            else:
+        if self.mode == "concurrent":
+            max_workers = self.workers or self.n_devices
+            with ThreadPoolExecutor(max_workers=max_workers) as pool:
                 for round_no in range(self.n_rounds):
-                    self._run_round(
-                        round_no, devices, server, reports, halted, None
-                    )
+                    self._run_round(round_no, devices, server, reports, halted, pool)
+        else:
+            for round_no in range(self.n_rounds):
+                self._run_round(round_no, devices, server, reports, halted, None)
         wall_seconds = time.perf_counter() - t0
         result = FleetResult(
             mode=self.mode,
@@ -233,95 +217,71 @@ class FleetRunner:
             for number in range(self.n_devices)
             if devices[number].alive and not halted[number]
         ]
-        with obs.span(
-            "fleet.round", round=round_no, n_active=len(active)
-        ) as round_span:
-            if not active:
-                return
-            # Batches are materialised on the coordinator thread so the
-            # parallel section holds only per-device pipeline work.
-            batches = {
-                number: self.workload.batch_for(number, round_no)
-                for number in active
-            }
-            proxies = {number: StagedServer(server) for number in active}
-            held: "dict[int, list[BatchReport]]" = {
-                number: [] for number in active
-            }
-            if obs.enabled:
-                obs.fleet_queue_depth.set(len(active))
-            # Explicit cross-thread propagation: capture the round span
-            # here (the coordinator owns it) and attach it inside each
-            # job, so every span a device opens — fleet.device and the
-            # whole pipeline beneath it — parents into one trace tree
-            # even when the job runs on a pool thread.
-            round_context = obs.capture_context()
+        if not active:
+            return
+        # Batches are materialised on the coordinator thread so the
+        # parallel section holds only per-device pipeline work.
+        batches = {
+            number: self.workload.batch_for(number, round_no) for number in active
+        }
+        proxies = {number: StagedServer(server) for number in active}
+        held: "dict[int, list[BatchReport]]" = {number: [] for number in active}
+        if obs.enabled:
+            obs.fleet_queue_depth.set(len(active))
 
-            def job(number: int) -> BatchReport:
-                # The journal binding wraps the whole pipeline, so every
-                # decision event the stages emit (cbrd.verdict,
-                # aiu.prepare, policy.applied, ssmm.select) carries this
-                # device — thread-local, so concurrent jobs never leak
-                # into each other's streams.
-                with obs.attach(round_context), journal.bind(
-                    devices[number].name
-                ), obs.hold_batch_reports(held[number]):
-                    with obs.span(
-                        "fleet.device",
-                        device=devices[number].name,
-                        round=round_no,
-                    ) as span:
-                        report = self._schemes[number].process_batch(
-                            devices[number], proxies[number], batches[number]
-                        )
-                        span.set_attribute("n_uploaded", report.n_uploaded)
-                        span.set_attribute("halted", report.halted)
-                    if journal.enabled:
-                        journal.emit(
-                            "fleet.batch",
-                            round=round_no,
-                            n_images=report.n_images,
-                            uploaded=list(report.uploaded_ids),
-                            eliminated_cross=list(
-                                report.eliminated_cross_batch
-                            ),
-                            eliminated_in=list(report.eliminated_in_batch),
-                            sent_bytes=report.sent_bytes,
-                            energy=dict(report.energy_by_category),
-                            halted=report.halted,
-                        )
-                if obs.enabled:
-                    obs.fleet_queue_depth.dec()
-                return report
-
-            if pool is None:
-                round_reports = {number: job(number) for number in active}
-            else:
-                futures = {number: pool.submit(job, number) for number in active}
-                round_reports = {
-                    number: futures[number].result() for number in active
-                }
-
-            # The barrier: stage buffers and held batch metrics flush in
-            # device order — the one serialization point, identical in
-            # both modes.
-            committed = 0
-            for number in active:
-                report = round_reports[number]
-                reports[number].append(report)
-                for observed in held[number]:
-                    obs.observe_batch_report(observed)
-                if report.halted:
-                    halted[number] = True
-                committed += proxies[number].commit()
-            round_span.set_attribute("n_committed", committed)
-            if obs.enabled:
-                obs.fleet_queue_depth.set(0)
-                obs.fleet_rounds.inc()
-            if journal.enabled:
-                journal.emit(
-                    "fleet.round",
-                    round=round_no,
-                    n_active=len(active),
-                    n_committed=committed,
+        def job(number: int) -> BatchReport:
+            # The journal binding wraps the whole pipeline, so every
+            # decision event the stages emit (cbrd.verdict, aiu.prepare,
+            # policy.applied, ssmm.select) carries this device —
+            # thread-local, so concurrent jobs never leak into each
+            # other's streams.
+            with journal.bind(devices[number].name), obs.hold_batch_reports(
+                held[number]
+            ):
+                report = self._schemes[number].process_batch(
+                    devices[number], proxies[number], batches[number]
                 )
+                if journal.enabled:
+                    journal.emit(
+                        "fleet.batch",
+                        round=round_no,
+                        n_images=report.n_images,
+                        uploaded=list(report.uploaded_ids),
+                        eliminated_cross=list(report.eliminated_cross_batch),
+                        eliminated_in=list(report.eliminated_in_batch),
+                        sent_bytes=report.sent_bytes,
+                        energy=dict(report.energy_by_category),
+                        halted=report.halted,
+                    )
+            if obs.enabled:
+                obs.fleet_queue_depth.dec()
+            return report
+
+        if pool is None:
+            round_reports = {number: job(number) for number in active}
+        else:
+            futures = {number: pool.submit(job, number) for number in active}
+            round_reports = {number: futures[number].result() for number in active}
+
+        # The barrier: stage buffers and held batch metrics flush in
+        # device order — the one serialization point, identical in both
+        # modes.
+        committed = 0
+        for number in active:
+            report = round_reports[number]
+            reports[number].append(report)
+            for observed in held[number]:
+                obs.observe_batch_report(observed)
+            if report.halted:
+                halted[number] = True
+            committed += proxies[number].commit()
+        if obs.enabled:
+            obs.fleet_queue_depth.set(0)
+            obs.fleet_rounds.inc()
+        if journal.enabled:
+            journal.emit(
+                "fleet.round",
+                round=round_no,
+                n_active=len(active),
+                n_committed=committed,
+            )

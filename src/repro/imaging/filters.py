@@ -1,7 +1,7 @@
 """Low-level image filters used by the feature extractors and codecs.
 
 Everything here operates on 2-D ``float64`` arrays (one image plane;
-:func:`box_blur` and :func:`reflect_pad` also take a stack of them) and
+:func:`box_blur_at` and :func:`reflect_pad` also take a stack of them) and
 is vectorised with numpy; no Python-level per-pixel loops.  These filters
 replace the OpenCV primitives the paper's prototype links against.
 """
@@ -89,26 +89,20 @@ def _summed_area_table(plane: np.ndarray, radius: int) -> np.ndarray:
 
 
 def box_blur(plane: np.ndarray, radius: int) -> np.ndarray:
-    """Box blur via a summed-area table; O(1) per pixel in the radius.
-
-    A 3-D input is a stack of planes along its leading axis; each is
-    blurred on its own, in one pass over the stack.
-    """
+    """Box blur of a 2-D plane via a summed-area table; O(1) per pixel."""
     plane = np.asarray(plane, dtype=np.float64)
-    if plane.ndim not in (2, 3):
-        raise ImageError(
-            f"box_blur expects a 2-D plane or a stack of them, got {plane.ndim}-D"
-        )
+    if plane.ndim != 2:
+        raise ImageError(f"box_blur expects a 2-D plane, got {plane.ndim}-D")
     if radius < 1:
         return plane.copy()
     size = 2 * radius + 1
-    h, w = plane.shape[-2:]
+    h, w = plane.shape
     sat = _summed_area_table(plane, radius)
     total = (
-        sat[..., size : size + h, size : size + w]
-        - sat[..., 0:h, size : size + w]
-        - sat[..., size : size + h, 0:w]
-        + sat[..., 0:h, 0:w]
+        sat[size : size + h, size : size + w]
+        - sat[0:h, size : size + w]
+        - sat[size : size + h, 0:w]
+        + sat[0:h, 0:w]
     )
     return total / float(size * size)
 
@@ -116,10 +110,12 @@ def box_blur(plane: np.ndarray, radius: int) -> np.ndarray:
 def box_blur_at(
     plane: np.ndarray, radius: int, ys: np.ndarray, xs: np.ndarray
 ) -> np.ndarray:
-    """``box_blur(plane, radius)[..., ys, xs]``, evaluated at those pixels only.
+    """``box_blur(plane, radius)[ys, xs]``, evaluated at those pixels only.
 
     Same values as the full blur, down to the last bit: the same table
-    entries are combined in the same order.
+    entries are combined in the same order.  A 3-D input is a stack of
+    planes along its leading axis; each is sampled on its own, in one
+    pass over the stack.
     """
     plane = np.asarray(plane, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.intp)

@@ -2,7 +2,7 @@
 
 The concurrent fleet leans on a small set of lock-protected classes:
 the decision journal, the metrics registry, the kernel match-count
-cache, the tracer.  Their discipline is uniform — own a
+cache.  Their discipline is uniform — own a
 ``threading.Lock`` attribute, mutate shared attributes only inside
 ``with self._lock:`` — and the byte-identical-fleet guarantee assumes
 nobody reads those attributes on a lock-free path.  This rule checks

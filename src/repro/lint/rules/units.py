@@ -14,7 +14,7 @@ rule pins the naming convention that keeps that accounting auditable:
   bug, whatever the types say).
 
 Only Python identifiers are checked.  String literals — artifact JSON
-keys, Prometheus metric names, span attributes — are wire formats with
+keys, Prometheus metric names, journal payload keys — are wire formats with
 their own compatibility story and are deliberately out of scope.
 """
 

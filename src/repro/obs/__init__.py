@@ -1,14 +1,17 @@
-"""Observability for the BEES pipeline: spans, metrics, exporters.
+"""Observability for the BEES pipeline: the journal and the metrics.
 
 The paper's whole argument is quantitative — bandwidth, energy,
 precision, delay per AFE → ARD → AIU stage — so this package gives
-every layer of the reproduction a shared tracing and metrics substrate:
+every layer of the reproduction two emission paths: the decision
+journal says *why* an image was eliminated or uploaded, and the metrics
+registry says *how much* a run sent and spent.  Where the wall time
+went is the end-to-end benchmark's question (``benchmarks/e2e``), not
+this package's.
 
-* :mod:`repro.obs.tracer` — nested, timed spans with attributes;
 * :mod:`repro.obs.metrics` — labelled ``Counter`` / ``Gauge`` /
   ``Histogram`` behind a :class:`MetricsRegistry`;
-* :mod:`repro.obs.exporters` — JSONL span logs, Prometheus text
-  exposition, console tables;
+* :mod:`repro.obs.exporters` — Prometheus text exposition and console
+  tables;
 * :mod:`repro.obs.runtime` — the process-wide context wired into the
   client pipeline, server index, uplink, DTN, and every baseline;
 * :mod:`repro.obs.journal` — the decision-provenance journal that
@@ -16,18 +19,15 @@ every layer of the reproduction a shared tracing and metrics substrate:
 * :mod:`repro.obs.slo` — declarative SLO specs checked against bench
   artifacts.
 
-Disabled by default: :func:`get_obs` returns a context whose spans are
-a shared no-op and whose hot-path guards are a single attribute check.
+Disabled by default: :func:`get_obs` returns a context whose hot-path
+guards are a single attribute check.
 """
 
 from .exporters import (
     console_summary,
     generate_latest,
     parse_prometheus,
-    read_jsonl,
     render_metrics_file,
-    spans_to_jsonl,
-    write_jsonl,
     write_prometheus,
 )
 from .journal import (
@@ -77,12 +77,9 @@ from .slo import (
     load_spec,
     parse_spec,
 )
-from .tracer import EMPTY_CONTEXT, NULL_SPAN, Span, TraceContext, Tracer
 
 __all__ = [
     "DIFF_IGNORED_EVENTS",
-    "EMPTY_CONTEXT",
-    "NULL_SPAN",
     "DEFAULT_STAGE_BUCKETS",
     "MAX_LABEL_SETS",
     "PIPELINE_STAGES",
@@ -102,9 +99,6 @@ __all__ = [
     "Slo",
     "SloResult",
     "SloSpec",
-    "Span",
-    "TraceContext",
-    "Tracer",
     "bucket_quantile",
     "configure_journal",
     "disable_journal",
@@ -127,9 +121,6 @@ __all__ = [
     "load_spec",
     "parse_prometheus",
     "parse_spec",
-    "read_jsonl",
     "render_metrics_file",
-    "spans_to_jsonl",
-    "write_jsonl",
     "write_prometheus",
 ]

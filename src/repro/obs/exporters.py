@@ -1,9 +1,7 @@
-"""Exporters: JSONL span logs, Prometheus text, console tables.
+"""Exporters: Prometheus text and console tables.
 
-Three ways out of the observability layer:
+Two ways out of the metrics registry:
 
-* :func:`write_jsonl` — one JSON object per finished span, for
-  notebooks and trace viewers;
 * :func:`generate_latest` — the Prometheus text exposition format
   (``# HELP`` / ``# TYPE`` + samples), as a scrape endpoint or file
   would serve it; :func:`parse_prometheus` reads it back;
@@ -13,13 +11,11 @@ Three ways out of the observability layer:
 
 from __future__ import annotations
 
-import json
 import math
 import pathlib
 
 from ..errors import ObservabilityError
 from .metrics import Histogram, HistogramSeries, MetricsRegistry
-from .tracer import Span, Tracer
 
 
 def _format_table(headers, rows):
@@ -28,34 +24,6 @@ def _format_table(headers, rows):
     from ..analysis.reporting import format_table
 
     return format_table(headers, rows)
-
-
-# -- JSONL spans ---------------------------------------------------------------
-
-
-def spans_to_jsonl(spans: "list[Span]") -> str:
-    """Serialise spans, one JSON object per line."""
-    return "".join(json.dumps(span.to_dict(), sort_keys=True) + "\n" for span in spans)
-
-
-def write_jsonl(tracer: Tracer, path) -> int:
-    """Write the tracer's finished spans to *path*; returns span count.
-
-    Exports from a locked snapshot, so worker threads finishing spans
-    mid-write can never tear a line.
-    """
-    spans = tracer.snapshot_finished()
-    pathlib.Path(path).write_text(spans_to_jsonl(spans))
-    return len(spans)
-
-
-def read_jsonl(path) -> "list[dict]":
-    """Load span records back from a JSONL trace file."""
-    records = []
-    for line in pathlib.Path(path).read_text().splitlines():
-        if line.strip():
-            records.append(json.loads(line))
-    return records
 
 
 # -- Prometheus text exposition ------------------------------------------------

@@ -1,8 +1,8 @@
 """The decision-provenance journal — a flight recorder for BEES runs.
 
-Aggregate metrics say *how much* a run uploaded; spans say *how long*
-stages took.  Neither says **why** image ``img-0042`` was eliminated.
-The journal does: every decision site in the pipeline — CBRD verdicts,
+Aggregate metrics say *how much* a run uploaded; the end-to-end
+benchmark says *where the wall time went*.  Neither says **why** image
+``img-0042`` was eliminated.  The journal does: every decision site in the pipeline — CBRD verdicts,
 AIU transmit/passthrough, EAAS policy evaluations, SSMM selections,
 shard routing, DTN forwards and drops — appends one typed, structured
 event to an append-only, schema-versioned JSONL file, and the
@@ -44,7 +44,6 @@ from pathlib import Path
 from typing import IO, Iterator
 
 from ..errors import ObservabilityError
-from .runtime import get_obs
 
 #: Journal file format version; bump on any incompatible record change.
 SCHEMA_VERSION = 1
@@ -80,15 +79,15 @@ class JournalRecord:
 
     ``seq`` is the run-global monotonic sequence number; ``device`` and
     ``image`` identify what the decision was about (either may be
-    ``None`` — coordinator events carry no device); ``span`` is the
-    enclosing tracer span id when observability is enabled.
+    ``None`` — coordinator events carry no device).  Journals written
+    before span tracing was removed also carry a per-record ``span``
+    key; :meth:`from_json_dict` ignores it.
     """
 
     seq: int
     event: str
     device: "str | None"
     image: "str | None"
-    span: "int | None"
     data: "dict[str, object]"
 
     def to_json_dict(self) -> "dict[str, object]":
@@ -97,7 +96,6 @@ class JournalRecord:
             "event": self.event,
             "device": self.device,
             "image": self.image,
-            "span": self.span,
             "data": self.data,
         }
 
@@ -111,7 +109,6 @@ class JournalRecord:
             event=str(raw["event"]),
             device=None if raw.get("device") is None else str(raw["device"]),
             image=None if raw.get("image") is None else str(raw["image"]),
-            span=None if raw.get("span") is None else _to_int(raw["span"]),
             data=data,
         )
 
@@ -204,16 +201,9 @@ class DecisionJournal:
         image_id: "str | None" = None,
         **data: object,
     ) -> "JournalRecord | None":
-        """Append one event; returns the record, or ``None`` if disabled.
-
-        The enclosing tracer span id is captured automatically when
-        observability is enabled, tying every decision back to the span
-        tree it happened under.
-        """
+        """Append one event; returns the record, or ``None`` if disabled."""
         if not self.enabled:
             return None
-        obs = get_obs()
-        span = obs.tracer.active if obs.enabled else None
         device = self._binding.device
         with self._lock:
             record = JournalRecord(
@@ -221,7 +211,6 @@ class DecisionJournal:
                 event=event,
                 device=device,
                 image=image_id,
-                span=None if span is None else span.span_id,
                 data=data,
             )
             self._seq += 1
@@ -488,7 +477,7 @@ def first_divergence(
     Comparison is per device stream (global interleaving legitimately
     differs between sequential and concurrent modes; each device's own
     order does not), on ``(event, image, data)`` — volatile fields
-    (``seq``, ``span``) and :data:`DIFF_IGNORED_EVENTS` are excluded.
+    (``seq``) and :data:`DIFF_IGNORED_EVENTS` are excluded.
     Returns ``None`` when the journals are decision-identical.
     """
     left_streams = _comparable_streams(left, ignore)

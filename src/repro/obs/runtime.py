@@ -1,13 +1,13 @@
 """The process-wide observability context.
 
-One :class:`Observability` object bundles a :class:`~repro.obs.tracer.
-Tracer`, a :class:`~repro.obs.metrics.MetricsRegistry` with the standard
-BEES metric set pre-registered, and optional export paths.  The module
-keeps a single global instance — disabled by default, so instrumented
-hot paths reduce to one attribute check — which :func:`configure`
-replaces and :func:`disable` resets::
+One :class:`Observability` object bundles a
+:class:`~repro.obs.metrics.MetricsRegistry` with the standard BEES
+metric set pre-registered and an optional Prometheus export path.  The
+module keeps a single global instance — disabled by default, so
+instrumented hot paths reduce to one attribute check — which
+:func:`configure` replaces and :func:`disable` resets::
 
-    obs = configure(trace_path="/tmp/t.jsonl", metrics_path="/tmp/m.prom")
+    obs = configure(metrics_path="m.prom")
     ...  # run experiments; instrumented code records through get_obs()
     obs.flush()
     disable()
@@ -45,9 +45,8 @@ import threading
 from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
-from .exporters import console_summary, write_jsonl, write_prometheus
-from .metrics import DEFAULT_STAGE_BUCKETS, MetricsRegistry
-from .tracer import EMPTY_CONTEXT, NULL_SPAN, TraceContext, Tracer
+from .exporters import console_summary, write_prometheus
+from .metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..baselines.base import BatchReport
@@ -62,20 +61,11 @@ LINK_BUCKETS = (0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 120.0)
 
 
 class Observability:
-    """A tracer + registry pair with optional file exporters."""
+    """The standard metric registry with an optional file exporter."""
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        trace_path=None,
-        metrics_path=None,
-        stage_buckets: "tuple[float, ...]" = DEFAULT_STAGE_BUCKETS,
-    ) -> None:
+    def __init__(self, enabled: bool = True, metrics_path=None) -> None:
         self.enabled = enabled
-        self.trace_path = trace_path
         self.metrics_path = metrics_path
-        self.stage_buckets = tuple(stage_buckets)
-        self.tracer = Tracer(enabled=enabled)
         self.registry = MetricsRegistry()
         self._held = threading.local()
         self._register_standard_metrics()
@@ -113,7 +103,6 @@ class Observability:
             "bees_stage_seconds",
             "Simulated seconds spent per pipeline stage per image",
             ("scheme", "stage"),
-            buckets=self.stage_buckets,
         )
         self.index_size = registry.gauge(
             "bees_index_size",
@@ -180,30 +169,6 @@ class Observability:
             ("shard",),
         )
 
-    # -- tracing -------------------------------------------------------------
-
-    def span(self, name: str, **attributes: object):
-        """A tracer span, or the shared no-op when disabled."""
-        if not self.enabled:
-            return NULL_SPAN
-        return self.tracer.span(name, **attributes)
-
-    def capture_context(self) -> TraceContext:
-        """The calling thread's trace context (for worker handoff)."""
-        if not self.enabled:
-            return EMPTY_CONTEXT
-        return self.tracer.current_context()
-
-    def attach(self, context: TraceContext):
-        """Seat a captured context under this thread's spans.
-
-        The worker-thread half of cross-thread propagation: everything
-        opened inside the block parents into the captured trace.
-        """
-        if not self.enabled:
-            return NULL_SPAN
-        return self.tracer.attach(context)
-
     # -- recording helpers ---------------------------------------------------
 
     def observe_stage(self, scheme: str, stage: str, seconds: float) -> None:
@@ -261,9 +226,6 @@ class Observability:
     def flush(self) -> "list[str]":
         """Write the configured export files; returns what was written."""
         written = []
-        if self.trace_path is not None:
-            write_jsonl(self.tracer, self.trace_path)
-            written.append(str(self.trace_path))
         if self.metrics_path is not None:
             write_prometheus(self.registry, self.metrics_path)
             written.append(str(self.metrics_path))
@@ -276,8 +238,6 @@ class Observability:
     def exporters(self) -> "list[str]":
         """Names of the active exporters (for ``repro info``)."""
         active = []
-        if self.trace_path is not None:
-            active.append(f"jsonl({self.trace_path})")
         if self.metrics_path is not None:
             active.append(f"prometheus({self.metrics_path})")
         return active
@@ -293,26 +253,13 @@ def get_obs() -> Observability:
     return _OBS
 
 
-def configure(
-    trace_path=None,
-    metrics_path=None,
-    enabled: "bool | None" = None,
-    stage_buckets: "tuple[float, ...]" = DEFAULT_STAGE_BUCKETS,
-) -> Observability:
-    """Install (and return) a fresh global observability context.
+def configure(metrics_path=None) -> Observability:
+    """Install (and return) a fresh, enabled global observability context.
 
-    Passing either path implies ``enabled=True``; ``configure()`` with
-    no arguments enables in-memory-only collection.
+    With no *metrics_path* the metrics are collected in memory only.
     """
     global _OBS
-    if enabled is None:
-        enabled = True
-    _OBS = Observability(
-        enabled=enabled,
-        trace_path=trace_path,
-        metrics_path=metrics_path,
-        stage_buckets=stage_buckets,
-    )
+    _OBS = Observability(metrics_path=metrics_path)
     return _OBS
 
 

@@ -17,7 +17,6 @@ from ..errors import SimulationError
 from ..features.orb import OrbExtractor
 from ..imaging.image import Image
 from ..index import FeatureIndex
-from ..obs.runtime import get_obs
 from .device import Smartphone
 from .telemetry import TimelineRecorder
 
@@ -64,17 +63,7 @@ class UploadSession:
         if not images:
             raise SimulationError("cannot run an empty batch")
         ebat_before = self.device.ebat
-        with get_obs().span(
-            "session.batch",
-            batch_index=len(self.reports),
-            scheme=self.scheme.name,
-            device=self.device.name,
-            ebat=ebat_before,
-        ) as span:
-            report = self.scheme.process_batch(self.device, self.server, images)
-            span.set_attribute("ebat_after", self.device.ebat)
-            span.set_attribute("bytes_sent", report.sent_bytes)
-            span.set_attribute("energy_j", report.total_energy_joules)
+        report = self.scheme.process_batch(self.device, self.server, images)
         self.reports.append(report)
         if self.recorder is not None:
             self.recorder.record(report, ebat_before, self.device.ebat)

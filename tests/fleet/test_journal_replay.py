@@ -157,7 +157,9 @@ class TestReplayIntegrity:
     def test_older_journal_with_kernel_cache_events_still_replays(self, tmp_path):
         # Journals written while the match-count cache existed carry a
         # coordinator ``kernel.cache`` record after every ``fleet.round``
-        # and number every later record one higher.
+        # and number every later record one higher.  Journals written
+        # while span tracing existed give every record a ``span`` key,
+        # an integer id when metrics were on.
         path = tmp_path / "live.jsonl"
         older = tmp_path / "older.jsonl"
         result = journaled_run(path, seed=5, devices=3, mode="concurrent", shards=4)
@@ -166,7 +168,9 @@ class TestReplayIntegrity:
         seq = 0
         for line in lines[1:]:
             raw = json.loads(line)
+            assert "span" not in raw
             raw["seq"] = seq
+            raw["span"] = 1000 + seq
             seq += 1
             out.append(json.dumps(raw))
             if raw["event"] == "fleet.round":
@@ -175,7 +179,7 @@ class TestReplayIntegrity:
                     "event": "kernel.cache",
                     "device": None,
                     "image": None,
-                    "span": None,
+                    "span": 1000 + seq,
                     "data": {"round": raw["data"]["round"], "hits": 0, "misses": 40},
                 }))
                 seq += 1

@@ -71,19 +71,16 @@ class TestBoxBlur:
     def test_rejects_non_2d(self):
         with pytest.raises(ImageError):
             box_blur(np.zeros(4), 1)
-
-    def test_stack_blurs_each_plane_alone(self):
-        stack = np.random.default_rng(0).uniform(0, 255, (3, 6, 7))
-        blurred = box_blur(stack, 2)
-        for plane, expected in zip(blurred, stack):
-            assert np.array_equal(plane, box_blur(expected, 2))
+        with pytest.raises(ImageError):
+            box_blur(np.zeros((3, 6, 7)), 1)
 
     @pytest.mark.parametrize("radius", [0, 1, 2, 3])
     def test_at_points_is_the_full_blur_bit_for_bit(self, radius):
         stack = np.random.default_rng(radius).uniform(0, 255, (3, 6, 7))
         ys, xs = np.indices((6, 7)).reshape(2, -1)
         at = box_blur_at(stack, radius, ys, xs)
-        assert at.tobytes() == box_blur(stack, radius)[:, ys, xs].tobytes()
+        for sampled, plane in zip(at, stack):
+            assert sampled.tobytes() == box_blur(plane, radius)[ys, xs].tobytes()
 
 
 class TestReflectPad:

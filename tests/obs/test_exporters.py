@@ -1,18 +1,13 @@
-"""Tests for the JSONL, Prometheus, and console exporters."""
-
-import json
+"""Tests for the Prometheus and console exporters."""
 
 from repro.obs.exporters import (
     console_summary,
     generate_latest,
     parse_prometheus,
-    read_jsonl,
     render_metrics_file,
-    write_jsonl,
     write_prometheus,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Tracer
 
 
 def populated_registry() -> MetricsRegistry:
@@ -29,35 +24,6 @@ def populated_registry() -> MetricsRegistry:
     histogram.observe(0.5, stage="afe")
     histogram.observe(5.0, stage="aiu")
     return registry
-
-
-class TestJsonl:
-    def test_round_trip_preserves_span_fields(self, tmp_path):
-        tracer = Tracer()
-        with tracer.span("outer", scheme="BEES"):
-            with tracer.span("inner", image_id="img-0"):
-                pass
-        path = tmp_path / "trace.jsonl"
-        assert write_jsonl(tracer, path) == 2
-        records = read_jsonl(path)
-        assert len(records) == 2
-        for record in records:
-            assert record["type"] == "span"
-            for key in ("name", "span_id", "parent_id", "start", "duration"):
-                assert key in record
-        by_name = {record["name"]: record for record in records}
-        assert by_name["inner"]["parent_id"] == by_name["outer"]["span_id"]
-
-    def test_each_line_is_standalone_json(self, tmp_path):
-        tracer = Tracer()
-        with tracer.span("a"):
-            pass
-        with tracer.span("b"):
-            pass
-        path = tmp_path / "trace.jsonl"
-        write_jsonl(tracer, path)
-        for line in path.read_text().splitlines():
-            json.loads(line)
 
 
 class TestPrometheus:

@@ -35,7 +35,7 @@ from repro.obs import (
 def record(seq, event, device=None, image=None, **data):
     """A JournalRecord literal for reader-free tests."""
     return JournalRecord(
-        seq=seq, event=event, device=device, image=image, span=None, data=data
+        seq=seq, event=event, device=device, image=image, data=data
     )
 
 
@@ -96,15 +96,16 @@ class TestWriterRoundTrip:
         with pytest.raises(ObservabilityError):
             DecisionJournal(flush_every=0)
 
-    def test_emit_captures_the_enclosing_span(self, tmp_path):
-        obs = configure()
-        path = tmp_path / "span.jsonl"
+    def test_new_records_carry_no_span_key(self, tmp_path):
+        configure()  # metrics on: records still carry no span
+        path = tmp_path / "nospan.jsonl"
         with journal_to(path) as journal:
-            with obs.span("cbrd.verify") as span:
-                rec = journal.emit("cbrd.verdict", image_id="img-1")
-                assert rec is not None and rec.span == span.span_id
-            outside = journal.emit("fleet.round")
-        assert outside is not None and outside.span is None
+            journal.emit("cbrd.verdict", image_id="img-1")
+            journal.emit("fleet.round")
+        lines = path.read_text().splitlines()
+        assert len(lines) == 3  # header + two records
+        for line in lines[1:]:
+            assert "span" not in json.loads(line)
 
 
 class TestGlobals:
@@ -251,9 +252,10 @@ class TestDiff:
 
     def test_seq_and_span_are_volatile(self):
         left = record(0, "cbrd.verdict", device="d", image="a", redundant=False)
-        right = JournalRecord(
-            seq=7, event="cbrd.verdict", device="d", image="a", span=123,
-            data={"redundant": False},
+        # An older record still carries the per-record span id.
+        right = JournalRecord.from_json_dict(
+            {"seq": 7, "event": "cbrd.verdict", "device": "d", "image": "a",
+             "span": 123, "data": {"redundant": False}}
         )
         assert first_divergence(journal_file(left), journal_file(right)) is None
 

@@ -8,7 +8,7 @@ from repro.baselines.base import BatchReport
 from repro.core.client import BeesScheme
 from repro.fleet import FleetRunner
 from repro.obs import (
-    NULL_SPAN,
+    DEFAULT_STAGE_BUCKETS,
     PIPELINE_STAGES,
     configure,
     disable,
@@ -24,7 +24,6 @@ class TestGlobalContext:
         obs = disable()
         assert get_obs() is obs
         assert not obs.enabled
-        assert obs.span("anything") is NULL_SPAN
 
     def test_configure_enables_and_replaces(self):
         obs = configure()
@@ -34,22 +33,25 @@ class TestGlobalContext:
         assert get_obs() is replacement
         assert replacement is not obs
 
-    def test_flush_writes_both_exports(self, tmp_path):
-        trace_path = tmp_path / "trace.jsonl"
+    def test_flush_writes_the_metrics_export(self, tmp_path):
         metrics_path = tmp_path / "metrics.prom"
-        obs = configure(trace_path=trace_path, metrics_path=metrics_path)
-        with obs.span("one"):
-            pass
+        obs = configure(metrics_path=metrics_path)
         obs.sent_bytes.inc(10, scheme="BEES")
-        written = obs.flush()
-        assert {str(trace_path), str(metrics_path)} == set(written)
-        assert trace_path.read_text().count("\n") == 1
+        assert obs.flush() == [str(metrics_path)]
         assert "bees_bytes_sent_total" in metrics_path.read_text()
+        assert configure().flush() == []
 
     def test_exporters_listing(self, tmp_path):
         assert disable().exporters() == []
-        obs = configure(trace_path=tmp_path / "t.jsonl")
-        assert obs.exporters() == [f"jsonl({tmp_path / 't.jsonl'})"]
+        obs = configure(metrics_path=tmp_path / "m.prom")
+        assert obs.exporters() == [f"prometheus({tmp_path / 'm.prom'})"]
+
+    def test_stage_histogram_uses_the_default_buckets(self):
+        obs = configure()
+        obs.observe_stage("BEES", "afe", 0.02)
+        text = generate_latest(obs.registry)
+        for bound in DEFAULT_STAGE_BUCKETS:
+            assert f'le="{bound:g}"' in text
 
 
 class TestBatchReportHook:
@@ -77,21 +79,10 @@ class TestPipelineInstrumentation:
         images, _ = small_batch_features
         return images
 
-    def test_bees_batch_records_spans_and_stage_metrics(self, batch):
+    def test_bees_batch_records_stage_metrics(self, batch):
         obs = configure()
         scheme = BeesScheme()
         scheme.process_batch(Smartphone(), build_server(scheme), batch)
-
-        names = {span.name for span in obs.tracer.finished}
-        assert {"bees.batch", "bees.afe", "bees.feature_upload", "bees.cbrd",
-                "bees.ssmm", "bees.aiu", "bees.image_upload"} <= names
-
-        by_id = {span.span_id: span for span in obs.tracer.finished}
-        roots = [span for span in obs.tracer.finished if span.name == "bees.batch"]
-        assert len(roots) == 1
-        for span in obs.tracer.finished:
-            if span.name.startswith("bees.") and span.name != "bees.batch":
-                assert by_id[span.parent_id].name == "bees.batch"
 
         for stage in PIPELINE_STAGES:
             series = obs.stage_seconds.value(scheme="BEES", stage=stage)
@@ -119,7 +110,6 @@ class TestPipelineInstrumentation:
         scheme = BeesScheme()
         scheme.process_batch(Smartphone(), build_server(scheme), batch)
         obs = get_obs()
-        assert len(obs.tracer) == 0
         assert obs.sent_bytes.value(scheme="BEES") == 0
         assert generate_latest(obs.registry).count("bees_stage_seconds_bucket") == 0
 

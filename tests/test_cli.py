@@ -55,10 +55,7 @@ class TestCompare:
         assert "BEES" in out
         assert "energy" in out
 
-    def test_trace_and_metrics_exports(self, tmp_path, capsys):
-        import json
-
-        trace_path = tmp_path / "trace.jsonl"
+    def test_metrics_export(self, tmp_path, capsys):
         metrics_path = tmp_path / "metrics.prom"
         code = main(
             [
@@ -67,23 +64,11 @@ class TestCompare:
                 "--in-batch", "1",
                 "--redundancy", "0.25",
                 "--schemes", "direct", "bees",
-                "--trace", str(trace_path),
                 "--metrics", str(metrics_path),
             ]
         )
         assert code == 0
-        out = capsys.readouterr().out
-        assert str(trace_path) in out
-        assert str(metrics_path) in out
-
-        spans = [
-            json.loads(line) for line in trace_path.read_text().splitlines() if line
-        ]
-        assert spans
-        for span in spans:
-            for key in ("name", "start", "duration", "span_id", "parent_id"):
-                assert key in span
-        assert any(span["name"] == "bees.batch" for span in spans)
+        assert str(metrics_path) in capsys.readouterr().out
 
         metrics_text = metrics_path.read_text()
         assert "bees_bytes_sent_total" in metrics_text
@@ -95,6 +80,15 @@ class TestCompare:
         from repro.obs import get_obs
 
         assert not get_obs().enabled
+
+    @pytest.mark.parametrize(
+        "command", [["compare"], ["lifetime"], ["coverage"], ["fleet", "run"]]
+    )
+    def test_trace_flag_is_gone(self, command, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--trace", str(tmp_path / "t.jsonl")])
+        assert excinfo.value.code == 2
+        assert "--trace" in capsys.readouterr().err
 
     def test_photonet_selectable(self, capsys):
         code = main(
@@ -171,8 +165,15 @@ class TestMetricsCommand:
         assert "scheme=BEES" in out
 
     def test_missing_file_fails(self, tmp_path):
-        with pytest.raises(OSError):
+        with pytest.raises(SystemExit, match="metrics read failed") as excinfo:
             main(["metrics", str(tmp_path / "nope.prom")])
+        assert "\n" not in str(excinfo.value.code)
+
+    def test_malformed_file_fails(self, tmp_path):
+        path = tmp_path / "bad.prom"
+        path.write_text("bees_bytes_sent_total not-a-number\n")
+        with pytest.raises(SystemExit, match="metrics read failed: line 1"):
+            main(["metrics", str(path)])
 
 
 class TestCoverage:
