@@ -562,8 +562,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
             handle.write(lint_module.render_sarif(result))
     if args.sarif == "-":  # stdout stays pure SARIF for piping
         print(lint_module.render_sarif(result), end="")
-    elif args.format == "json":
-        print(lint_module.render_json(result))
     else:
         print(lint_module.render_console(result))
     return 0 if result.ok else 1
@@ -837,10 +835,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "paths", nargs="*", default=["src", "benchmarks"],
         help="files or directories to lint (default: src benchmarks)",
-    )
-    lint.add_argument(
-        "--format", choices=["console", "json"], default="console",
-        help="findings output format (default: console)",
     )
     lint.add_argument(
         "--sarif", metavar="FILE", default=None,

@@ -10,13 +10,12 @@ BEES101     paper-constants        EAAS / quality constants live in one place
 BEES102     unit-suffix            byte/joule/second accounting stays legible
 BEES103     seeded-rng             every run is reproducible bit-for-bit
 BEES104     float-equality         similarity comparisons are well-defined
-BEES105     obs-coverage           every scheme/benchmark is instrumented
 BEES106     ebat-range             battery fractions stay in [0, 1]
-BEES108     missing-journal-event  decision sites reach the journal
-BEES109     lock-discipline        shared shard state is touched lock-held
-BEES110     unit-flow              bytes/joules/seconds never cross-assign
-BEES111     nondet-order           unordered iteration never reaches journals
+BEES108     missing-journal-event  schemes and decision sites report
+BEES109     lock-discipline        lock-guarded state is touched lock-held
 ==========  =====================  ==========================================
+
+Every rule reads one file at a time.
 
 Use it as a library (:func:`lint_paths`, :func:`lint_source`) or via
 ``python -m repro lint``.  Suppress a finding with an inline
@@ -30,7 +29,7 @@ from ..errors import ConfigurationError
 from .engine import LintResult, iter_python_files, lint_paths, lint_source
 from .findings import FileReport, Finding
 from .registry import FileContext, Rule, all_rules, register, resolve_rules
-from .reporters import render_console, render_json, render_sarif
+from .reporters import render_console, render_sarif
 
 __all__ = [
     "ConfigurationError",
@@ -45,7 +44,6 @@ __all__ = [
     "lint_source",
     "register",
     "render_console",
-    "render_json",
     "render_sarif",
     "resolve_rules",
 ]

@@ -91,25 +91,21 @@ def _rule_aliases(rules: "Iterable[Rule]") -> "dict[str, str]":
     return aliases
 
 
-def _needs_project(rules: "Sequence[Rule]") -> bool:
-    return any(getattr(rule, "requires_project", False) for rule in rules)
-
-
-def _check_file(
-    path: str,
+def lint_source(
     source: str,
-    tree: ast.Module,
-    active: "Sequence[Rule]",
-    project: object,
+    path: str = "<string>",
+    rules: "Sequence[Rule] | None" = None,
 ) -> FileReport:
-    """Run every rule over one parsed file and apply suppressions."""
+    """Parse one module, run every rule over it and apply suppressions."""
+    active = tuple(rules) if rules is not None else all_rules()
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError as exc:
+        return FileReport(
+            path=path, error=f"syntax error: {exc.msg} (line {exc.lineno})"
+        )
     ctx = FileContext(
-        path=path,
-        source=source,
-        tree=tree,
-        lines=tuple(source.splitlines()),
-        parents=walk_with_parents(tree),
-        project=project,  # type: ignore[arg-type]
+        path=path, source=source, tree=tree, parents=walk_with_parents(tree)
     )
     table = parse_suppressions(source)
     aliases = _rule_aliases(active)
@@ -121,68 +117,19 @@ def _check_file(
     return FileReport(path=path, findings=tuple(sorted(findings)))
 
 
-def _syntax_error_report(path: str, exc: SyntaxError) -> FileReport:
-    return FileReport(
-        path=path, error=f"syntax error: {exc.msg} (line {exc.lineno})"
-    )
-
-
-def lint_source(
-    source: str,
-    path: str = "<string>",
-    rules: "Sequence[Rule] | None" = None,
-) -> FileReport:
-    """Lint one in-memory module; the unit tests' entry point.
-
-    Whole-program rules see a single-file project, so intra-file
-    interprocedural flows (helper -> caller) still resolve.
-    """
-    active = tuple(rules) if rules is not None else all_rules()
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return _syntax_error_report(path, exc)
-    project = None
-    if _needs_project(active):
-        from .flow.project import Project
-
-        project = Project.from_sources([(path, tree)])
-    return _check_file(path, source, tree, active, project)
-
-
 def lint_paths(
     paths: "Sequence[str]",
     rules: "Sequence[Rule] | None" = None,
 ) -> LintResult:
-    """Lint every ``.py`` file under *paths* in one pass.
-
-    Every file is read and parsed, whole-program rules share one
-    :class:`~.flow.project.Project` built from all of them, and every
-    file is checked against it.
-    """
+    """Lint every ``.py`` file under *paths*, one file at a time."""
     active = tuple(rules) if rules is not None else all_rules()
-    reports: "dict[str, FileReport]" = {}
-    parsed: "dict[str, tuple[str, ast.Module]]" = {}
-    checked = list(iter_python_files(paths))
-    for path in checked:
+    reports: "list[FileReport]" = []
+    for path in iter_python_files(paths):
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 source = handle.read()
         except OSError as exc:
-            reports[path] = FileReport(path=path, error=f"unreadable: {exc}")
+            reports.append(FileReport(path=path, error=f"unreadable: {exc}"))
             continue
-        try:
-            parsed[path] = (source, ast.parse(source, filename=path))
-        except SyntaxError as exc:
-            reports[path] = _syntax_error_report(path, exc)
-
-    project = None
-    if _needs_project(active):
-        from .flow.project import Project
-
-        project = Project.from_sources(
-            (path, tree) for path, (_, tree) in sorted(parsed.items())
-        )
-    for path, (source, tree) in parsed.items():
-        reports[path] = _check_file(path, source, tree, active, project)
-    return LintResult(reports=tuple(reports[path] for path in checked))
+        reports.append(lint_source(source, path, active))
+    return LintResult(reports=tuple(reports))

@@ -1,7 +1,7 @@
 """The unit of beeslint output: one finding at one source location.
 
 Findings are plain frozen dataclasses so reporters can render them
-however they like (console lines, JSON objects) and tests can compare
+however they like (console lines, SARIF results) and tests can compare
 them structurally.
 """
 
@@ -19,16 +19,6 @@ class Finding:
     col: int
     rule: str
     message: str
-
-    def as_dict(self) -> "dict[str, object]":
-        """The JSON-reporter shape of this finding."""
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "rule": self.rule,
-            "message": self.message,
-        }
 
     def format(self) -> str:
         """``path:line:col: [rule] message`` — the console shape."""

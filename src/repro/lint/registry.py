@@ -11,13 +11,10 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Type
+from typing import Iterable, Iterator, Type
 
 from ..errors import ConfigurationError
 from .findings import Finding
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .flow.project import Project
 
 
 @dataclass
@@ -26,24 +23,13 @@ class FileContext:
 
     ``parents`` maps every AST node to its parent so rules can reason
     about *where* an expression sits (e.g. "is this Name a bare call
-    argument?") without re-walking the tree themselves.  ``project``
-    is the whole-program context (symbol tables, call graph, shared
-    summaries) — present whenever any active rule declares
-    ``requires_project`` and always covering at least this file.
+    argument?") without re-walking the tree themselves.
     """
 
     path: str
     source: str
     tree: ast.Module
-    lines: "tuple[str, ...]" = field(default=())
     parents: "dict[ast.AST, ast.AST]" = field(default_factory=dict)
-    project: "Project | None" = None
-
-    @property
-    def is_benchmark_module(self) -> bool:
-        """True for ``bench_*.py`` files (the figure benchmark suite)."""
-        basename = self.path.replace("\\", "/").rsplit("/", 1)[-1]
-        return basename.startswith("bench_") and basename.endswith(".py")
 
     def parent(self, node: ast.AST) -> "ast.AST | None":
         """The enclosing AST node, or None at module level."""
@@ -69,10 +55,6 @@ class Rule:
     code: str = ""
     #: One-line description shown by ``repro lint --list-rules``.
     summary: str = ""
-    #: True for whole-program rules: the engine then builds a
-    #: :class:`~repro.lint.flow.project.Project` over the run and hands
-    #: it to every file via ``ctx.project``.
-    requires_project: bool = False
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         """Yield findings for one file."""
@@ -153,6 +135,3 @@ def iter_nodes(
     for node in ast.walk(tree):
         if isinstance(node, kind):
             yield node
-
-
-CheckFn = Callable[[FileContext], Iterator[Finding]]

@@ -1,4 +1,4 @@
-"""beeslint output formats: console lines, JSON, and SARIF 2.1.0."""
+"""beeslint output formats: console lines and SARIF 2.1.0."""
 
 from __future__ import annotations
 
@@ -31,20 +31,6 @@ def render_console(result: LintResult) -> str:
         + (f", {len(result.errors)} file error(s)" if result.errors else "")
     )
     return "\n".join(lines)
-
-
-def render_json(result: LintResult) -> str:
-    """A machine-readable report (stable key order, trailing newline)."""
-    document = {
-        "tool": "beeslint",
-        "files_checked": result.files_checked,
-        "findings": [finding.as_dict() for finding in result.findings],
-        "errors": [
-            {"path": report.path, "error": report.error} for report in result.errors
-        ],
-        "ok": result.ok,
-    }
-    return json.dumps(document, indent=2, sort_keys=False) + "\n"
 
 
 def _sarif_uri(path: str) -> str:

@@ -6,18 +6,7 @@ coupling between the engine and the rules.
 
 from __future__ import annotations
 
-from . import (
-    battery,
-    constants,
-    floateq,
-    journal,
-    lockflow,
-    nondet,
-    obs,
-    rng,
-    units,
-    unitflow,
-)
+from . import battery, constants, floateq, journal, lockflow, rng, units
 
 __all__ = [
     "battery",
@@ -25,9 +14,6 @@ __all__ = [
     "floateq",
     "journal",
     "lockflow",
-    "nondet",
-    "obs",
     "rng",
     "units",
-    "unitflow",
 ]

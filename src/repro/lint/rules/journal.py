@@ -1,22 +1,31 @@
-"""BEES108 ``missing-journal-event`` — decision sites must journal.
+"""BEES108 ``missing-journal-event`` — decision sites must report.
 
-The decision-provenance journal (:mod:`repro.obs.journal`) is only a
-flight recorder if every decision site reports to it: a verdict that
-never lands in the journal cannot be explained, diffed, or replayed.
-This rule walks the four decision-bearing modules — ``core/ard.py``,
-``core/aiu.py``, ``core/policies.py``, ``dtn/routing.py`` — and flags
-any *decision site* that can return without a journal event on any
-path to ``.emit(...)``:
+A verdict only counts if it reaches the funnels the numbers are read
+from.  Two structural checks, one per funnel:
 
-* functions whose return annotation names a verdict type
-  (``CbrdDecision``, ``AiuResult``, ``DeliveryReport``);
-* ``__call__`` on ``*Policy*`` classes (the EAAS policies);
-* the DTN dynamics entry points ``_exchange`` and ``step``.
+* **Schemes report through ``observe_batch``.**  Scheme-vs-scheme
+  numbers are only comparable if every scheme reports through the same
+  hook: every concrete ``process_batch`` on a ``*Scheme`` subclass, in
+  any file, must call ``self.observe_batch(...)`` — the shared hook
+  that feeds the ``bees_*`` metric families.
+* **Decisions reach the journal.**  The decision-provenance journal
+  (:mod:`repro.obs.journal`) is only a flight recorder if every
+  decision site reports to it: a verdict that never lands in the
+  journal cannot be explained, diffed, or replayed.  In the five
+  decision-bearing modules — ``core/ard.py``, ``core/aiu.py``,
+  ``core/policies.py``, ``dtn/routing.py``, ``network/transfer.py`` —
+  any *decision site* must reach ``.emit(...)``:
 
-A site passes if it emits directly **or** calls (by simple name,
-transitively, within the same file) a function that does — the idiom
-here is a per-module ``_emit`` funnel, and e.g. ``decide`` →
-``_classify`` → ``_emit`` must count as covered.
+  - functions whose return annotation names a verdict type
+    (``CbrdDecision``, ``AiuResult``, ``DeliveryReport``,
+    ``ChunkedOutcome``);
+  - ``__call__`` on ``*Policy*`` classes (the EAAS policies);
+  - the DTN dynamics entry points ``_exchange`` and ``step``.
+
+  A site passes if it emits directly **or** calls (by simple name,
+  transitively, within the same file) a function that does — the idiom
+  here is a per-module ``_emit`` funnel, and e.g. ``decide`` →
+  ``_classify`` → ``_emit`` must count as covered.
 """
 
 from __future__ import annotations
@@ -54,28 +63,27 @@ def _is_abstract(func: "ast.FunctionDef | ast.AsyncFunctionDef") -> bool:
     return False
 
 
-def _emits_directly(func: ast.AST) -> bool:
-    """Does *func* contain an ``<anything>.emit(...)`` call?"""
-    for node in ast.walk(func):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "emit"
-        ):
-            return True
-    return False
-
-
-def _called_names(func: ast.AST) -> "set[str]":
-    """Simple names *func* calls: ``foo(...)`` and ``self.foo(...)``."""
-    names = set()
+def _calls(func: ast.AST) -> "tuple[set[str], set[str]]":
+    """What *func* calls: bare ``foo(...)`` names and ``x.foo(...)`` methods."""
+    names: "set[str]" = set()
+    methods: "set[str]" = set()
     for node in ast.walk(func):
         if not isinstance(node, ast.Call):
             continue
         if isinstance(node.func, ast.Name):
             names.add(node.func.id)
         elif isinstance(node.func, ast.Attribute):
-            names.add(node.func.attr)
+            methods.add(node.func.attr)
+    return names, methods
+
+
+def _base_names(class_def: ast.ClassDef) -> "list[str]":
+    names = []
+    for base in class_def.bases:
+        if isinstance(base, ast.Name):
+            names.append(base.id)
+        elif isinstance(base, ast.Attribute):
+            names.append(base.attr)
     return names
 
 
@@ -96,20 +104,45 @@ def _returns_text(func: "ast.FunctionDef | ast.AsyncFunctionDef") -> str:
 
 @register
 class MissingJournalEventRule(Rule):
-    """Decision sites in the journaled modules must reach ``.emit``."""
+    """Schemes reach ``observe_batch``; decision sites reach ``.emit``."""
 
     name = "missing-journal-event"
     code = "BEES108"
     summary = (
+        "*Scheme.process_batch overrides must call observe_batch, and "
         "decision sites in core/ard.py, core/aiu.py, core/policies.py, "
         "dtn/routing.py, and network/transfer.py must emit (or "
         "transitively reach) a decision-journal event"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
+        yield from self._check_schemes(ctx)
         basename = ctx.path.replace("\\", "/").rsplit("/", 1)[-1]
-        if basename not in _TARGET_BASENAMES:
-            return
+        if basename in _TARGET_BASENAMES:
+            yield from self._check_decision_sites(ctx)
+
+    def _check_schemes(self, ctx: FileContext) -> Iterator[Finding]:
+        for class_def in ast.walk(ctx.tree):
+            if not isinstance(class_def, ast.ClassDef) or not any(
+                base.endswith("Scheme") for base in _base_names(class_def)
+            ):
+                continue
+            for item in class_def.body:
+                if (
+                    isinstance(item, _FunctionNode)
+                    and item.name == "process_batch"
+                    and not _is_abstract(item)
+                    and "observe_batch" not in _calls(item)[1]
+                ):
+                    yield self.make(
+                        ctx,
+                        item,
+                        f"{class_def.name}.process_batch never calls "
+                        "self.observe_batch(report); every scheme must return "
+                        "its report through the shared observability hook",
+                    )
+
+    def _check_decision_sites(self, ctx: FileContext) -> Iterator[Finding]:
         functions = [
             node
             for node in iter_nodes(ctx.tree, _FunctionNode)
@@ -118,15 +151,16 @@ class MissingJournalEventRule(Rule):
         # Fixpoint closure over same-file calls by simple name: a
         # function "emits" if it contains .emit(...) or calls another
         # in-file function that does (e.g. decide -> _classify -> _emit).
-        emitting = {func.name for func in functions if _emits_directly(func)}
-        calls = {func.name: _called_names(func) for func in functions}
+        calls = {func.name: _calls(func) for func in functions}
+        emitting = {func.name for func in functions if "emit" in calls[func.name][1]}
+        callees = {name: bare | methods for name, (bare, methods) in calls.items()}
         changed = True
         while changed:
             changed = False
             for func in functions:
                 if func.name in emitting:
                     continue
-                if calls[func.name] & emitting:
+                if callees[func.name] & emitting:
                     emitting.add(func.name)
                     changed = True
         for func in functions:

@@ -1,8 +1,8 @@
-"""BEES109 ``lock-discipline`` — a static race detector for shard state.
+"""BEES109 ``lock-discipline`` — a static race detector for shared state.
 
 The concurrent fleet leans on a small set of lock-protected classes:
-the decision journal, the metrics registry, the kernel match-count
-cache.  Their discipline is uniform — own a
+the decision journal, the metrics registry and the sharded index's
+per-shard locks.  Their discipline is uniform — own a
 ``threading.Lock`` attribute, mutate shared attributes only inside
 ``with self._lock:`` — and the byte-identical-fleet guarantee assumes
 nobody reads those attributes on a lock-free path.  This rule checks
@@ -17,8 +17,8 @@ exactly that, per class:
    writes, which state the lock owns.  Methods named ``*_locked`` are
    the held-by-convention helpers and also teach writes.
 3. **Enforce.**  Every read or write of a guarded attribute must sit
-   in a CFG block whose ``with``-contexts include an owning lock —
-   i.e. on a path dominated by the acquisition and before the release.
+   in a CFG block whose lexical ``with``-contexts include an owning
+   lock (see :mod:`repro.lint.cfg`).
    Constructors (``__init__``/``__post_init__``/``__new__``) are
    exempt (no concurrent peer exists yet), ``*_locked`` helpers are
    assumed held (but *calling* one without the lock is its own
@@ -37,8 +37,8 @@ import ast
 import re
 from typing import Iterator
 
+from ..cfg import CFG, build_cfg, evaluated_nodes
 from ..findings import Finding
-from ..flow.cfg import CFG, build_cfg, evaluated_nodes
 from ..registry import FileContext, Rule, register
 
 #: Constructor calls whose result makes an attribute a lock.
@@ -189,7 +189,7 @@ class LockDisciplineRule(Rule):
     code = "BEES109"
     summary = (
         "attributes written under a class's lock are read/written only "
-        "on paths dominated by that lock's acquisition"
+        "inside a with-block on that lock"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:

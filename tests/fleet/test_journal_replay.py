@@ -12,6 +12,10 @@ by :func:`repro.obs.first_divergence` and in the
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +34,9 @@ from repro.obs.journal import DIFF_IGNORED_EVENTS
 def reset_journal():
     yield
     disable_journal()
+
+
+SRC_DIR = Path(__file__).resolve().parents[2] / "src"
 
 
 def journaled_run(path, *, seed=5, devices=3, mode="sequential", shards=1,
@@ -263,3 +270,53 @@ class TestDiffLocalization:
         assert "dev-01" in message
         assert "fleet.batch" in message
         assert "uploaded" in message
+
+
+class TestHashSeedDeterminism:
+    def test_journal_and_fingerprint_ignore_the_hash_seed(self, tmp_path):
+        # Set and dict-of-str iteration order follows PYTHONHASHSEED, so
+        # a set that leaks into a journal payload, the fingerprint, the
+        # CBRD vote ranking or a float sum shows up as a difference
+        # between two seeds.  Every event is compared, including those
+        # ``journal diff`` skips (fleet.run.start/end, index.route).
+        argv = [
+            sys.executable, "-m", "repro", "fleet", "run",
+            "--devices", "4", "--shards", "2", "--rounds", "2",
+            "--batch-size", "6", "--mode", "sequential",
+            "--chunk-drop", "0.02", "--ber", "1e-7", "--transport", "arq",
+        ]
+        pythonpath = os.pathsep.join(
+            filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])
+        )
+        runs = {}
+        fingerprints = {}
+        try:
+            for seed in ("0", "1"):
+                journal = tmp_path / f"seed-{seed}.jsonl"
+                env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath)
+                process = subprocess.Popen(
+                    argv + ["--journal", str(journal)],
+                    env=env,
+                    stdout=subprocess.PIPE,
+                    stderr=subprocess.PIPE,
+                    text=True,
+                )
+                runs[seed] = (journal, process)
+            for seed, (journal, process) in runs.items():
+                out, err = process.communicate(timeout=300)
+                assert process.returncode == 0, err
+                [line] = [
+                    line for line in out.splitlines()
+                    if line.startswith("decision fingerprint:")
+                ]
+                fingerprints[seed] = line
+        finally:
+            for _, process in runs.values():
+                if process.poll() is None:
+                    process.kill()
+                    process.wait()
+        assert fingerprints["0"] == fingerprints["1"]
+        left = read_journal(runs["0"][0])
+        right = read_journal(runs["1"][0])
+        divergence = first_divergence(left, right, ignore=frozenset())
+        assert divergence is None, divergence.describe()

@@ -1,13 +1,12 @@
-"""CFG construction edge cases plus generative structural properties.
+"""CFG construction edge cases plus a generative structural property.
 
-The flow rules only see the program through :mod:`repro.lint.flow.cfg`,
-so every control construct the codebase uses gets a shape test here:
-branches, loop ``else`` clauses, ``try`` funnels, nested ``with``
-regions, and the early-``return``-under-lock pattern BEES109 leans on.
-The hypothesis suite then pins the two properties every client assumes
-for *arbitrary* functions: the published graph is connected from the
-entry, and a forward fixpoint over it terminates (converged, in
-budget).
+BEES109 only sees the program through :mod:`repro.lint.cfg`, so every
+control construct the codebase uses gets a shape test here: branches,
+loop ``else`` clauses, ``try`` funnels, nested ``with`` regions, and
+the early-``return``-under-lock pattern BEES109 leans on.  The
+hypothesis suite then pins what BEES109 assumes for *arbitrary*
+functions: the published graph is connected from the entry and its
+edges are symmetric.
 """
 
 import ast
@@ -15,13 +14,7 @@ import ast
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lint.flow.cfg import (
-    build_cfg,
-    build_module_cfg,
-    evaluated_nodes,
-    iter_function_nodes,
-)
-from repro.lint.flow.dataflow import ForwardAnalysis, run_forward
+from repro.lint.cfg import build_cfg, evaluated_nodes
 
 
 def cfg_of(source):
@@ -128,22 +121,6 @@ class TestLoops:
         )
         assert header.block_id in continue_block.successors
 
-    def test_loop_annotation_innermost_last(self):
-        cfg = cfg_of(
-            "def f(rows):\n"
-            "    for row in rows:\n"
-            "        while row:\n"
-            "            row = step(row)\n"
-        )
-        block, _ = find_stmt(
-            cfg,
-            lambda s: isinstance(s, ast.Assign),
-        )
-        assert [type(loop).__name__ for loop in block.loops] == [
-            "For",
-            "While",
-        ]
-
 
 class TestTry:
     def test_try_except_else_finally_edges(self):
@@ -186,10 +163,9 @@ class TestTry:
         # Both the handler and the else path funnel through finally.
         assert final_block.block_id in handler_block.successors
         assert final_block.block_id in else_block.successors
-        # finally dominates the code after the statement.
+        # finally is the only way into the code after the statement.
         return_block, _ = find_stmt(cfg, lambda s: isinstance(s, ast.Return))
-        dom = cfg.dominators()
-        assert final_block.block_id in dom[return_block.block_id]
+        assert return_block.predecessors == {final_block.block_id}
 
     def test_bare_try_finally_with_terminating_body(self):
         cfg = cfg_of(
@@ -304,33 +280,18 @@ class TestEvaluatedNodes:
         assert self.names(stmt) == set()
 
     def test_nested_scopes_get_their_own_cfgs(self):
-        tree = ast.parse(
+        outer = ast.parse(
             "def outer():\n"
             "    def inner():\n"
             "        return 1\n"
             "    return inner\n"
-        )
-        functions = iter_function_nodes(tree)
-        assert [func.name for func in functions] == ["outer", "inner"]
-        for func in functions:
-            assert build_cfg(func).blocks
-
-
-class TestModuleCfg:
-    def test_module_scope_flows_like_a_function(self):
-        cfg = build_module_cfg(
-            ast.parse("x = 1\nif x:\n    y = 2\nz = 3\n")
-        )
-        z_block, _ = find_stmt(
-            cfg,
-            lambda s: isinstance(s, ast.Assign)
-            and ast.unparse(s.targets[0]) == "z",
-        )
-        assert len(z_block.predecessors) == 2
-
-    def test_empty_module(self):
-        cfg = build_module_cfg(ast.parse(""))
-        assert cfg.entry in cfg.blocks
+        ).body[0]
+        inner = outer.body[0]
+        outer_stmts = [stmt for _, stmt in build_cfg(outer).statements()]
+        assert inner in outer_stmts
+        assert inner.body[0] not in outer_stmts
+        inner_stmts = [stmt for _, stmt in build_cfg(inner).statements()]
+        assert inner_stmts == [inner.body[0]]
 
 
 # -- generative properties ----------------------------------------------------
@@ -388,23 +349,9 @@ _structures = st.recursive(
 )
 
 
-class _CountingAnalysis(ForwardAnalysis):
-    """A tiny two-level lattice: have we seen an assignment to x?"""
-
-    def join_values(self, left, right):
-        return left or right
-
-    def transfer(self, block, stmt, state):
-        if isinstance(stmt, (ast.Assign, ast.AugAssign)):
-            new = dict(state)
-            new["x"] = True
-            return new
-        return state
-
-
 @settings(max_examples=60, deadline=None)
 @given(_structures)
-def test_generated_cfgs_are_connected_and_fixpoints_terminate(structure):
+def test_generated_cfgs_are_connected(structure):
     body = _render(structure) or ["pass"]
     source = "def f(x, xs, lock):\n" + "\n".join(
         "    " + line for line in body
@@ -432,7 +379,3 @@ def test_generated_cfgs_are_connected_and_fixpoints_terminate(structure):
             assert block_id in cfg.blocks[succ].predecessors
         for pred in block.predecessors:
             assert block_id in cfg.blocks[pred].successors
-    # Property 3: a forward fixpoint converges well inside its budget.
-    result = run_forward(cfg, _CountingAnalysis())
-    assert result.converged
-    assert result.iterations <= 64 * max(1, len(cfg.blocks))

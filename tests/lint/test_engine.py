@@ -13,7 +13,7 @@ from repro.lint import (
     lint_paths,
     lint_source,
     render_console,
-    render_json,
+    render_sarif,
     resolve_rules,
 )
 
@@ -112,9 +112,11 @@ class TestEngine:
 class TestSelection:
     def test_all_rules_have_unique_names_and_codes(self):
         rules = all_rules()
-        assert len(rules) == 10
-        assert len({r.name for r in rules}) == 10
-        assert len({r.code for r in rules}) == 10
+        assert sorted(r.code for r in rules) == [
+            "BEES101", "BEES102", "BEES103", "BEES104",
+            "BEES106", "BEES108", "BEES109",
+        ]
+        assert len({r.name for r in rules}) == 7
         assert all(r.code.startswith("BEES") for r in rules)
         assert all(r.summary for r in rules)
 
@@ -125,7 +127,7 @@ class TestSelection:
     def test_ignore_removes_a_rule(self):
         rules = resolve_rules(ignore=["unit-suffix"])
         assert "unit-suffix" not in {r.name for r in rules}
-        assert len(rules) == 9
+        assert len(rules) == 6
 
     def test_unknown_rule_raises(self):
         with pytest.raises(ConfigurationError):
@@ -142,17 +144,18 @@ class TestReporters:
         assert "[seeded-rng]" in text
         assert "beeslint: 1 finding" in text
 
-    def test_json_is_parseable_and_structured(self):
-        payload = json.loads(render_json(self._result()))
-        assert payload["tool"] == "beeslint"
-        assert payload["ok"] is False
-        assert payload["files_checked"] == 1
-        (finding,) = payload["findings"]
-        assert finding["rule"] == "seeded-rng"
-        assert finding["path"] == "mod.py"
-        assert finding["line"] == 1
+    def test_sarif_is_parseable_and_structured(self):
+        [run] = json.loads(render_sarif(self._result()))["runs"]
+        assert run["tool"]["driver"]["name"] == "beeslint"
+        (result,) = run["results"]
+        assert result["ruleId"] == "BEES103"
+        location = result["locations"][0]["physicalLocation"]
+        assert location["artifactLocation"]["uri"] == "mod.py"
+        assert location["region"]["startLine"] == 1
 
     def test_clean_result_renders_ok(self):
         clean = LintResult(reports=(lint_source("x = 1\n"),))
         assert "0 findings" in render_console(clean)
-        assert json.loads(render_json(clean))["ok"] is True
+        [run] = json.loads(render_sarif(clean))["runs"]
+        assert run["results"] == []
+        assert "invocations" not in run

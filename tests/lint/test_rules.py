@@ -157,58 +157,6 @@ class TestFloatEquality:
         )
 
 
-class TestObsCoverage:
-    def test_flags_scheme_without_observe_batch(self):
-        source = (
-            "class Broken(SharingScheme):\n"
-            "    def process_batch(self, device, server, batch):\n"
-            "        return 1\n"
-        )
-        findings = findings_for(source, "obs-coverage")
-        assert len(findings) == 1
-        assert "observe_batch" in findings[0].message
-
-    def test_allows_scheme_routing_through_observe_batch(self):
-        source = (
-            "class Fine(SharingScheme):\n"
-            "    def process_batch(self, device, server, batch):\n"
-            "        return self.observe_batch(report)\n"
-        )
-        assert not findings_for(source, "obs-coverage")
-
-    def test_allows_abstract_process_batch(self):
-        source = (
-            "import abc\n"
-            "class Base(SharingScheme):\n"
-            "    @abc.abstractmethod\n"
-            "    def process_batch(self, device, server, batch):\n"
-            "        ...\n"
-        )
-        assert not findings_for(source, "obs-coverage")
-
-    def test_flags_bench_module_missing_contract(self):
-        source = "def run(params):\n    return {}\n"
-        findings = findings_for(
-            source, "obs-coverage", path="benchmarks/bench_broken.py"
-        )
-        assert len(findings) == 1
-        assert "QUICK_PARAMS" in findings[0].message
-
-    def test_allows_complete_bench_module(self):
-        source = (
-            "PARAMS = {}\n"
-            "QUICK_PARAMS = {}\n"
-            "def run(params):\n"
-            "    return {}\n"
-        )
-        assert not findings_for(
-            source, "obs-coverage", path="benchmarks/bench_fine.py"
-        )
-
-    def test_contract_only_applies_to_bench_modules(self):
-        assert not findings_for("x = 1\n", "obs-coverage", path="pkg/util.py")
-
-
 class TestEbatRange:
     def test_flags_raw_arithmetic_on_ebat(self):
         source = "def policy(ebat):\n    return 0.4 - 0.4 * ebat\n"
@@ -348,3 +296,31 @@ class TestMissingJournalEvent:
         assert not findings_for(
             source, "missing-journal-event", path=self.ARD_PATH
         )
+
+    def test_flags_scheme_without_observe_batch(self):
+        source = (
+            "class Broken(SharingScheme):\n"
+            "    def process_batch(self, device, server, batch):\n"
+            "        return 1\n"
+        )
+        findings = findings_for(source, "missing-journal-event")
+        assert len(findings) == 1
+        assert "observe_batch" in findings[0].message
+
+    def test_allows_scheme_routing_through_observe_batch(self):
+        source = (
+            "class Fine(SharingScheme):\n"
+            "    def process_batch(self, device, server, batch):\n"
+            "        return self.observe_batch(report)\n"
+        )
+        assert not findings_for(source, "missing-journal-event")
+
+    def test_allows_abstract_process_batch(self):
+        source = (
+            "import abc\n"
+            "class Base(SharingScheme):\n"
+            "    @abc.abstractmethod\n"
+            "    def process_batch(self, device, server, batch):\n"
+            "        ...\n"
+        )
+        assert not findings_for(source, "missing-journal-event")

@@ -276,12 +276,23 @@ class TestJournalCommands:
 
 
 class TestLint:
+    # One BEES102 finding (line 2) and one BEES109 finding (line 15).
     DIRTY = (
-        "def drain(payload, battery_joules):\n"
-        "    total = len(payload)\n"
-        "    sent_bytes = total\n"
-        "    spent = battery_joules\n"
-        "    return sent_bytes + spent\n"
+        "def drain(sent_bytes, battery_joules):\n"
+        "    return sent_bytes + battery_joules\n"
+        "\n"
+        "import threading\n"
+        "\n"
+        "class Counter:\n"
+        "    def __init__(self):\n"
+        "        self._lock = threading.Lock()\n"
+        "\n"
+        "    def bump(self):\n"
+        "        with self._lock:\n"
+        "            self._count = 1\n"
+        "\n"
+        "    def read(self):\n"
+        "        return self._count\n"
     )
 
     def tree(self, tmp_path, source):
@@ -291,8 +302,9 @@ class TestLint:
     def test_finding_exits_one(self, tmp_path, capsys):
         assert main(["lint", self.tree(tmp_path, self.DIRTY)]) == 1
         out = capsys.readouterr().out
-        assert "[unit-flow]" in out
-        assert "beeslint: 1 finding in 1 file(s)" in out
+        assert "module.py:2:" in out and "[unit-suffix]" in out
+        assert "module.py:15:" in out and "[lock-discipline]" in out
+        assert "beeslint: 2 findings in 1 file(s)" in out
 
     def test_clean_tree_exits_zero(self, tmp_path, capsys):
         root = self.tree(tmp_path, "def double(n):\n    return n + n\n")
@@ -307,11 +319,11 @@ class TestLint:
         sarif = tmp_path / "out.sarif"
         root = self.tree(tmp_path, self.DIRTY)
         assert main(["lint", root, "--sarif", str(sarif)]) == 1
-        assert "beeslint: 1 finding" in capsys.readouterr().out
+        assert "beeslint: 2 findings" in capsys.readouterr().out
         document = json.loads(sarif.read_text())
         assert document["version"] == "2.1.0"
         [run] = document["runs"]
-        assert [r["ruleId"] for r in run["results"]] == ["BEES110"]
+        assert [r["ruleId"] for r in run["results"]] == ["BEES102", "BEES109"]
 
     def test_sarif_dash_keeps_stdout_pure(self, tmp_path, capsys):
         import json
@@ -319,14 +331,16 @@ class TestLint:
         assert main(["lint", self.tree(tmp_path, self.DIRTY), "--sarif", "-"]) == 1
         assert json.loads(capsys.readouterr().out)["version"] == "2.1.0"
 
-    def test_json_format_parses(self, tmp_path, capsys):
+    def test_sarif_stdout_lists_every_finding(self, tmp_path, capsys):
         import json
 
         root = self.tree(tmp_path, self.DIRTY)
-        assert main(["lint", root, "--format", "json"]) == 1
-        document = json.loads(capsys.readouterr().out)
-        assert document["ok"] is False
-        assert [f["rule"] for f in document["findings"]] == ["unit-flow"]
+        assert main(["lint", root, "--sarif", "-"]) == 1
+        [run] = json.loads(capsys.readouterr().out)["runs"]
+        assert [
+            (r["ruleId"], r["locations"][0]["physicalLocation"]["region"]["startLine"])
+            for r in run["results"]
+        ] == [("BEES102", 2), ("BEES109", 15)]
 
     def test_help_lists_no_removed_options(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -336,4 +350,4 @@ class TestLint:
         assert "--sarif" in out
         assert "--changed" not in out
         assert "--no-cache" not in out
-        assert "{console,json}" in out
+        assert "--format" not in out
