@@ -60,25 +60,30 @@ def mutual_matches(
         raise FeatureError(f"ratio must be in (0, 1], got {ratio}")
     if distances.size == 0:
         return np.zeros((0, 2), dtype=np.int64)
+    # Only rows whose best distance is within the ceiling can match, so
+    # mutuality and the ratio test are evaluated on those rows alone.
     best_col = distances.argmin(axis=1)
-    best_row = distances.argmin(axis=0)
-    rows = np.arange(distances.shape[0])
-    mutual = best_row[best_col] == rows
-    best = distances[rows, best_col]
-    close = best <= threshold
+    best = distances[np.arange(distances.shape[0]), best_col]
+    rows = np.flatnonzero(best <= threshold)
+    best_col, best = best_col[rows], best[rows]
+    # A row is mutual when it is its best column's argmin over every row
+    # (the same first-index tie-break as a full argmin along axis 0).
+    mutual = distances[:, best_col].argmin(axis=0) == rows
+    rows, best_col, best = rows[mutual], best_col[mutual], best[mutual]
     # The ratio test runs in BOTH directions (row-wise and column-wise
     # second-best) so the resulting match set — and hence Equation 2's
     # similarity — is symmetric in its two arguments.
-    unambiguous = np.ones_like(mutual)
-    if ratio < 1.0:
+    if ratio < 1.0 and rows.size:
+        unambiguous = np.ones(rows.size, dtype=bool)
         if distances.shape[1] >= 2:
-            second_row = np.partition(distances, 1, axis=1)[:, :2].max(axis=1)
+            second_row = np.partition(distances[rows], 1, axis=1)[:, :2].max(axis=1)
             unambiguous &= best <= ratio * second_row
         if distances.shape[0] >= 2:
-            second_col = np.partition(distances, 1, axis=0)[:2, :].max(axis=0)
-            unambiguous &= best <= ratio * second_col[best_col]
-    keep = mutual & close & unambiguous
-    return np.stack([rows[keep], best_col[keep]], axis=1)
+            columns = distances[:, best_col]
+            second_col = np.partition(columns, 1, axis=0)[:2, :].max(axis=0)
+            unambiguous &= best <= ratio * second_col
+        rows, best_col = rows[unambiguous], best_col[unambiguous]
+    return np.stack([rows, best_col], axis=1)
 
 
 def resolve_threshold(kind: str, threshold: float | None) -> float:

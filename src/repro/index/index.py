@@ -27,7 +27,8 @@ import numpy as np
 
 from ..errors import IndexError_
 from ..features.base import FeatureSet
-from ..features.similarity import jaccard_similarity
+from ..features.matching import resolve_threshold
+from ..features.similarity import _check_kind, _pair_jaccard, prepare_set
 from ..kernels.voting import GroupedKeys
 from .lsh import (
     FLOAT_SKETCH_BITS,
@@ -53,13 +54,18 @@ def verify_candidates(
 ) -> "list[tuple[str, float]]":
     """Exact Equation-2 scores for *candidates*, best-*k* first.
 
+    Equal to :func:`~repro.features.similarity.jaccard_similarity` on
+    every candidate; the query is prepared and its ceiling resolved once.
     Sorted by ``(similarity desc, image_id asc)`` — the same
     deterministic tie-break as :func:`rank_votes`.
     """
-    scored = [
-        (candidate.image_id, jaccard_similarity(query, candidate))
-        for candidate in candidates
-    ]
+    prepared = prepare_set(query)
+    limit = resolve_threshold(query.kind, None)
+    scored = []
+    for candidate in candidates:
+        _check_kind(query.kind, candidate)
+        score = _pair_jaccard(prepared, prepare_set(candidate), limit)
+        scored.append((candidate.image_id, score))
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return scored[:k]
 

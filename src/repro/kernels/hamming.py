@@ -6,7 +6,9 @@ popcount touches 64 bits instead of 8 and the per-pair reduction is a
 few-word accumulation instead of a 32-element gather through a lookup
 table.  The word loop accumulates one ``(block, m)`` plane at a time,
 so the ``(block, m, words)`` XOR tensor of the naive formulation is
-never materialised.
+never materialised, and it sums the planes in the narrowest unsigned
+type that holds ``64 * words`` — uint16 for ORB, uint8 for the
+sketches — widening to the int64 result only once per block.
 
 Popcount backends, selected once at import by whether numpy has
 ``np.bitwise_count`` (overridable per call for the differential tests):
@@ -139,12 +141,15 @@ def hamming_distance_matrix_u64(
     if n == 0 or m == 0:
         return distances
     block = block_rows if block_rows is not None else _block_rows(m, words)
+    # Two rows are at most 64 * words bits apart, so the narrowest
+    # unsigned type holding that bound sums the word planes exactly:
+    # uint16 for ORB's 4 words, uint8 for the 2-word sketches.
+    acc_dtype = np.min_scalar_type(64 * words)
     for start in range(0, n, block):
         stop = min(start + block, n)
         # Accumulate word by word: each step touches one (block, m)
-        # plane, never the (block, m, words) tensor, and the uint8
-        # counts of np.bitwise_count add without an upcast copy.
-        acc = np.zeros((stop - start, m), dtype=np.uint64)
+        # plane, never the (block, m, words) tensor.
+        acc = np.zeros((stop - start, m), dtype=acc_dtype)
         for word in range(words):
             xor = np.bitwise_xor(a64[start:stop, word, None], b64[None, :, word])
             if chosen == "bitwise_count":

@@ -104,8 +104,14 @@ def lint_source(
         return FileReport(
             path=path, error=f"syntax error: {exc.msg} (line {exc.lineno})"
         )
+    parents, nodes, positions = walk_with_parents(tree)
     ctx = FileContext(
-        path=path, source=source, tree=tree, parents=walk_with_parents(tree)
+        path=path,
+        source=source,
+        tree=tree,
+        parents=parents,
+        nodes=nodes,
+        positions=positions,
     )
     table = parse_suppressions(source)
     aliases = _rule_aliases(active)

@@ -23,13 +23,19 @@ class FileContext:
 
     ``parents`` maps every AST node to its parent so rules can reason
     about *where* an expression sits (e.g. "is this Name a bare call
-    argument?") without re-walking the tree themselves.
+    argument?") without re-walking the tree themselves.  ``nodes``
+    holds every node in :func:`ast.walk` order and ``positions`` maps
+    each concrete node type to its indexes in ``nodes``; both come from
+    the same single walk as ``parents`` (:func:`walk_with_parents`), and
+    :func:`iter_nodes` reads them instead of walking the tree again.
     """
 
     path: str
     source: str
     tree: ast.Module
     parents: "dict[ast.AST, ast.AST]" = field(default_factory=dict)
+    nodes: "list[ast.AST]" = field(default_factory=list)
+    positions: "dict[type, list[int]]" = field(default_factory=dict)
 
     def parent(self, node: ast.AST) -> "ast.AST | None":
         """The enclosing AST node, or None at module level."""
@@ -119,19 +125,36 @@ def resolve_rules(
     return tuple(rule for rule in rules if rule.name in active)
 
 
-def walk_with_parents(tree: ast.Module) -> "dict[ast.AST, ast.AST]":
-    """Map every node in *tree* to its parent node."""
+def walk_with_parents(
+    tree: ast.Module,
+) -> "tuple[dict[ast.AST, ast.AST], list[ast.AST], dict[type, list[int]]]":
+    """One walk of *tree*: parent map, walk-order nodes, by-type index."""
     parents: "dict[ast.AST, ast.AST]" = {}
+    nodes: "list[ast.AST]" = []
+    positions: "dict[type, list[int]]" = {}
     for node in ast.walk(tree):
+        positions.setdefault(type(node), []).append(len(nodes))
+        nodes.append(node)
         for child in ast.iter_child_nodes(node):
             parents[child] = node
-    return parents
+    return parents, nodes, positions
 
 
 def iter_nodes(
-    tree: ast.Module, kind: "type | tuple[type, ...]"
+    ctx: FileContext, kind: "type | tuple[type, ...]"
 ) -> "Iterator[ast.AST]":
-    """All nodes of *kind* in *tree*, in source order."""
-    for node in ast.walk(tree):
-        if isinstance(node, kind):
-            yield node
+    """All nodes of *kind* in *ctx*'s tree, in :func:`ast.walk` order.
+
+    Reads the by-type index, so a rule's module-level scan costs the
+    matching nodes, not a fresh walk; subclasses of *kind* match as
+    they would under ``isinstance``.
+    """
+    found = [
+        index
+        for node_type, indexes in ctx.positions.items()
+        if issubclass(node_type, kind)
+        for index in indexes
+    ]
+    found.sort()
+    for index in found:
+        yield ctx.nodes[index]

@@ -97,7 +97,7 @@ class EbatRangeRule(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for func in iter_nodes(ctx.tree, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        for func in iter_nodes(ctx, (ast.FunctionDef, ast.AsyncFunctionDef)):
             if not _takes_ebat(func):
                 continue
             if _has_guard(func):

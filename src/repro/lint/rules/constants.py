@@ -61,7 +61,7 @@ class PaperConstantRule(Rule):
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if _is_allowed_file(ctx.path):
             return
-        for node in iter_nodes(ctx.tree, ast.Constant):
+        for node in iter_nodes(ctx, ast.Constant):
             value = node.value
             if isinstance(value, float) and value in _PROTECTED:
                 yield self.make(
@@ -70,7 +70,7 @@ class PaperConstantRule(Rule):
                     f"literal {value} is {_PROTECTED[value]}; import it from "
                     "repro.core.config / repro.core.policies instead",
                 )
-        for call in iter_nodes(ctx.tree, ast.Call):
+        for call in iter_nodes(ctx, ast.Call):
             if _call_name(call.func) != "LinearPolicy":
                 continue
             literal_args = [

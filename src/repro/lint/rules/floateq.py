@@ -59,7 +59,7 @@ class FloatEqualityRule(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for compare in iter_nodes(ctx.tree, ast.Compare):
+        for compare in iter_nodes(ctx, ast.Compare):
             operands = [compare.left] + list(compare.comparators)
             for op, left, right in zip(compare.ops, operands, operands[1:]):
                 if not isinstance(op, (ast.Eq, ast.NotEq)):

@@ -122,7 +122,7 @@ class MissingJournalEventRule(Rule):
             yield from self._check_decision_sites(ctx)
 
     def _check_schemes(self, ctx: FileContext) -> Iterator[Finding]:
-        for class_def in ast.walk(ctx.tree):
+        for class_def in iter_nodes(ctx, ast.ClassDef):
             if not isinstance(class_def, ast.ClassDef) or not any(
                 base.endswith("Scheme") for base in _base_names(class_def)
             ):
@@ -145,7 +145,7 @@ class MissingJournalEventRule(Rule):
     def _check_decision_sites(self, ctx: FileContext) -> Iterator[Finding]:
         functions = [
             node
-            for node in iter_nodes(ctx.tree, _FunctionNode)
+            for node in iter_nodes(ctx, _FunctionNode)
             if isinstance(node, _FunctionNode)
         ]
         # Fixpoint closure over same-file calls by simple name: a

@@ -39,7 +39,7 @@ from typing import Iterator
 
 from ..cfg import CFG, build_cfg, evaluated_nodes
 from ..findings import Finding
-from ..registry import FileContext, Rule, register
+from ..registry import FileContext, Rule, iter_nodes, register
 
 #: Constructor calls whose result makes an attribute a lock.
 _LOCK_FACTORIES = frozenset(
@@ -193,7 +193,7 @@ class LockDisciplineRule(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for class_node in ast.walk(ctx.tree):
+        for class_node in iter_nodes(ctx, ast.ClassDef):
             if not isinstance(class_node, ast.ClassDef):
                 continue
             model = _ClassModel(class_node)

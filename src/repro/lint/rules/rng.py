@@ -58,7 +58,7 @@ class SeededRngRule(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in iter_nodes(ctx.tree, (ast.Import, ast.ImportFrom)):
+        for node in iter_nodes(ctx, (ast.Import, ast.ImportFrom)):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.name == "random":
@@ -75,7 +75,7 @@ class SeededRngRule(Rule):
                     "importing from stdlib 'random' introduces global RNG "
                     "state; use a seeded numpy.random.Generator instead",
                 )
-        for call in iter_nodes(ctx.tree, ast.Call):
+        for call in iter_nodes(ctx, ast.Call):
             attr = _np_random_attr(call.func)
             if attr is not None and attr not in _ALLOWED_NP_RANDOM:
                 yield self.make(

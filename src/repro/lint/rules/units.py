@@ -60,9 +60,19 @@ def _bad_suffix(identifier: str) -> "str | None":
     return None
 
 
+_IDENTIFIER_NODES = (
+    ast.Name,
+    ast.Attribute,
+    ast.arg,
+    ast.FunctionDef,
+    ast.AsyncFunctionDef,
+    ast.keyword,
+)
+
+
 def _identifier_nodes(ctx: FileContext) -> "Iterator[tuple[ast.AST, str]]":
     """(node, identifier) pairs for every name-like site in the file."""
-    for node in ast.walk(ctx.tree):
+    for node in iter_nodes(ctx, _IDENTIFIER_NODES):
         if isinstance(node, ast.Name):
             yield node, node.id
         elif isinstance(node, ast.Attribute):
@@ -124,7 +134,7 @@ class UnitSuffixRule(Rule):
                     f"prefix; make it the suffix (e.g. "
                     f"{'_'.join(identifier.split('_')[1:])}_{unit})",
                 )
-        for binop in iter_nodes(ctx.tree, ast.BinOp):
+        for binop in iter_nodes(ctx, ast.BinOp):
             if not isinstance(binop.op, (ast.Add, ast.Sub)):
                 continue
             left, right = _operand_unit(binop.left), _operand_unit(binop.right)
@@ -135,7 +145,7 @@ class UnitSuffixRule(Rule):
                     f"arithmetic mixes units: {left!r} and {right!r} operands "
                     "in one +/- expression",
                 )
-        for compare in iter_nodes(ctx.tree, ast.Compare):
+        for compare in iter_nodes(ctx, ast.Compare):
             operands = [compare.left] + list(compare.comparators)
             for first, second in zip(operands, operands[1:]):
                 left, right = _operand_unit(first), _operand_unit(second)

@@ -23,9 +23,11 @@ input.  They intentionally share no code with ``repro.kernels``:
 * :func:`reference_l2_distance_matrix` — the float-descriptor L2
   matrix, norms recomputed on every call.
 
-``mutual_matches`` is imported from production: the kernel layer did
-not change it, and reusing it keeps the differentials focused on what
-did change.
+* :func:`reference_mutual_matches` — the mutual-match rule as it was
+  before the early exit: full ``argmin`` along both axes and both
+  ratio-test partitions over the whole matrix.  Frozen because the
+  production rule now reads only the rows that pass the ceiling, and
+  the differential must prove that shortcut equal to the full rule.
 """
 
 from __future__ import annotations
@@ -34,10 +36,11 @@ from collections import defaultdict
 
 import numpy as np
 
+from repro.errors import FeatureError
 from repro.features.matching import (
     DEFAULT_HAMMING_THRESHOLD,
+    DEFAULT_RATIO,
     L2_THRESHOLDS,
-    mutual_matches,
 )
 
 _POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1)
@@ -63,6 +66,45 @@ def reference_l2_distance_matrix(a, b):
     return np.sqrt(np.maximum(sq, 0.0))
 
 
+def reference_mutual_matches(
+    distances: np.ndarray, threshold: float, ratio: float = DEFAULT_RATIO
+) -> np.ndarray:
+    """Indices of mutual-nearest-neighbour matches under *threshold*.
+
+    Returns an ``(m, 2)`` array of (row, col) index pairs.  A row matches
+    a column when each is the other's nearest neighbour, the distance is
+    <= threshold, and the match passes the Lowe ratio test (the best
+    distance must be <= ``ratio`` x the second best in its row), which
+    discards ambiguous matches between repetitive structures.
+    """
+    distances = np.asarray(distances)
+    if distances.ndim != 2:
+        raise FeatureError(f"distance matrix must be 2-D, got {distances.ndim}-D")
+    if not 0.0 < ratio <= 1.0:
+        raise FeatureError(f"ratio must be in (0, 1], got {ratio}")
+    if distances.size == 0:
+        return np.zeros((0, 2), dtype=np.int64)
+    best_col = distances.argmin(axis=1)
+    best_row = distances.argmin(axis=0)
+    rows = np.arange(distances.shape[0])
+    mutual = best_row[best_col] == rows
+    best = distances[rows, best_col]
+    close = best <= threshold
+    # The ratio test runs in BOTH directions (row-wise and column-wise
+    # second-best) so the resulting match set — and hence Equation 2's
+    # similarity — is symmetric in its two arguments.
+    unambiguous = np.ones_like(mutual)
+    if ratio < 1.0:
+        if distances.shape[1] >= 2:
+            second_row = np.partition(distances, 1, axis=1)[:, :2].max(axis=1)
+            unambiguous &= best <= ratio * second_row
+        if distances.shape[0] >= 2:
+            second_col = np.partition(distances, 1, axis=0)[:2, :].max(axis=0)
+            unambiguous &= best <= ratio * second_col[best_col]
+    keep = mutual & close & unambiguous
+    return np.stack([rows[keep], best_col[keep]], axis=1)
+
+
 def reference_match_count(desc_a, desc_b, kind, threshold=None):
     """The pre-kernel ``match_count`` body."""
     if len(desc_a) == 0 or len(desc_b) == 0:
@@ -73,7 +115,7 @@ def reference_match_count(desc_a, desc_b, kind, threshold=None):
     else:
         dist = reference_l2_distance_matrix(desc_a, desc_b)
         limit = L2_THRESHOLDS[kind] if threshold is None else threshold
-    return int(mutual_matches(dist, limit).shape[0])
+    return int(reference_mutual_matches(dist, limit).shape[0])
 
 
 def reference_jaccard(features_a, features_b, threshold=None):

@@ -9,9 +9,11 @@ decision (kept/eliminated ids, bytes, joules) moving.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.ssmm import partition_components, similarity_matrix
 from repro.features.base import FeatureSet
+from repro.features.matching import mutual_matches
 from repro.features.similarity import jaccard_similarity
 from repro.index.lsh import HammingLSH
 from repro.kernels.hamming import hamming_distance_matrix
@@ -20,6 +22,8 @@ from .reference import (
     ReferenceHammingLSH,
     reference_hamming_distance_matrix,
     reference_jaccard,
+    reference_l2_distance_matrix,
+    reference_mutual_matches,
     reference_partition_components,
     reference_similarity_matrix,
     synthetic_feature_sets,
@@ -31,6 +35,68 @@ BATCH_SIZES = (2, 5, 9)
 #: Explicit match ceilings looser than each kind's default, so the
 #: threshold argument is exercised on pairs the default would reject.
 EXPLICIT_THRESHOLDS = {"orb": 40, "sift": 0.6, "pca-sift": 0.3}
+
+
+@st.composite
+def _match_cases(draw):
+    """A distance matrix, a ceiling and a ratio that stress the early exit.
+
+    Int entries come from a tiny range so row and column minima tie;
+    float entries from a few repeated values plus a continuous draw.
+    Shapes include 1 x m, n x 1 and 0 x m, and the ceiling sits below,
+    at or above the entries.
+    """
+    n = draw(st.integers(min_value=0, max_value=7))
+    m = draw(st.integers(min_value=1, max_value=7))
+    if draw(st.booleans()):
+        values = st.integers(min_value=0, max_value=draw(st.integers(1, 4)))
+        entries = draw(st.lists(values, min_size=n * m, max_size=n * m))
+        distances = np.array(entries, dtype=np.int64).reshape(n, m)
+    else:
+        values = st.one_of(
+            st.sampled_from([0.0, 0.1, 0.25, 0.5]),
+            st.floats(min_value=0.0, max_value=2.0),
+        )
+        entries = draw(st.lists(values, min_size=n * m, max_size=n * m))
+        distances = np.array(entries, dtype=np.float64).reshape(n, m)
+    lowest = float(distances.min()) if distances.size else 0.0
+    highest = float(distances.max()) if distances.size else 0.0
+    ceilings = [lowest - 1.0, highest + 1.0, *distances.ravel().tolist()]
+    threshold = draw(st.sampled_from(ceilings))
+    ratio = draw(st.sampled_from([0.7, 1.0]))
+    return distances, threshold, ratio
+
+
+class TestMutualMatchesDifferential:
+    """The early-exit rule against the frozen full-matrix rule."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_match_cases())
+    def test_identical_to_reference(self, case):
+        distances, threshold, ratio = case
+        expected = reference_mutual_matches(distances, threshold, ratio)
+        actual = mutual_matches(distances, threshold, ratio)
+        assert actual.dtype == expected.dtype
+        assert actual.shape == expected.shape
+        assert np.array_equal(actual, expected)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_identical_on_descriptor_distances(self, kind, seed):
+        sets = synthetic_feature_sets(kind, 2, 40, seed)
+        a, b = (s.descriptors for s in sets)
+        if kind == "orb":
+            distances = reference_hamming_distance_matrix(a, b)
+            ceilings = (0, 10, 28, 40, 256)
+        else:
+            distances = reference_l2_distance_matrix(a, b)
+            ceilings = (0.0, 0.2, 0.45, 0.6, 4.0)
+        for threshold in ceilings:
+            for ratio in (0.7, 1.0):
+                expected = reference_mutual_matches(distances, threshold, ratio)
+                actual = mutual_matches(distances, threshold, ratio)
+                assert actual.dtype == expected.dtype
+                assert np.array_equal(actual, expected)
 
 
 class TestHammingDifferential:

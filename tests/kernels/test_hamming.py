@@ -123,3 +123,31 @@ class TestBlockedDistance:
         # Random 256-bit strings differ in ~128 bits (binomial, sd=8).
         assert dist.min() > 70
         assert dist.max() < 190
+
+
+class TestAccumulatorLimits:
+    """The narrow word-plane accumulator at the largest distances."""
+
+    @staticmethod
+    def _extremes(width, backend):
+        if backend == "bitwise_count" and not _HAS_BITWISE_COUNT:
+            pytest.skip("needs np.bitwise_count")
+        zeros = np.zeros((2, width), dtype=np.uint8)
+        ones = np.full((3, width), 255, dtype=np.uint8)
+        return hamming_distance_matrix(zeros, ones, backend=backend)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("width, bits", [(32, 256), (16, 128)])
+    def test_all_zeros_against_all_ones(self, backend, width, bits):
+        dist = self._extremes(width, backend)
+        assert dist.dtype == np.int64
+        assert dist.tolist() == [[bits] * 3] * 2
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("width", [8184, 8192, 8200])
+    def test_widths_past_uint16_stay_exact(self, backend, width):
+        # 1,023 words (8,184 bytes) is the widest row whose distance
+        # fits uint16; one more word must switch to a wider type.
+        dist = self._extremes(width, backend)
+        assert dist.dtype == np.int64
+        assert dist.tolist() == [[8 * width] * 3] * 2
