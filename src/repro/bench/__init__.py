@@ -14,9 +14,12 @@ suite:
 * :mod:`repro.bench.schema` — the versioned ``BENCH_<runid>.json``
   artifact (env block, per-case metrics, git SHA);
 * :mod:`repro.bench.compare` — diffs two artifacts and fails on any
-  drift of their bytes, joules or elimination counts.
+  drift of their bytes, joules, eliminations or simulated stage
+  seconds, or on any failed row of :mod:`repro.bench.claims`, the
+  paper's headline claims as one fixed table.
 """
 
+from .claims import CLAIMS, check_claims
 from .compare import (
     ComparisonResult,
     Drift,
@@ -37,12 +40,14 @@ from .schema import (
 
 __all__ = [
     "CASE_SPECS",
+    "CLAIMS",
     "SCHEMA_VERSION",
     "BenchCase",
     "CaseRun",
     "ComparisonResult",
     "Drift",
     "case_ids",
+    "check_claims",
     "compare_artifacts",
     "compare_files",
     "default_artifact_path",

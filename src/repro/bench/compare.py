@@ -1,13 +1,14 @@
-"""Diff two ``BENCH_*.json`` artifacts: the accounted series must match exactly.
+"""Diff two ``BENCH_*.json`` artifacts and check the paper's claims.
 
-Bytes, joules and elimination counts come from the accounted model — no
-wall clock enters them — so the same code on the same parameters
-reproduces them exactly, and any difference, up or down, is a
-behaviour change.  For every baseline case the candidate's
-``bytes_sent``, ``energy_joules`` and ``eliminations`` mappings must
-equal the baseline's key for key and value for value.  A case missing
-from the candidate fails; a case only the candidate has is listed but
-not compared.
+Bytes, joules, elimination counts and stage seconds (*simulated*
+seconds) come from the accounted model, so the same code reproduces
+them exactly and any difference, up or down, is a behaviour change.
+For every baseline case the candidate's :data:`EXACT_FIELDS` mappings
+must equal the baseline's key for key.  A case missing from the
+candidate fails; a case only the candidate has is listed but not
+compared.  ``result`` blocks are not gated: four cases hold wall time
+there.  Every row of :mod:`repro.bench.claims` whose case is compared
+is checked on the candidate.
 
 Wall time is not compared: an artifact's ``wall_seconds`` is printed
 information, and ``benchmarks/e2e`` is what measures the program.
@@ -17,27 +18,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .claims import ClaimResult, check_claims
 from .schema import read_artifact, validate_artifact
 
 #: The per-case mappings that must match exactly.
-EXACT_FIELDS = ("bytes_sent", "energy_joules", "eliminations")
+EXACT_FIELDS = ("bytes_sent", "energy_joules", "eliminations", "stage_seconds")
 
 
 @dataclass(frozen=True)
 class Drift:
     """One series whose value differs between the two artifacts.
 
-    ``None`` on either side means the series is absent there.
+    ``None`` on either side means the series is absent there.  A
+    ``stage_seconds`` series is its whole summary dict.
     """
 
     case_id: str
     field: str
     series: str
-    baseline: "float | None"
-    candidate: "float | None"
+    baseline: "float | dict | None"
+    candidate: "float | dict | None"
 
     def describe(self) -> str:
-        def shown(value: "float | None") -> str:
+        def shown(value: "float | dict | None") -> str:
             return "absent" if value is None else repr(value)
 
         return (
@@ -55,11 +58,16 @@ class ComparisonResult:
     drifts: "list[Drift]" = field(default_factory=list)
     missing_in_candidate: "list[str]" = field(default_factory=list)
     added_in_candidate: "list[str]" = field(default_factory=list)
+    claims: "list[ClaimResult]" = field(default_factory=list)
+
+    @property
+    def failed_claims(self) -> "list[ClaimResult]":
+        return [claim for claim in self.claims if not claim.ok]
 
     @property
     def ok(self) -> bool:
-        """True when every compared series matches and no case disappeared."""
-        return not self.drifts and not self.missing_in_candidate
+        """True when no series drifted, no case disappeared and every claim held."""
+        return not (self.drifts or self.missing_in_candidate or self.failed_claims)
 
 
 def compare_artifacts(baseline: dict, candidate: dict) -> ComparisonResult:
@@ -82,6 +90,7 @@ def compare_artifacts(baseline: dict, candidate: dict) -> ComparisonResult:
                     result.drifts.append(
                         Drift(case_id, name, series, base.get(series), cand.get(series))
                     )
+    result.claims = check_claims(cand_cases, result.compared)
     return result
 
 
@@ -91,8 +100,9 @@ def compare_files(baseline_path, candidate_path) -> ComparisonResult:
 
 
 def format_comparison(result: ComparisonResult) -> str:
-    """One line per drift, missing or added case, then a verdict line."""
+    """One line per drift, failed claim, missing or added case, then a verdict."""
     lines = [drift.describe() for drift in result.drifts]
+    lines += [claim.describe() for claim in result.failed_claims]
     for case_id in result.missing_in_candidate:
         lines.append(f"MISSING: case {case_id!r} present in baseline only")
     for case_id in result.added_in_candidate:
@@ -101,11 +111,13 @@ def format_comparison(result: ComparisonResult) -> str:
         lines.append(
             f"no drift: {len(result.compared)} case(s) match exactly on "
             + ", ".join(EXACT_FIELDS)
+            + f"; {len(result.claims)} claim(s) hold"
         )
     else:
         drifted = len({drift.case_id for drift in result.drifts})
         lines.append(
             f"{len(result.drifts)} drifted series in {drifted} case(s), "
-            f"{len(result.missing_in_candidate)} missing case(s)"
+            f"{len(result.missing_in_candidate)} missing case(s), "
+            f"{len(result.failed_claims)} of {len(result.claims)} claim(s) failed"
         )
     return "\n".join(lines)

@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Eleven subcommands drive the main experiments without writing code:
+Ten subcommands drive the main experiments without writing code:
 
 * ``compare``  — one controlled batch through every scheme (Fig. 7/10/11)
 * ``lifetime`` — the battery drain race (Fig. 9)
@@ -8,7 +8,6 @@ Eleven subcommands drive the main experiments without writing code:
 * ``fleet``    — the concurrent multi-device fleet simulation
 * ``share``    — run a scheme over a folder of real PPM/PGM photos
 * ``bench``    — the benchmark telemetry harness (run/list/compare/report)
-* ``slo``      — check SLO specs against bench artifacts (exit 1 on violation)
 * ``journal``  — the decision journal (explain/diff/replay/stats)
 * ``lint``     — the beeslint static-analysis suite over the repo
 * ``metrics``  — render a captured Prometheus metrics file as a table
@@ -384,58 +383,13 @@ def cmd_bench_list(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_compare(args: argparse.Namespace) -> int:
-    """Diff two artifacts; exit 1 when any accounted series drifted."""
+    """Diff two artifacts; exit 1 on any drift or failed claim."""
     try:
         result = bench_module.compare_files(args.baseline, args.candidate)
     except BenchError as exc:
         raise SystemExit(f"bench compare failed: {exc}") from None
     print(bench_module.format_comparison(result))
     return 0 if result.ok else 1
-
-
-def cmd_slo_check(args: argparse.Namespace) -> int:
-    """Evaluate an SLO spec against a bench artifact; exit 1 on violation."""
-    try:
-        spec = obs_module.load_spec(args.spec)
-        artifact = bench_module.read_artifact(args.artifact)
-    except (BenchError, ObservabilityError) as exc:
-        raise SystemExit(f"slo check failed: {exc}") from None
-    results = obs_module.evaluate_artifact(spec, artifact)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "spec": spec.source,
-                    "artifact": str(args.artifact),
-                    "failures": sum(1 for result in results if not result.ok),
-                    "results": [
-                        {
-                            "name": result.name,
-                            "ok": result.ok,
-                            "value": (
-                                None
-                                if result.value != result.value
-                                else result.value
-                            ),
-                            "objective": result.slo.objective_text(),
-                            "claim": result.slo.claim,
-                            "detail": result.detail,
-                        }
-                        for result in results
-                    ],
-                },
-                indent=2,
-            )
-        )
-    else:
-        source = spec.source or "<spec>"
-        print(f"checking {len(results)} SLO(s) from {source} "
-              f"against {args.artifact}\n")
-        print(obs_module.format_results(results))
-    failures = [result for result in results if not result.ok]
-    if failures and args.format != "json":
-        print(f"\n{len(failures)} SLO(s) violated")
-    return 1 if failures else 0
 
 
 def cmd_bench_report(args: argparse.Namespace) -> int:
@@ -451,43 +405,29 @@ def cmd_bench_report(args: argparse.Namespace) -> int:
         f"run {artifact['run_id']} [{mode}] — python {env.get('python')}, "
         f"numpy {env.get('numpy')}, git {sha[:12]}"
     )
-    rows = []
-    for case_id in sorted(artifact["cases"]):
-        case = artifact["cases"][case_id]
-        rows.append(
-            [
-                case_id,
-                f"{case['wall_seconds']:.2f} s",
-                format_bytes(sum(case["bytes_sent"].values())),
-                f"{sum(case['energy_joules'].values()):.0f} J",
-                f"{sum(case['eliminations'].values()):.0f}",
-            ]
-        )
+    cases = sorted(artifact["cases"].items())
+    rows = [
+        [
+            case_id,
+            f"{case['wall_seconds']:.2f} s",
+            format_bytes(sum(case["bytes_sent"].values())),
+            f"{sum(case['energy_joules'].values()):.0f} J",
+            f"{sum(case['eliminations'].values()):.0f}",
+        ]
+        for case_id, case in cases
+    ]
     print()
     print(format_table(["case", "wall", "bytes", "energy", "elim"], rows))
-    if args.stages:
-        stage_rows = []
-        for case_id in sorted(artifact["cases"]):
-            for series in sorted(artifact["cases"][case_id]["stage_seconds"]):
-                summary = artifact["cases"][case_id]["stage_seconds"][series]
-                stage_rows.append(
-                    [
-                        case_id,
-                        series,
-                        f"{summary['count']:.0f}",
-                        f"{summary['p50']:.3f}",
-                        f"{summary['p95']:.3f}",
-                        f"{summary['p99']:.3f}",
-                    ]
-                )
-        if stage_rows:
-            print()
-            print(
-                format_table(
-                    ["case", "scheme/stage", "n", "p50 s", "p95 s", "p99 s"],
-                    stage_rows,
-                )
-            )
+    stage_rows = [
+        [case_id, series, f"{summary['count']:.0f}"]
+        + [f"{summary[quantile]:.3f}" for quantile in ("p50", "p95", "p99")]
+        for case_id, case in cases
+        for series, summary in sorted(case["stage_seconds"].items())
+    ]
+    if stage_rows:
+        header = ["case", "scheme/stage", "n", "sim p50 s", "sim p95 s", "sim p99 s"]
+        print()
+        print(format_table(header, stage_rows))
     return 0
 
 
@@ -760,7 +700,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_compare = bench_commands.add_parser(
         "compare",
-        help="exit 1 unless bytes, joules and eliminations match exactly",
+        help="exit 1 unless bytes, joules, eliminations and stage seconds match "
+        "exactly and every paper claim holds",
     )
     bench_compare.add_argument("baseline", help="baseline BENCH_*.json")
     bench_compare.add_argument("candidate", help="candidate BENCH_*.json")
@@ -770,32 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
         "report", help="render one artifact as console tables"
     )
     bench_report.add_argument("artifact", help="a BENCH_*.json file")
-    bench_report.add_argument(
-        "--stages", action="store_true",
-        help="include the per-stage p50/p95/p99 latency table",
-    )
     bench_report.set_defaults(handler=cmd_bench_report)
-
-    slo = commands.add_parser(
-        "slo", help="declarative SLOs over bench artifacts (exit 1 on violation)"
-    )
-    slo_commands = slo.add_subparsers(dest="slo_command", required=True)
-    slo_check = slo_commands.add_parser(
-        "check", help="evaluate a spec against one BENCH_*.json artifact"
-    )
-    slo_check.add_argument(
-        "--spec", default="slo/bees_slo.json", metavar="PATH",
-        help="SLO spec file (default: slo/bees_slo.json)",
-    )
-    slo_check.add_argument(
-        "--artifact", required=True, metavar="PATH",
-        help="the BENCH_*.json artifact to judge",
-    )
-    slo_check.add_argument(
-        "--format", choices=["console", "json"], default="console",
-        help="verdict output format (default: console)",
-    )
-    slo_check.set_defaults(handler=cmd_slo_check)
 
     journal = commands.add_parser(
         "journal", help="decision journal: explain, diff, replay, stats"

@@ -15,9 +15,11 @@ this package's.
 * :mod:`repro.obs.runtime` — the process-wide context wired into the
   client pipeline, server index, uplink, DTN, and every baseline;
 * :mod:`repro.obs.journal` — the decision-provenance journal that
-  ``repro journal`` explains, diffs, replays and summarises;
-* :mod:`repro.obs.slo` — declarative SLO specs checked against bench
-  artifacts.
+  ``repro journal`` explains, diffs, replays and summarises.
+
+Whether the reproduction still reproduces the paper is the bench
+harness's question: ``repro bench compare`` checks the claims table
+(:mod:`repro.bench.claims`) on every artifact it compares.
 
 Disabled by default: :func:`get_obs` returns a context whose hot-path
 guards are a single attribute check.
@@ -68,15 +70,6 @@ from .runtime import (
     disable,
     get_obs,
 )
-from .slo import (
-    Slo,
-    SloResult,
-    SloSpec,
-    evaluate_artifact,
-    format_results,
-    load_spec,
-    parse_spec,
-)
 
 __all__ = [
     "DIFF_IGNORED_EVENTS",
@@ -96,9 +89,6 @@ __all__ = [
     "JournalStats",
     "MetricsRegistry",
     "Observability",
-    "Slo",
-    "SloResult",
-    "SloSpec",
     "bucket_quantile",
     "configure_journal",
     "disable_journal",
@@ -114,13 +104,9 @@ __all__ = [
     "configure",
     "console_summary",
     "disable",
-    "evaluate_artifact",
-    "format_results",
     "generate_latest",
     "get_obs",
-    "load_spec",
     "parse_prometheus",
-    "parse_spec",
     "render_metrics_file",
     "write_prometheus",
 ]

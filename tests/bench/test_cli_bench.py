@@ -1,10 +1,16 @@
 """Tests for the ``repro bench`` CLI subcommands."""
 
 import json
+import pathlib
 
 import pytest
 
 from repro.cli import main
+
+COMMITTED_BASELINE = (
+    pathlib.Path(__file__).resolve().parents[2]
+    / "benchmarks" / "baselines" / "BENCH_baseline_quick.json"
+)
 
 
 @pytest.fixture(scope="module")
@@ -105,8 +111,17 @@ class TestBenchReport:
         assert "run " in out
         assert "python" in out
 
-    def test_stages_flag_adds_latency_table(self, artifact_path, capsys):
-        assert main(["bench", "report", str(artifact_path), "--stages"]) == 0
+    def test_stage_table_is_always_printed(self, capsys):
+        assert main(["bench", "report", str(COMMITTED_BASELINE)]) == 0
+        out = capsys.readouterr().out
+        assert "sim p50 s" in out and "sim p99 s" in out
+        assert "BEES/image_upload" in out
+
+    def test_stages_flag_is_gone(self, artifact_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "report", str(artifact_path), "--stages"])
+        assert excinfo.value.code == 2
+        assert "--stages" in capsys.readouterr().err
 
     def test_invalid_artifact_fails_cleanly(self, tmp_path):
         bad = tmp_path / "BENCH_bad.json"

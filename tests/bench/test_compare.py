@@ -1,4 +1,4 @@
-"""Tests for the artifact comparator: bytes, joules and eliminations match exactly."""
+"""Tests for the artifact comparator: the accounted series match exactly."""
 
 import copy
 import json
@@ -149,6 +149,13 @@ def _last_digit_joules(artifact):
     return "fig7_energy_overhead", "energy_joules", key
 
 
+def _nudge_stage_p99(artifact):
+    # Still inside the image-upload claim's 45 s bound: only the exact gate trips.
+    summary = artifact["cases"]["fig11_delay"]["stage_seconds"]["BEES/image_upload"]
+    summary["p99"] += 0.1
+    return "fig11_delay", "stage_seconds", "BEES/image_upload"
+
+
 def _scale_fig7(factor):
     def doctor(artifact):
         case = artifact["cases"]["fig7_energy_overhead"]
@@ -172,8 +179,14 @@ class TestCommittedBaselineDoctored:
 
     @pytest.mark.parametrize(
         "doctor",
-        [_bump_first_bytes, _last_digit_joules, _scale_fig7(1.09), _scale_fig7(0.5)],
-        ids=["bytes_plus_one", "joules_last_digit", "fig7_x1.09", "fig7_x0.5"],
+        [
+            _bump_first_bytes,
+            _last_digit_joules,
+            _scale_fig7(1.09),
+            _scale_fig7(0.5),
+            _nudge_stage_p99,
+        ],
+        ids=["bytes_plus_one", "joules_last_digit", "fig7_x1.09", "fig7_x0.5", "stage_p99"],
     )
     def test_drift_exits_nonzero_naming_it(self, baseline, doctor, tmp_path, capsys):
         candidate = copy.deepcopy(baseline)

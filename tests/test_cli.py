@@ -90,6 +90,12 @@ class TestCompare:
         assert excinfo.value.code == 2
         assert "--trace" in capsys.readouterr().err
 
+    def test_slo_command_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["slo", "check", "--artifact", "BENCH.json"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'slo'" in capsys.readouterr().err
+
     def test_photonet_selectable(self, capsys):
         code = main(
             [
