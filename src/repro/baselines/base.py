@@ -38,6 +38,10 @@ class BatchReport:
     #: delays describe only images that went through the pipeline.
     elimination_seconds: float = 0.0
     energy_by_category: dict = field(default_factory=dict)
+    #: ``(stage, simulated seconds)`` per image per pipeline stage, in
+    #: the order the pipeline produced them (BEES fills it; it feeds
+    #: ``bees_stage_seconds``).
+    stage_seconds: list = field(default_factory=list)
     halted: bool = False
 
     @property
@@ -87,7 +91,8 @@ class SharingScheme(abc.ABC):
 
     def observe_batch(self, report: BatchReport) -> BatchReport:
         """The shared observability hook: fold *report* into the global
-        metric set (bytes, joules, eliminations, uploads per scheme).
+        metric set (bytes, joules, eliminations, uploads and stage
+        seconds per scheme).
 
         Every scheme — BEES and baselines alike — returns its finished
         report through this, so per-scheme totals stay comparable no

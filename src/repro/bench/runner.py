@@ -107,9 +107,19 @@ def run_suite(
     """Run the selected cases (default: all) and build one artifact.
 
     *progress*, when given, is called as ``progress(case_id, seconds)``
-    after each case — the CLI uses it for live console feedback.
+    after each case — the CLI uses it for live console feedback.  A
+    *params* key that a selected case does not declare raises
+    :class:`BenchError` before any case runs.
     """
     cases = load_cases(case_ids)
+    for case in cases:
+        declared = case.parameters(quick=quick)
+        for key in params or {}:
+            if key not in declared:
+                raise BenchError(
+                    f"unknown parameter {key!r} for {case.case_id}; "
+                    f"expected one of {sorted(declared)}"
+                )
     run_id = time.strftime("%Y%m%d-%H%M%S")
     blocks = {}
     for case in cases:

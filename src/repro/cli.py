@@ -477,7 +477,11 @@ def cmd_journal_replay(args: argparse.Namespace) -> int:
 def cmd_journal_stats(args: argparse.Namespace) -> int:
     """Per-device health summary: stragglers, outliers, drift."""
     journal = _read_journal_or_exit(args.journal)
-    print(obs_module.format_stats(obs_module.journal_stats(journal)))
+    try:
+        stats = obs_module.journal_stats(journal)
+    except ObservabilityError as exc:
+        raise SystemExit(f"journal stats failed: {exc}") from None
+    print(obs_module.format_stats(stats))
     return 0
 
 

@@ -22,7 +22,6 @@ from ..baselines.base import BatchReport, SharingScheme
 from ..energy import COMPRESSION, FEATURE_EXTRACTION, FEATURE_UPLOAD, IMAGE_UPLOAD
 from ..features.sizes import nominal_feature_bytes
 from ..imaging.image import Image
-from ..obs.runtime import get_obs
 from ..sim.device import Smartphone
 from .afe import ApproximateFeatureExtraction
 from .aiu import ApproximateImageUploading
@@ -63,7 +62,6 @@ class BeesScheme(SharingScheme):
         before_bytes = device.uplink.sent_bytes
         self.afe.cost_model = device.cost_model
         self.aiu.cost_model = device.cost_model
-        obs = get_obs()
 
         # Stage 1 + 2: AFE extraction, feature upload, CBRD verdicts.
         survivors: list[tuple[Image, object]] = []
@@ -90,9 +88,9 @@ class BeesScheme(SharingScheme):
                 report.halted = True
                 break
             decision = self.cbrd.decide(afe_result.features, server, device.ebat)
-            if obs.enabled:
-                obs.observe_stage(self.name, "afe", afe_seconds)
-                obs.observe_stage(self.name, "feature_upload", transfer.seconds)
+            report.stage_seconds += [
+                ("afe", afe_seconds), ("feature_upload", transfer.seconds)
+            ]
             seconds = afe_seconds + transfer.seconds
             if decision.redundant:
                 # Detection-phase time of an eliminated image is
@@ -135,9 +133,9 @@ class BeesScheme(SharingScheme):
             if transfer is None:
                 report.halted = True
                 break
-            if obs.enabled:
-                obs.observe_stage(self.name, "aiu", aiu_seconds)
-                obs.observe_stage(self.name, "image_upload", transfer.seconds)
+            report.stage_seconds += [
+                ("aiu", aiu_seconds), ("image_upload", transfer.seconds)
+            ]
             per_image[image.image_id] = (
                 per_image.get(image.image_id, 0.0) + aiu_seconds + transfer.seconds
             )

@@ -17,7 +17,6 @@ from ..features.base import FeatureSet
 from ..imaging.image import Image
 from ..index import FeatureIndex, ImageStore, QueryResult, ShardedFeatureIndex
 from ..obs.journal import get_journal
-from ..obs.runtime import get_obs
 
 
 @dataclass
@@ -41,12 +40,7 @@ class BeesServer:
     def query_features(self, features: FeatureSet) -> QueryResult:
         """Answer a CBRD query: the max similarity over stored images."""
         self.queries_served += 1
-        result = self.index.query(features)
-        obs = get_obs()
-        if obs.enabled:
-            obs.index_queries.inc()
-            obs.index_size.set(len(self.index))
-        return result
+        return self.index.query(features)
 
     def query_top(self, features: FeatureSet, k: int) -> "list[tuple[str, float]]":
         """Top-*k* most similar stored images (precision experiments)."""
@@ -70,9 +64,6 @@ class BeesServer:
             )
         self.store.add(image, received_bytes=received_bytes)
         self.index.add(features)
-        obs = get_obs()
-        if obs.enabled:
-            obs.index_size.set(len(self.index))
         journal = get_journal()
         if journal.enabled:
             journal.emit(

@@ -27,7 +27,6 @@ import numpy as np
 from ..errors import SimulationError
 from ..network.lossy import ContactLoss
 from ..obs.journal import get_journal
-from ..obs.runtime import get_obs
 from .node import CareDropPolicy, CarriedImage, DropPolicy, DtnNode
 
 
@@ -158,11 +157,6 @@ class EpidemicSimulation:
                 carried = replace(carried, intact=False)
             forwarded.append(carried.image_id)
             receiver.offer(carried)
-        obs = get_obs()
-        if obs.enabled and sent:
-            obs.dtn_transmissions.inc(sent, kind="relay")
-            if lost:
-                obs.dtn_transmissions.inc(len(lost), kind="lost")
         journal = get_journal()
         if journal.enabled and (forwarded or lost):
             data: "dict[str, object]" = {
@@ -181,16 +175,12 @@ class EpidemicSimulation:
             a, b = self._rng.choice(self.n_nodes, size=2, replace=False)
             self._exchange(self.nodes[int(a)], self.nodes[int(b)])
             self._exchange(self.nodes[int(b)], self.nodes[int(a)])
-        obs = get_obs()
         journal = get_journal()
         for node in self.nodes:
             if self._rng.random() < self.gateway_probability:
                 drained = node.take_all()
                 self.transmissions += len(drained)
                 self.delivered.extend(drained)
-                if obs.enabled and drained:
-                    obs.dtn_transmissions.inc(len(drained), kind="gateway")
-                    obs.dtn_delivered.inc(len(drained))
                 if journal.enabled and drained:
                     journal.emit(
                         "dtn.deliver",

@@ -22,10 +22,10 @@ Instrumentation: each pool job binds the decision journal to its
 device, so every decision the pipeline emits on a worker thread carries
 that device, and the run, round and batch boundaries are journal events
 (``fleet.run.start``, ``fleet.batch``, ``fleet.round``,
-``fleet.run.end``).  ``bees_fleet_rounds_total``,
-``bees_fleet_queue_depth``, and the per-shard occupancy gauge cover the
-metrics side; batch reports are held per device and folded into the
-metrics at the round barrier in device order.
+``fleet.run.end``).  The metrics see only batch reports: each device's
+reports, with the joules and stage seconds they carry, are held on its
+worker and folded into the metrics at the round barrier in device
+order, so the float totals are the sequential ones in either mode.
 """
 
 from __future__ import annotations
@@ -226,8 +226,6 @@ class FleetRunner:
         }
         proxies = {number: StagedServer(server) for number in active}
         held: "dict[int, list[BatchReport]]" = {number: [] for number in active}
-        if obs.enabled:
-            obs.fleet_queue_depth.set(len(active))
 
         def job(number: int) -> BatchReport:
             # The journal binding wraps the whole pipeline, so every
@@ -253,8 +251,6 @@ class FleetRunner:
                         energy=dict(report.energy_by_category),
                         halted=report.halted,
                     )
-            if obs.enabled:
-                obs.fleet_queue_depth.dec()
             return report
 
         if pool is None:
@@ -275,9 +271,6 @@ class FleetRunner:
             if report.halted:
                 halted[number] = True
             committed += proxies[number].commit()
-        if obs.enabled:
-            obs.fleet_queue_depth.set(0)
-            obs.fleet_rounds.inc()
         if journal.enabled:
             journal.emit(
                 "fleet.round",

@@ -46,7 +46,6 @@ from dataclasses import dataclass, field
 from ..errors import IndexError_
 from ..features.base import FeatureSet
 from ..kernels.voting import group_query_keys
-from ..obs import get_obs
 from ..obs.journal import get_journal
 from .index import FeatureIndex, QueryResult, verify_votes
 
@@ -123,9 +122,6 @@ class ShardedFeatureIndex:
         with self._locks[shard_no]:
             self._shards[shard_no].add(features)
             size = len(self._shards[shard_no])
-        obs = get_obs()
-        if obs.enabled:
-            obs.shard_entries.set(size, shard=shard_no)
         journal = get_journal()
         if journal.enabled:
             journal.emit(

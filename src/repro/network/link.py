@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import NetworkError
-from ..obs.runtime import get_obs
 from .channel import FluctuatingChannel
 from .transfer import ChunkedTransport, pattern_payload
 
@@ -112,29 +111,4 @@ class Uplink:
         self.retransmits += result.retransmits
         self.vote_corrections += result.vote_corrections
         self.residual_corrupt_chunks += result.residual_corrupt_chunks
-        obs = get_obs()
-        if obs.enabled:
-            obs.link_transfers.inc()
-            obs.link_bytes.inc(result.wire_bytes)
-            obs.link_transfer_seconds.observe(result.seconds)
-            if self.transport is not None:
-                obs.link_chunks.inc(result.chunks)
-                if result.retransmits:
-                    obs.link_retransmits.inc(result.retransmits)
-                if result.dropped_chunks:
-                    obs.link_chunk_drops.inc(result.dropped_chunks)
-                if result.vote_corrections:
-                    obs.link_vote_corrections.inc(result.vote_corrections)
-                if result.residual_corrupt_chunks:
-                    obs.link_residual_corrupt.inc(result.residual_corrupt_chunks)
         return result
-
-    def reset_counters(self) -> None:
-        """Zero the cumulative byte/transfer counters (clock included)."""
-        self.sent_bytes = 0
-        self.transfer_count = 0
-        self.clock_seconds = 0.0
-        self.retransmits = 0
-        self.vote_corrections = 0
-        self.residual_corrupt_chunks = 0
-        self.corrupt_transfers = 0

@@ -8,12 +8,15 @@ registry says *how much* a run sent and spent.  Where the wall time
 went is the end-to-end benchmark's question (``benchmarks/e2e``), not
 this package's.
 
-* :mod:`repro.obs.metrics` — labelled ``Counter`` / ``Gauge`` /
-  ``Histogram`` behind a :class:`MetricsRegistry`;
+* :mod:`repro.obs.metrics` — labelled ``Counter`` / ``Histogram``
+  behind a :class:`MetricsRegistry`;
 * :mod:`repro.obs.exporters` — Prometheus text exposition and console
   tables;
-* :mod:`repro.obs.runtime` — the process-wide context wired into the
-  client pipeline, server index, uplink, DTN, and every baseline;
+* :mod:`repro.obs.runtime` — the process-wide context; its one feed is
+  the per-batch report every scheme (BEES and the baselines) returns
+  through :meth:`~repro.baselines.base.SharingScheme.observe_batch`.
+  Per-site counts (uplink, server index, DTN, fleet rounds) live on
+  the model objects and in the journal, not in the registry;
 * :mod:`repro.obs.journal` — the decision-provenance journal that
   ``repro journal`` explains, diffs, replays and summarises.
 
@@ -21,8 +24,8 @@ Whether the reproduction still reproduces the paper is the bench
 harness's question: ``repro bench compare`` checks the claims table
 (:mod:`repro.bench.claims`) on every artifact it compares.
 
-Disabled by default: :func:`get_obs` returns a context whose hot-path
-guards are a single attribute check.
+Disabled by default: :func:`get_obs` returns a context whose per-batch
+guard is a single attribute check.
 """
 
 from .exporters import (
@@ -41,7 +44,6 @@ from .journal import (
     JournalFile,
     JournalRecord,
     JournalStats,
-    configure_journal,
     disable_journal,
     explain_image,
     first_divergence,
@@ -55,10 +57,7 @@ from .journal import (
 )
 from .metrics import (
     DEFAULT_STAGE_BUCKETS,
-    MAX_LABEL_SETS,
-    CardinalityWarning,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     bucket_quantile,
@@ -74,14 +73,11 @@ from .runtime import (
 __all__ = [
     "DIFF_IGNORED_EVENTS",
     "DEFAULT_STAGE_BUCKETS",
-    "MAX_LABEL_SETS",
     "PIPELINE_STAGES",
     "SCHEMA_VERSION",
-    "CardinalityWarning",
     "Counter",
     "DecisionJournal",
     "DeviceStats",
-    "Gauge",
     "Histogram",
     "JournalDivergence",
     "JournalFile",
@@ -90,7 +86,6 @@ __all__ = [
     "MetricsRegistry",
     "Observability",
     "bucket_quantile",
-    "configure_journal",
     "disable_journal",
     "explain_image",
     "first_divergence",

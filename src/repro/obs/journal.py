@@ -264,19 +264,6 @@ def set_journal(journal: DecisionJournal) -> DecisionJournal:
     return previous
 
 
-def configure_journal(
-    path: "str | Path | None" = None,
-    run_id: "str | None" = None,
-    flush_every: int = DEFAULT_FLUSH_EVERY,
-) -> DecisionJournal:
-    """Install (and return) a fresh enabled global journal."""
-    journal = DecisionJournal(
-        path=path, run_id=run_id, enabled=True, flush_every=flush_every
-    )
-    set_journal(journal)
-    return journal
-
-
 def disable_journal() -> DecisionJournal:
     """Close any active journal and restore the disabled default."""
     global _JOURNAL

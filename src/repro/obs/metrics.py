@@ -1,4 +1,4 @@
-"""Labeled metrics: counters, gauges, and histograms.
+"""Labeled metrics: counters and histograms.
 
 A deliberately small, dependency-free subset of the Prometheus data
 model.  Metrics are created through a :class:`MetricsRegistry` (which
@@ -15,6 +15,9 @@ as keyword arguments::
 Histogram buckets follow Prometheus semantics: ``le`` is inclusive and
 cumulative, and every histogram implicitly ends with ``+Inf``.
 
+Every label takes values fixed in code (scheme, category, kind,
+outcome, stage), so the series count is bounded by construction.
+
 Updates are **thread-safe**: every metric guards its read-modify-write
 cycle with a per-metric lock, so concurrent fleet devices can increment
 the same counter without losing updates.
@@ -24,21 +27,8 @@ from __future__ import annotations
 
 import math
 import threading
-import warnings
 
 from ..errors import ObservabilityError
-
-#: Upper bound on distinct label-value sets per metric.  Unbounded label
-#: values (image ids!) silently turn a metric into a memory leak; the
-#: cap keeps memory bounded at fleet scale: updates to *new* label sets
-#: beyond it are dropped (and counted on ``Metric.dropped_updates``)
-#: with one loud :class:`CardinalityWarning` per metric, while existing
-#: series keep recording normally.
-MAX_LABEL_SETS = 1024
-
-
-class CardinalityWarning(UserWarning):
-    """A metric hit its label-cardinality cap and started dropping."""
 
 #: Default buckets for pipeline-stage durations (simulated seconds).
 DEFAULT_STAGE_BUCKETS = (
@@ -52,21 +42,13 @@ class Metric:
     type_name = "untyped"
 
     def __init__(
-        self,
-        name: str,
-        help_text: str,
-        labelnames: "tuple[str, ...]" = (),
-        max_label_sets: int = MAX_LABEL_SETS,
+        self, name: str, help_text: str, labelnames: "tuple[str, ...]" = ()
     ):
         if not name or not name.replace("_", "").replace(":", "").isalnum():
             raise ObservabilityError(f"invalid metric name: {name!r}")
         self.name = name
         self.help_text = help_text
         self.labelnames = tuple(labelnames)
-        self.max_label_sets = int(max_label_sets)
-        #: Updates dropped by the cardinality guard (diagnostics).
-        self.dropped_updates = 0
-        self._warned_cardinality = False
         self._series: dict = {}
         self._lock = threading.Lock()
 
@@ -77,32 +59,6 @@ class Metric:
                 f"got {tuple(sorted(labels))}"
             )
         return tuple(str(labels[name]) for name in self.labelnames)
-
-    def _key_locked(self, labels: dict) -> "tuple | None":
-        """The series key for *labels*, or ``None`` when the update must
-        be dropped: the key is new and the metric already holds
-        ``max_label_sets`` series (the cardinality guard).
-
-        Callers on the write path hold ``self._lock``; the first drop
-        per metric warns loudly, every drop counts on
-        ``dropped_updates``, and existing series are never affected.
-        """
-        key = self._validate(labels)
-        if key not in self._series and len(self._series) >= self.max_label_sets:
-            self.dropped_updates += 1
-            if not self._warned_cardinality:
-                self._warned_cardinality = True
-                warnings.warn(
-                    f"{self.name}: label cardinality reached "
-                    f"{self.max_label_sets} series; dropping updates to new "
-                    f"label sets (first offender: {dict(labels)!r}) — use "
-                    "bounded label values (scheme, stage, shard), never "
-                    "per-image or unbounded per-device ids",
-                    CardinalityWarning,
-                    stacklevel=4,
-                )
-            return None
-        return key
 
     def labeled_values(self) -> "list[tuple[dict, object]]":
         """``(labels, value)`` per series, in insertion order.
@@ -133,8 +89,6 @@ class Metric:
     def clear(self) -> None:
         with self._lock:
             self._series.clear()
-            self.dropped_updates = 0
-            self._warned_cardinality = False
 
 
 class Counter(Metric):
@@ -147,34 +101,9 @@ class Counter(Metric):
             raise ObservabilityError(
                 f"{self.name}: counters only go up, got {amount}"
             )
+        key = self._validate(labels)
         with self._lock:
-            key = self._key_locked(labels)
-            if key is None:
-                return
             self._series[key] = self._series.get(key, 0.0) + amount
-
-
-class Gauge(Metric):
-    """A value that can go up and down (sizes, latest latency)."""
-
-    type_name = "gauge"
-
-    def set(self, value: float, **labels: object) -> None:
-        with self._lock:
-            key = self._key_locked(labels)
-            if key is None:
-                return
-            self._series[key] = float(value)
-
-    def inc(self, amount: float = 1.0, **labels: object) -> None:
-        with self._lock:
-            key = self._key_locked(labels)
-            if key is None:
-                return
-            self._series[key] = self._series.get(key, 0.0) + amount
-
-    def dec(self, amount: float = 1.0, **labels: object) -> None:
-        self.inc(-amount, **labels)
 
 
 class HistogramSeries:
@@ -237,9 +166,8 @@ class Histogram(Metric):
         help_text: str,
         labelnames: "tuple[str, ...]" = (),
         buckets: "tuple[float, ...]" = DEFAULT_STAGE_BUCKETS,
-        max_label_sets: int = MAX_LABEL_SETS,
     ):
-        super().__init__(name, help_text, labelnames, max_label_sets)
+        super().__init__(name, help_text, labelnames)
         buckets = tuple(float(b) for b in buckets)
         if not buckets:
             raise ObservabilityError(f"{name}: a histogram needs buckets")
@@ -255,10 +183,8 @@ class Histogram(Metric):
         return HistogramSeries(len(self.buckets))
 
     def observe(self, value: float, **labels: object) -> None:
+        key = self._validate(labels)
         with self._lock:
-            key = self._key_locked(labels)
-            if key is None:
-                return
             series = self._series.get(key)
             if series is None:
                 series = self._series[key] = HistogramSeries(len(self.buckets))
@@ -268,17 +194,6 @@ class Histogram(Metric):
                     break
             series.sum += value
             series.count += 1
-
-    def cumulative_buckets(self, **labels: object) -> "list[tuple[float, int]]":
-        """``(le, cumulative_count)`` pairs including the +Inf bucket."""
-        series = self.value(**labels)
-        pairs = []
-        running = 0
-        for bound, count in zip(self.buckets, series.bucket_counts):
-            running += count
-            pairs.append((bound, running))
-        pairs.append((math.inf, series.count))
-        return pairs
 
     def quantile(self, q: float, **labels: object) -> float:
         """Estimate the *q*-quantile of one series from its buckets.
@@ -333,9 +248,6 @@ class MetricsRegistry:
 
     def counter(self, name, help_text="", labelnames=()) -> Counter:
         return self._register(Counter, name, help_text, labelnames)
-
-    def gauge(self, name, help_text="", labelnames=()) -> Gauge:
-        return self._register(Gauge, name, help_text, labelnames)
 
     def histogram(
         self, name, help_text="", labelnames=(), buckets=DEFAULT_STAGE_BUCKETS

@@ -3,40 +3,35 @@
 One :class:`Observability` object bundles a
 :class:`~repro.obs.metrics.MetricsRegistry` with the standard BEES
 metric set pre-registered and an optional Prometheus export path.  The
-module keeps a single global instance — disabled by default, so
-instrumented hot paths reduce to one attribute check — which
-:func:`configure` replaces and :func:`disable` resets::
+module keeps a single global instance — disabled by default, so the
+per-batch hook reduces to one attribute check — which :func:`configure`
+replaces and :func:`disable` resets::
 
     obs = configure(metrics_path="m.prom")
-    ...  # run experiments; instrumented code records through get_obs()
+    ...  # run experiments; every finished batch report lands here
     obs.flush()
     disable()
 
-Standard metrics (all labelled where it matters):
+Standard metrics, all fed by one per-batch hook — the shared
+:meth:`repro.baselines.base.SharingScheme.observe_batch`, which hands
+the finished :class:`~repro.baselines.base.BatchReport` to
+:meth:`Observability.observe_batch_report`:
 
 * ``bees_bytes_sent_total{scheme}``, ``bees_energy_joules_total{scheme,
-  category}`` — per-scheme batch totals, recorded by the shared
-  :meth:`repro.baselines.base.SharingScheme.observe_batch` hook;
+  category}`` — per-scheme batch totals;
 * ``bees_eliminations_total{scheme,kind}`` with ``kind`` ∈
   ``cross|in_batch``;
-* ``bees_images_total{scheme,outcome}`` (``uploaded|halted`` inputs),
+* ``bees_images_total{scheme,outcome}`` (``input|uploaded``),
   ``bees_batches_total{scheme}``;
-* ``bees_stage_seconds{scheme,stage}`` — simulated seconds per pipeline
-  stage (``afe``, ``feature_upload``, ``aiu``, ``image_upload``);
-* the ``bees_index_size`` gauge and ``bees_index_queries_total`` for
-  the server-side feature index;
-* ``bees_link_transfers_total`` / ``bees_link_bytes_total`` and a
-  ``bees_link_transfer_seconds`` histogram on the uplink, plus the
-  degraded-network set — ``bees_link_chunks_total``,
-  ``bees_link_retransmits_total``, ``bees_link_chunk_drops_total``,
-  ``bees_link_vote_corrections_total`` and
-  ``bees_link_residual_corrupt_total`` — recorded when a chunked
-  transport is attached (:mod:`repro.network.transfer`);
-* ``bees_dtn_transmissions_total{kind}`` / ``bees_dtn_delivered_total``
-  for the epidemic DTN;
-* ``bees_fleet_rounds_total`` / ``bees_fleet_queue_depth`` and the
-  per-shard ``bees_index_shard_entries{shard}`` gauge for the concurrent
-  fleet runtime (:mod:`repro.fleet`).
+* ``bees_stage_seconds{scheme,stage}`` — simulated seconds per image
+  per pipeline stage (``afe``, ``feature_upload``, ``aiu``,
+  ``image_upload``), from the report's ``stage_seconds`` pairs.
+
+Per-site counts (uplink bytes and retransmits, index size and queries,
+DTN transmissions, fleet rounds) are not metrics: the model objects
+keep them as fields (``Uplink.sent_bytes``, ``BeesServer.
+queries_served``, ``EpidemicSimulation.transmissions``) and the
+decision journal records each as an event.
 """
 
 from __future__ import annotations
@@ -53,11 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Pipeline stages whose simulated durations feed ``bees_stage_seconds``.
 PIPELINE_STAGES = ("afe", "feature_upload", "aiu", "image_upload")
-
-#: Buckets for uplink transfer times (simulated seconds — transfers of a
-#: few KB at ~Mbps goodputs land well under a second; image uploads can
-#: take tens of seconds on a bad channel).
-LINK_BUCKETS = (0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 120.0)
 
 
 class Observability:
@@ -104,87 +94,20 @@ class Observability:
             "Simulated seconds spent per pipeline stage per image",
             ("scheme", "stage"),
         )
-        self.index_size = registry.gauge(
-            "bees_index_size",
-            "Feature-index entries held by the server",
-        )
-        self.index_queries = registry.counter(
-            "bees_index_queries_total",
-            "CBRD queries answered by the server index",
-        )
-        self.link_transfers = registry.counter(
-            "bees_link_transfers_total",
-            "Transfers carried by the uplink",
-        )
-        self.link_bytes = registry.counter(
-            "bees_link_bytes_total",
-            "Payload bytes carried by the uplink",
-        )
-        self.link_transfer_seconds = registry.histogram(
-            "bees_link_transfer_seconds",
-            "Simulated seconds per uplink transfer",
-            buckets=LINK_BUCKETS,
-        )
-        self.link_chunks = registry.counter(
-            "bees_link_chunks_total",
-            "Chunks sent by the chunked uplink transport",
-        )
-        self.link_retransmits = registry.counter(
-            "bees_link_retransmits_total",
-            "Chunk retransmissions (ARQ retries and replica re-rounds)",
-        )
-        self.link_chunk_drops = registry.counter(
-            "bees_link_chunk_drops_total",
-            "Chunk transmissions dropped by the lossy channel",
-        )
-        self.link_vote_corrections = registry.counter(
-            "bees_link_vote_corrections_total",
-            "Byte positions repaired by replica majority voting",
-        )
-        self.link_residual_corrupt = registry.counter(
-            "bees_link_residual_corrupt_total",
-            "Chunks still failing their checksum after replica voting",
-        )
-        self.dtn_transmissions = registry.counter(
-            "bees_dtn_transmissions_total",
-            "DTN image transmissions (kind=relay|gateway)",
-            ("kind",),
-        )
-        self.dtn_delivered = registry.counter(
-            "bees_dtn_delivered_total",
-            "Images drained into the DTN gateway",
-        )
-        self.fleet_rounds = registry.counter(
-            "bees_fleet_rounds_total",
-            "Fleet upload rounds completed (one per batch interval)",
-        )
-        self.fleet_queue_depth = registry.gauge(
-            "bees_fleet_queue_depth",
-            "Device batches admitted to the current fleet round and not "
-            "yet finished",
-        )
-        self.shard_entries = registry.gauge(
-            "bees_index_shard_entries",
-            "Feature-index entries held per shard",
-            ("shard",),
-        )
 
-    # -- recording helpers ---------------------------------------------------
-
-    def observe_stage(self, scheme: str, stage: str, seconds: float) -> None:
-        """Record one image's simulated time in one pipeline stage."""
-        self.stage_seconds.observe(seconds, scheme=scheme, stage=stage)
+    # -- recording -----------------------------------------------------------
 
     @contextmanager
     def hold_batch_reports(self, held: "list[BatchReport]"):
         """Collect this thread's batch reports into *held* instead of
         folding them.
 
-        Joules are floats, so their totals depend on the order they are
-        added in.  The fleet runner holds each device's reports on its
-        worker thread and folds them at the round barrier in device
-        order, so the totals do not depend on which thread finishes
-        first.
+        Joules and stage seconds are floats, so their totals depend on
+        the order they are added in.  The fleet runner holds each
+        device's reports — and with them the stage seconds they carry —
+        on its worker thread and folds them at the round barrier in
+        device order, so the totals do not depend on which thread
+        finishes first.
         """
         self._held.reports = held
         try:
@@ -220,6 +143,8 @@ class Observability:
         self.images.inc(report.n_images, scheme=scheme, outcome="input")
         if report.n_uploaded:
             self.images.inc(report.n_uploaded, scheme=scheme, outcome="uploaded")
+        for stage, seconds in report.stage_seconds:
+            self.stage_seconds.observe(seconds, scheme=scheme, stage=stage)
 
     # -- exporting -----------------------------------------------------------
 
@@ -243,8 +168,8 @@ class Observability:
         return active
 
 
-#: The process-wide instance; disabled by default so instrumentation in
-#: hot paths costs a single attribute check.
+#: The process-wide instance; disabled by default so the per-batch hook
+#: costs a single attribute check.
 _OBS = Observability(enabled=False)
 
 

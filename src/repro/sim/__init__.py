@@ -3,9 +3,7 @@
 from .coveragesim import CoverageExperiment, CoverageResult
 from .device import Smartphone
 from .lifetime import LifetimeExperiment, LifetimePoint, LifetimeResult
-from .metrics import SchemeMetrics, summarize
 from .session import UploadSession, build_server, scheme_extractor
-from .telemetry import TimelineRecorder, TimelineRow
 
 __all__ = [
     "CoverageExperiment",
@@ -13,12 +11,8 @@ __all__ = [
     "LifetimeExperiment",
     "LifetimePoint",
     "LifetimeResult",
-    "SchemeMetrics",
     "Smartphone",
-    "TimelineRecorder",
-    "TimelineRow",
     "UploadSession",
     "build_server",
     "scheme_extractor",
-    "summarize",
 ]

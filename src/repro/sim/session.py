@@ -18,7 +18,6 @@ from ..features.orb import OrbExtractor
 from ..imaging.image import Image
 from ..index import FeatureIndex
 from .device import Smartphone
-from .telemetry import TimelineRecorder
 
 
 def scheme_extractor(scheme: SharingScheme):
@@ -55,18 +54,13 @@ class UploadSession:
     device: Smartphone
     server: BeesServer
     reports: "list[BatchReport]" = field(default_factory=list)
-    #: Optional per-batch telemetry sink.
-    recorder: "TimelineRecorder | None" = None
 
     def run_batch(self, images: "list[Image]") -> BatchReport:
         """Process one batch and keep its report."""
         if not images:
             raise SimulationError("cannot run an empty batch")
-        ebat_before = self.device.ebat
         report = self.scheme.process_batch(self.device, self.server, images)
         self.reports.append(report)
-        if self.recorder is not None:
-            self.recorder.record(report, ebat_before, self.device.ebat)
         return report
 
     def run(self, batches: "list[list[Image]]") -> "list[BatchReport]":

@@ -57,6 +57,20 @@ class TestBenchRun:
                   "--param", "nonsense"])
         assert "KEY=VALUE" in str(excinfo.value)
 
+    def test_unknown_param_rejected_before_the_case_runs(self, tmp_path, capsys):
+        out = tmp_path / "BENCH_bogus.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "run", "--quick", "--cases", "majority_vote",
+                  "--param", "bogus_key=1", "--out", str(out)])
+        message = str(excinfo.value)
+        assert message.startswith(
+            "bench run failed: unknown parameter 'bogus_key' for majority_vote; "
+            "expected one of ["
+        )
+        assert "KeyError" not in message
+        assert not out.exists()
+        assert "majority_vote " not in capsys.readouterr().out  # no progress line
+
     def test_param_override_reaches_the_case(self, tmp_path, capsys):
         out = tmp_path / "BENCH_p.json"
         code = main(

@@ -111,31 +111,38 @@ class TestContract:
         )
 
 
-def _observed_joules(runner: FleetRunner) -> dict:
-    """The ``bees_energy_joules_total`` series one run leaves behind."""
+def _observed_totals(runner: FleetRunner) -> dict:
+    """The ``bees_energy_joules_total`` series and the
+    ``bees_stage_seconds`` summaries one run leaves behind."""
     obs = configure()
     try:
         runner.run()
-        return {
-            tuple(labels.values()): value
+        totals = {
+            ("joules", *labels.values()): value
             for labels, value in obs.energy_joules.labeled_values()
         }
+        for labels, _series in obs.stage_seconds.labeled_values():
+            totals[("stage", *labels.values())] = obs.stage_seconds.summary(
+                **labels
+            )
+        return totals
     finally:
         disable()
 
 
 class TestObservedTotals:
-    """The metric totals a run leaves in the observability context are as
-    exact as the run's own report: ``repro bench compare`` gates them
-    with ``==``, so they must not depend on thread completion order."""
+    """The metric totals a run leaves in the observability context — the
+    joules series and the stage-seconds summaries — are as exact as the
+    run's own report: ``repro bench compare`` gates both with ``==``, so
+    they must not depend on thread completion order."""
 
     DEVICES = 8
 
     def test_concurrent_joules_series_identical_on_every_run(self):
-        reference = _observed_joules(_runner(SEEDS[0], self.DEVICES, "sequential", 1))
-        assert reference
+        reference = _observed_totals(_runner(SEEDS[0], self.DEVICES, "sequential", 1))
+        assert {key[0] for key in reference} == {"joules", "stage"}
         for _ in range(3):
-            concurrent = _observed_joules(
+            concurrent = _observed_totals(
                 _runner(SEEDS[0], self.DEVICES, "concurrent", 4)
             )
             assert concurrent == reference
@@ -149,7 +156,7 @@ class TestObservedTotals:
             time.sleep(0.02 * (TestObservedTotals.DEVICES - int(device.name[-2:])))
             return process_batch(self, device, server, images)
 
-        reference = _observed_joules(_runner(SEEDS[0], self.DEVICES, "sequential", 1))
+        reference = _observed_totals(_runner(SEEDS[0], self.DEVICES, "sequential", 1))
         monkeypatch.setattr(BeesScheme, "process_batch", delayed)
-        concurrent = _observed_joules(_runner(SEEDS[0], self.DEVICES, "concurrent", 4))
+        concurrent = _observed_totals(_runner(SEEDS[0], self.DEVICES, "concurrent", 4))
         assert concurrent == reference

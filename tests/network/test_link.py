@@ -32,12 +32,11 @@ class TestTransfer:
         assert uplink.sent_bytes == 300
         assert uplink.transfer_count == 2
 
-    def test_reset_counters(self):
-        uplink = _steady_uplink()
-        uplink.transfer(100)
-        uplink.reset_counters()
-        assert uplink.sent_bytes == 0
-        assert uplink.transfer_count == 0
+    def test_counters_are_per_uplink(self):
+        _steady_uplink().transfer(100)
+        fresh = _steady_uplink()
+        assert fresh.sent_bytes == 0
+        assert fresh.transfer_count == 0
 
     def test_rejects_negative_payload(self):
         with pytest.raises(NetworkError):

@@ -301,17 +301,15 @@ class TestSentBytesAccounting:
         assert result.wire_bytes == 4_000
         assert uplink.sent_bytes == 4_000
 
-    def test_reset_clears_degraded_counters(self):
+    def test_degraded_counters_are_per_uplink(self):
         plan = FaultPlan(fates={(0, 1): drop()})
-        uplink = _uplink(
-            ChunkedTransport(chunk_bytes=1000, strategy="arq"),
-            channel=plan.channel(),
-        )
+        transport = ChunkedTransport(chunk_bytes=1000, strategy="arq")
+        uplink = _uplink(transport, channel=plan.channel())
         uplink.transfer(1000)
         assert uplink.retransmits == 1
-        uplink.reset_counters()
-        assert uplink.retransmits == 0
-        assert uplink.clock_seconds == 0.0
+        fresh = _uplink(transport, channel=plan.channel())
+        assert fresh.retransmits == 0
+        assert fresh.clock_seconds == 0.0
 
 
 class TestChecksum:

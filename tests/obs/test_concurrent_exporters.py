@@ -22,7 +22,7 @@ def _hammer(obs, barrier, thread_index):
         obs.stage_seconds.observe(
             0.01 * (i % 7), scheme="BEES", stage=f"stage-{thread_index % 3}"
         )
-        obs.fleet_queue_depth.set(float(i))
+        obs.energy_joules.inc(0.5, scheme="BEES", category="image_upload")
 
 
 def _run_writers(obs, also=None):

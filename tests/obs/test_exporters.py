@@ -15,8 +15,8 @@ def populated_registry() -> MetricsRegistry:
     counter = registry.counter("bees_bytes_sent_total", "bytes", ("scheme",))
     counter.inc(1024, scheme="BEES")
     counter.inc(4096, scheme="Direct Upload")
-    gauge = registry.gauge("bees_index_size", "entries")
-    gauge.set(17)
+    batches = registry.counter("bees_batches_total", "batches")
+    batches.inc(17)
     histogram = registry.histogram(
         "bees_stage_seconds", "seconds", ("stage",), buckets=(0.1, 1.0)
     )
@@ -33,8 +33,8 @@ class TestPrometheus:
         assert "# TYPE bees_bytes_sent_total counter" in text
         assert 'bees_bytes_sent_total{scheme="BEES"} 1024' in text
         assert 'bees_bytes_sent_total{scheme="Direct Upload"} 4096' in text
-        assert "# TYPE bees_index_size gauge" in text
-        assert "bees_index_size 17" in text
+        assert "# TYPE bees_batches_total counter" in text
+        assert "bees_batches_total 17" in text
 
     def test_histogram_emits_cumulative_buckets(self):
         text = generate_latest(populated_registry())

@@ -1,11 +1,15 @@
-"""Observability under failure: outage bursts and mid-batch aborts.
+"""Observability under failure: outage bursts, mid-batch aborts, lossy
+uplinks and overflowing DTN buffers.
 
 The happy-path instrumentation is covered by ``test_runtime.py``; these
-tests pin down the fault paths — a battery dying mid-batch over an
-outage-stricken channel, and a DTN whose buffers overflow — where the
-metric data is easiest to get wrong (half-recorded stages, bytes
-charged for transfers that never finished paying their energy bill).
+tests pin down the fault paths, where the data is easiest to get wrong
+(half-recorded stages, bytes charged for transfers that never finished
+paying their energy bill).  Per-site counts are not metrics: the model
+objects keep them as fields, and the journal carries every one of them
+as events — these tests check the events add up to the fields.
 """
+
+import statistics
 
 import pytest
 
@@ -13,11 +17,24 @@ from repro.core.client import BeesScheme
 from repro.dtn.node import CarriedImage
 from repro.dtn.routing import EpidemicSimulation
 from repro.energy import Battery
+from repro.network import ChunkedTransport, LossyChannel
 from repro.network.link import Uplink
 from repro.network.outage import OutageChannel
-from repro.obs import configure
+from repro.obs import DecisionJournal, configure, set_journal
 from repro.sim.device import Smartphone
 from repro.sim.session import build_server
+
+
+@pytest.fixture()
+def journal():
+    """An in-memory journal, installed globally for one test."""
+    journal = DecisionJournal()
+    set_journal(journal)
+    return journal
+
+
+def _events(journal: DecisionJournal, event: str) -> "list[dict]":
+    return [record.data for record in journal.records if record.event == event]
 
 
 def _outage_uplink(seed: int = 3) -> Uplink:
@@ -48,9 +65,9 @@ class TestOutageAbortMidBatch:
         assert report.n_uploaded < len(images)
         # Counters describe exactly what the report says happened — the
         # aborted transfer's bytes went over the air, so both sides count
-        # them; the per-scheme total equals the link-level total.
+        # them; the per-scheme total equals the link's own total.
         assert obs.sent_bytes.value(scheme="BEES") == report.sent_bytes
-        assert obs.link_bytes.value() == report.sent_bytes
+        assert device.uplink.sent_bytes == report.sent_bytes
         assert obs.images.value(scheme="BEES", outcome="input") == len(images)
         assert (
             obs.images.value(scheme="BEES", outcome="uploaded") == report.n_uploaded
@@ -103,19 +120,60 @@ class TestOutageAbortMidBatch:
         assert uploaded < inputs
 
     def test_outage_transfers_shift_the_latency_distribution(self):
-        obs = configure()
         healthy = Uplink()
-        for _ in range(5):
-            healthy.transfer(50_000)
-        healthy_p50 = obs.link_transfer_seconds.quantile(0.5)
-
-        obs = configure()  # fresh registry for the degraded link
+        healthy_p50 = statistics.median(
+            healthy.transfer(50_000).seconds for _ in range(5)
+        )
         degraded = _outage_uplink()
+        degraded_p50 = statistics.median(
+            degraded.transfer(50_000).seconds for _ in range(5)
+        )
+        assert degraded.transfer_count == 5
+        assert degraded.sent_bytes == 250_000
+        assert degraded_p50 > healthy_p50
+
+
+def _lossy_uplink(strategy: str) -> Uplink:
+    """An uplink that drops ~10% of chunks and flips a few bits."""
+    return Uplink(
+        channel=LossyChannel(bit_error_rate=5e-5, chunk_drop_rate=0.1, seed=3),
+        transport=ChunkedTransport(chunk_bytes=1000, strategy=strategy),
+    )
+
+
+class TestLossyUplinkJournal:
+    """The ``chunk.*`` events add up to the uplink's own counters."""
+
+    @pytest.mark.parametrize("strategy", ["arq", "replica"])
+    def test_chunk_sends_carry_wire_bytes_and_drops(self, journal, strategy):
+        uplink = _lossy_uplink(strategy)
+        results = [uplink.transfer(20_000) for _ in range(5)]
+        sends = _events(journal, "chunk.send")
+        assert sum(send["chunk_bytes"] for send in sends) == uplink.sent_bytes
+        dropped = sum(result.dropped_chunks for result in results)
+        assert dropped > 0  # the fault must bite
+        assert sum(1 for send in sends if send["dropped"]) == dropped
+
+    def test_arq_acks_carry_the_retransmits(self, journal):
+        uplink = _lossy_uplink("arq")
         for _ in range(5):
-            degraded.transfer(50_000)
-        assert obs.link_transfers.value() == 5
-        assert obs.link_bytes.value() == 250_000
-        assert obs.link_transfer_seconds.quantile(0.5) > healthy_p50
+            uplink.transfer(20_000)
+        acks = _events(journal, "chunk.ack")
+        assert uplink.retransmits > 0
+        assert sum(ack["attempts"] - 1 for ack in acks) == uplink.retransmits
+
+    def test_replica_votes_carry_corrections_and_residuals(self, journal):
+        uplink = _lossy_uplink("replica")
+        for _ in range(5):
+            uplink.transfer(20_000)
+        votes = _events(journal, "chunk.vote")
+        assert uplink.vote_corrections > 0
+        assert sum(vote["corrections"] for vote in votes) == uplink.vote_corrections
+        assert uplink.residual_corrupt_chunks > 0
+        assert (
+            sum(1 for vote in votes if not vote["ok"])
+            == uplink.residual_corrupt_chunks
+        )
 
 
 class TestDtnFaultTelemetry:
@@ -127,40 +185,44 @@ class TestDtnFaultTelemetry:
             for image, feature_set in zip(images, features)
         ]
 
-    def test_counters_match_simulation_despite_overflowing_buffers(self, carried):
-        obs = configure()
+    @staticmethod
+    def _overflowing(carried) -> EpidemicSimulation:
         # capacity 2 with 8 injected images forces drops/rejections — the
-        # counters must still reconcile with the simulation's own totals.
+        # journal must still reconcile with the simulation's own totals.
         simulation = EpidemicSimulation(
             n_nodes=4, buffer_capacity=2, gateway_probability=0.3, seed=5
         )
         for index, item in enumerate(carried):
             simulation.inject(index % 4, item)
+        return simulation
+
+    def test_counters_match_simulation_despite_overflowing_buffers(
+        self, carried, journal
+    ):
+        simulation = self._overflowing(carried)
         report = simulation.run(rounds=30)
 
         assert report.drops + report.rejections > 0  # the fault must bite
-        relay = obs.dtn_transmissions.value(kind="relay")
-        gateway = obs.dtn_transmissions.value(kind="gateway")
-        assert relay + gateway == report.transmissions == simulation.transmissions
-        assert obs.dtn_delivered.value() == len(simulation.delivered)
-        assert gateway == len(simulation.delivered)
+        forwards = _events(journal, "dtn.forward")
+        delivers = _events(journal, "dtn.deliver")
+        delivered = sum(len(deliver["image_ids"]) for deliver in delivers)
+        assert delivered == len(simulation.delivered) > 0
+        relayed = sum(
+            len(forward["image_ids"]) + len(forward.get("lost", ()))
+            for forward in forwards
+        )
+        assert relayed + delivered == simulation.transmissions
+        assert report.transmissions == simulation.transmissions
 
     def test_delivery_report_matches_the_delivery_counters(self, carried):
-        obs = configure()
-        simulation = EpidemicSimulation(
-            n_nodes=4, buffer_capacity=2, gateway_probability=0.3, seed=5
-        )
-        for index, item in enumerate(carried):
-            simulation.inject(index % 4, item)
+        simulation = self._overflowing(carried)
         report = simulation.run(rounds=30)
 
-        # The counters count every drained copy; the report folds
+        # ``delivered`` keeps every drained copy; the report folds
         # duplicate epidemic copies into one entry per image id.
-        assert obs.dtn_delivered.value() == len(simulation.delivered) > 0
+        assert len(simulation.delivered) > 0
         delivered_ids = {carried.image_id for carried in simulation.delivered}
         assert set(report.delivered_ids) == delivered_ids
         assert report.n_delivered == len(delivered_ids)
-        assert report.n_delivered <= obs.dtn_delivered.value()
-        relay = obs.dtn_transmissions.value(kind="relay")
-        gateway = obs.dtn_transmissions.value(kind="gateway")
-        assert relay + gateway == report.transmissions == simulation.transmissions
+        assert report.n_delivered <= len(simulation.delivered)
+        assert report.transmissions == simulation.transmissions

@@ -19,7 +19,6 @@ from repro.obs import (
     JournalRecord,
     SCHEMA_VERSION,
     configure,
-    configure_journal,
     disable_journal,
     explain_image,
     first_divergence,
@@ -29,6 +28,7 @@ from repro.obs import (
     journal_stats,
     journal_to,
     read_journal,
+    set_journal,
 )
 
 
@@ -117,7 +117,8 @@ class TestGlobals:
         assert get_journal() is before
 
     def test_configure_and_disable(self, tmp_path):
-        journal = configure_journal(path=tmp_path / "c.jsonl", run_id="cfg")
+        journal = DecisionJournal(path=tmp_path / "c.jsonl", run_id="cfg")
+        set_journal(journal)
         assert get_journal() is journal and journal.enabled
         disable_journal()
         assert not get_journal().enabled

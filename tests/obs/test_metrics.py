@@ -1,16 +1,12 @@
-"""Tests for counters, gauges, histograms, and the registry."""
+"""Tests for counters, histograms, and the registry."""
 
 import math
-import warnings
 
 import pytest
 
 from repro.errors import ObservabilityError
 from repro.obs.metrics import (
-    MAX_LABEL_SETS,
-    CardinalityWarning,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     bucket_quantile,
@@ -41,15 +37,6 @@ class TestCounter:
         assert counter.value(scheme="nope") == 0.0
 
 
-class TestGauge:
-    def test_set_inc_dec(self):
-        gauge = Gauge("g", "help")
-        gauge.set(10)
-        gauge.inc(5)
-        gauge.dec(2)
-        assert gauge.value() == 13
-
-
 class TestLabelValidation:
     def test_unknown_label_rejected(self):
         counter = Counter("c_total", "help", ("scheme",))
@@ -64,72 +51,6 @@ class TestLabelValidation:
     def test_invalid_metric_name_rejected(self):
         with pytest.raises(ObservabilityError):
             Counter("bad name!", "help")
-
-
-class TestCardinalityGuard:
-    """Past the cap, writes to *new* label sets warn once and drop."""
-
-    def _saturated(self, cap: int = 4) -> Counter:
-        counter = Counter("c_total", "help", ("image_id",), max_label_sets=cap)
-        for index in range(cap):
-            counter.inc(1, image_id=f"img-{index}")
-        return counter
-
-    def test_new_series_past_cap_is_dropped_with_warning(self):
-        counter = self._saturated()
-        with pytest.warns(CardinalityWarning, match="c_total"):
-            counter.inc(1, image_id="one-too-many")
-        assert counter.value(image_id="one-too-many") == 0.0
-        assert counter.dropped_updates == 1
-
-    def test_existing_series_keep_working_at_the_cap(self):
-        counter = self._saturated()
-        with pytest.warns(CardinalityWarning):
-            counter.inc(1, image_id="overflow")
-        counter.inc(1, image_id="img-0")
-        assert counter.value(image_id="img-0") == 2
-
-    def test_warns_once_but_counts_every_drop(self):
-        counter = self._saturated()
-        with pytest.warns(CardinalityWarning):
-            counter.inc(1, image_id="drop-0")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a second warning would raise
-            counter.inc(1, image_id="drop-1")
-            counter.inc(1, image_id="drop-0")
-        assert counter.dropped_updates == 3
-
-    def test_gauge_and_histogram_writers_drop_too(self):
-        gauge = Gauge("g", "help", ("k",), max_label_sets=1)
-        gauge.set(1.0, k="a")
-        with pytest.warns(CardinalityWarning):
-            gauge.set(9.0, k="b")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            gauge.inc(1.0, k="c")
-        assert gauge.value(k="b") == 0.0
-        assert gauge.dropped_updates == 2
-
-        histogram = Histogram(
-            "h", "help", ("k",), buckets=(1.0,), max_label_sets=1
-        )
-        histogram.observe(0.5, k="a")
-        with pytest.warns(CardinalityWarning):
-            histogram.observe(0.5, k="b")
-        assert histogram.value(k="b").count == 0
-        assert histogram.dropped_updates == 1
-
-    def test_default_cap_is_global_constant(self):
-        assert Counter("c_total", "help", ("k",)).max_label_sets == MAX_LABEL_SETS
-
-    def test_clear_resets_the_guard(self):
-        counter = self._saturated()
-        with pytest.warns(CardinalityWarning):
-            counter.inc(1, image_id="dropped")
-        counter.clear()
-        assert counter.dropped_updates == 0
-        counter.inc(1, image_id="fresh")  # below the cap again: accepted
-        assert counter.value(image_id="fresh") == 1
 
 
 class TestHistogramQuantile:
@@ -237,18 +158,16 @@ class TestHistogram:
         histogram.observe(1.0)
         histogram.observe(2.0)
         histogram.observe(2.0001)
-        cumulative = dict(histogram.cumulative_buckets())
-        assert cumulative[1.0] == 1
-        assert cumulative[2.0] == 2
-        assert cumulative[4.0] == 3
-        assert cumulative[math.inf] == 3
+        series = histogram.value()
+        assert series.bucket_counts == [1, 1, 1]
+        assert series.count == 3
 
     def test_overflow_goes_to_inf_only(self):
         histogram = Histogram("h", "help", buckets=(1.0,))
         histogram.observe(100.0)
-        cumulative = dict(histogram.cumulative_buckets())
-        assert cumulative[1.0] == 0
-        assert cumulative[math.inf] == 1
+        series = histogram.value()
+        assert series.bucket_counts == [0]
+        assert series.count == 1
 
     def test_sum_and_count(self):
         histogram = Histogram("h", "help", buckets=(1.0, 10.0))
@@ -290,7 +209,7 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("m", "help")
         with pytest.raises(ObservabilityError):
-            registry.gauge("m", "help")
+            registry.histogram("m", "help")
         with pytest.raises(ObservabilityError):
             registry.counter("m", "help", ("scheme",))
 

@@ -10,10 +10,13 @@ from repro.fleet import FleetRunner
 from repro.obs import (
     DEFAULT_STAGE_BUCKETS,
     PIPELINE_STAGES,
+    DecisionJournal,
+    Observability,
     configure,
     disable,
     generate_latest,
     get_obs,
+    set_journal,
 )
 from repro.sim.device import Smartphone
 from repro.sim.session import build_server
@@ -46,9 +49,20 @@ class TestGlobalContext:
         obs = configure(metrics_path=tmp_path / "m.prom")
         assert obs.exporters() == [f"prometheus({tmp_path / 'm.prom'})"]
 
+    def test_registry_holds_only_the_batch_report_metrics(self):
+        names = {metric.name for metric in Observability().registry}
+        assert names == {
+            "bees_bytes_sent_total",
+            "bees_energy_joules_total",
+            "bees_eliminations_total",
+            "bees_images_total",
+            "bees_batches_total",
+            "bees_stage_seconds",
+        }
+
     def test_stage_histogram_uses_the_default_buckets(self):
         obs = configure()
-        obs.observe_stage("BEES", "afe", 0.02)
+        obs.stage_seconds.observe(0.02, scheme="BEES", stage="afe")
         text = generate_latest(obs.registry)
         for bound in DEFAULT_STAGE_BUCKETS:
             assert f'le="{bound:g}"' in text
@@ -63,6 +77,7 @@ class TestBatchReportHook:
         report.eliminated_in_batch = ["f"]
         report.sent_bytes = 2048
         report.energy_by_category = {"image_upload": 5.0, "compression": 1.5}
+        report.stage_seconds = [("afe", 0.25), ("afe", 0.5), ("aiu", 2.0)]
         obs.observe_batch_report(report)
         assert obs.sent_bytes.value(scheme="BEES") == 2048
         assert obs.energy_joules.value(scheme="BEES", category="image_upload") == 5.0
@@ -71,6 +86,9 @@ class TestBatchReportHook:
         assert obs.images.value(scheme="BEES", outcome="input") == 10
         assert obs.images.value(scheme="BEES", outcome="uploaded") == 2
         assert obs.batches.value(scheme="BEES") == 1
+        afe = obs.stage_seconds.value(scheme="BEES", stage="afe")
+        assert (afe.count, afe.sum) == (2, 0.75)
+        assert obs.stage_seconds.value(scheme="BEES", stage="aiu").count == 1
 
 
 class TestPipelineInstrumentation:
@@ -82,18 +100,20 @@ class TestPipelineInstrumentation:
     def test_bees_batch_records_stage_metrics(self, batch):
         obs = configure()
         scheme = BeesScheme()
-        scheme.process_batch(Smartphone(), build_server(scheme), batch)
+        device, server = Smartphone(), build_server(scheme)
+        report = scheme.process_batch(device, server, batch)
 
         for stage in PIPELINE_STAGES:
             series = obs.stage_seconds.value(scheme="BEES", stage=stage)
             assert series.count > 0, stage
+            assert series.count == sum(1 for s, _ in report.stage_seconds if s == stage)
 
         assert obs.sent_bytes.value(scheme="BEES") > 0
         assert obs.energy_joules.value(scheme="BEES", category="image_upload") > 0
-        assert obs.index_queries.value() == len(batch)
-        assert obs.index_size.value() > 0
-        assert obs.link_transfers.value() > 0
-        assert obs.link_bytes.value() == obs.sent_bytes.value(scheme="BEES")
+        assert server.queries_served == len(batch)
+        assert len(server.index) > 0
+        assert device.uplink.transfer_count > 0
+        assert device.uplink.sent_bytes == obs.sent_bytes.value(scheme="BEES")
 
     def test_direct_upload_reports_through_shared_hook(self, batch):
         obs = configure()
@@ -116,10 +136,15 @@ class TestPipelineInstrumentation:
 
 @pytest.mark.parametrize("mode", ["sequential", "concurrent"])
 class TestFleetRoundMetrics:
-    def test_queue_drains_and_every_round_counts(self, mode):
-        obs = configure()
+    def test_every_round_is_one_journal_event(self, mode):
+        journal = DecisionJournal()
+        set_journal(journal)
         result = FleetRunner(
             n_devices=3, n_rounds=2, batch_size=4, n_shards=2, mode=mode
         ).run()
-        assert obs.fleet_queue_depth.value() == 0
-        assert obs.fleet_rounds.value() == result.n_rounds == 2
+        rounds = [
+            record.data["round"]
+            for record in journal.records
+            if record.event == "fleet.round"
+        ]
+        assert rounds == list(range(result.n_rounds)) == [0, 1]

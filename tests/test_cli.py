@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -275,6 +277,21 @@ class TestJournalCommands:
         out = capsys.readouterr().out
         assert image_id in out
         assert "cbrd.verdict" in out
+
+    def test_journal_stats_on_a_mistyped_payload_fails_cleanly(
+        self, tmp_path, capsys
+    ):
+        path = self.fleet_journal(tmp_path, capsys)
+        lines = path.read_text().splitlines()
+        for index, line in enumerate(lines):
+            if '"fleet.batch"' in line:
+                lines[index] = re.sub(r'"n_images": \d+', '"n_images": "3"', line)
+                break
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["journal", "stats", str(path)])
+        assert str(excinfo.value).startswith("journal stats failed: ")
+        assert "'3'" in str(excinfo.value)
 
     def test_journal_read_failure_exits_cleanly(self, tmp_path):
         with pytest.raises(SystemExit, match="journal read failed"):
