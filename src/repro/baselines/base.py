@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping
 
+from ..obs.journal import bool_field, int_field, number_map_field, str_list_field
 from ..obs.runtime import get_obs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -71,6 +72,38 @@ class BatchReport:
         if self.n_images == 0:
             return 0.0
         return self.pipeline_seconds / self.n_images
+
+    def to_event(self, round_no: int) -> "dict[str, object]":
+        """The ``fleet.batch`` journal payload; key order is the format."""
+        return {
+            "round": round_no,
+            "n_images": self.n_images,
+            "uploaded": list(self.uploaded_ids),
+            "eliminated_cross": list(self.eliminated_cross_batch),
+            "eliminated_in": list(self.eliminated_in_batch),
+            "sent_bytes": self.sent_bytes,
+            "energy": dict(self.energy_by_category),
+            "halted": self.halted,
+        }
+
+    @classmethod
+    def from_event(cls, data: "Mapping[str, object]") -> "BatchReport":
+        """Parse a :meth:`to_event` payload, type-checking every field.
+
+        The payload names no scheme, so ``scheme`` is empty; ``round``
+        is checked and dropped (a device's records are in round order).
+        """
+        int_field(data, "round")
+        return cls(
+            scheme="",
+            n_images=int_field(data, "n_images"),
+            uploaded_ids=str_list_field(data, "uploaded"),
+            eliminated_cross_batch=str_list_field(data, "eliminated_cross"),
+            eliminated_in_batch=str_list_field(data, "eliminated_in"),
+            sent_bytes=int_field(data, "sent_bytes"),
+            energy_by_category=number_map_field(data, "energy"),
+            halted=bool_field(data, "halted"),
+        )
 
 
 class SharingScheme(abc.ABC):

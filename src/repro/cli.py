@@ -27,6 +27,7 @@ import argparse
 import contextlib
 import json
 import sys
+from typing import Any, Callable
 
 from . import bench as bench_module
 from . import obs as obs_module
@@ -288,24 +289,25 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
             f"{result.wall_seconds:.2f} s wall"
         )
         print(f"decision fingerprint: {result.fingerprint()}")
-        if args.verify:
-            # Journal the reference too (to PATH.ref) so a mismatch can
-            # name the first divergent journal event, not just the hash.
-            reference_journal = (
-                None if args.journal is None else args.journal + ".ref"
-            )
-            with _journal_context(reference_journal):
-                reference = build("sequential", 1).run()
-            if reference_journal is not None:
-                print(f"wrote {reference_journal}")
-            try:
-                assert_equivalent(reference, result)
-            except SimulationError as exc:
-                raise SystemExit(str(exc)) from None
-            print(
-                "verified: byte-identical to the sequential single-index "
-                f"reference ({reference.wall_seconds:.2f} s wall)"
-            )
+    if args.verify:
+        # Outside the metrics context, so --metrics exports one run.
+        # Journal the reference too (to PATH.ref) so a mismatch can
+        # name the first divergent journal event, not just the hash.
+        reference_journal = (
+            None if args.journal is None else args.journal + ".ref"
+        )
+        with _journal_context(reference_journal):
+            reference = build("sequential", 1).run()
+        if reference_journal is not None:
+            print(f"wrote {reference_journal}")
+        try:
+            assert_equivalent(reference, result)
+        except SimulationError as exc:
+            raise SystemExit(str(exc)) from None
+        print(
+            "verified: byte-identical to the sequential single-index "
+            f"reference ({reference.wall_seconds:.2f} s wall)"
+        )
     return 0
 
 
@@ -431,9 +433,13 @@ def cmd_bench_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_journal_or_exit(path: str):
+def _read_journal_or_exit(
+    path: str, fold: "Callable[[obs_module.JournalFile], Any] | None" = None
+) -> Any:
+    """Read *path* and apply *fold*; a bad file or field exits 1."""
     try:
-        return obs_module.read_journal(path)
+        journal = obs_module.read_journal(path)
+        return journal if fold is None else fold(journal)
     except (ObservabilityError, OSError) as exc:
         raise SystemExit(f"journal read failed: {exc}") from None
 
@@ -465,9 +471,8 @@ def cmd_journal_replay(args: argparse.Namespace) -> int:
     """Re-derive a FleetResult from a journal; exit 1 on mismatch."""
     from .fleet import format_replay, replay_journal  # lazy: keeps startup lean
 
-    journal = _read_journal_or_exit(args.journal)
     try:
-        report = replay_journal(journal)
+        report = _read_journal_or_exit(args.journal, replay_journal)
     except SimulationError as exc:
         raise SystemExit(f"journal replay failed: {exc}") from None
     print(format_replay(report))
@@ -476,12 +481,9 @@ def cmd_journal_replay(args: argparse.Namespace) -> int:
 
 def cmd_journal_stats(args: argparse.Namespace) -> int:
     """Per-device health summary: stragglers, outliers, drift."""
-    journal = _read_journal_or_exit(args.journal)
-    try:
-        stats = obs_module.journal_stats(journal)
-    except ObservabilityError as exc:
-        raise SystemExit(f"journal stats failed: {exc}") from None
-    print(obs_module.format_stats(stats))
+    from .fleet.replay import format_stats, journal_stats  # lazy: keeps startup lean
+
+    print(format_stats(_read_journal_or_exit(args.journal, journal_stats)))
     return 0
 
 

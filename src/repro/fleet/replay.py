@@ -1,4 +1,4 @@
-"""Re-derive a :class:`FleetResult` from a decision journal alone.
+"""Read a fleet journal back: ``repro journal replay`` and ``stats``.
 
 ``repro journal replay`` is the journal's integrity proof: if the
 journal really captured every decision, then folding its ``fleet.batch``
@@ -6,17 +6,12 @@ events back together must reproduce the run's bytes, joules, and
 eliminated-image lists **byte-identically** — the same fingerprint the
 live run recorded in its ``fleet.run.end`` event.
 
-Exactness notes (why this works at the byte level):
-
-* JSON round-trips Python floats exactly (``repr``-based encoding), so
-  summing the journalled per-category joules in the order they were
-  written reproduces :attr:`repro.baselines.base.BatchReport.
-  total_energy_joules` bit-for-bit.
-* Per-device energy folds in round order, mirroring
-  :meth:`repro.fleet.report.DeviceResult.from_reports` — float addition
-  is not associative, and the fingerprint is byte-level.
-* Device order comes from the ``fleet.run.start`` event's device list,
-  matching the runner's construction order.
+Replay and ``stats`` parse ``fleet.batch`` with one codec,
+:meth:`~repro.baselines.base.BatchReport.from_event`, and fold with the
+runner's :meth:`~repro.fleet.report.DeviceResult.from_reports`.  JSON
+round-trips floats exactly and the parsed energy map keeps its recorded
+order, so the joules fold bit for bit as in the live run.  Device order
+is the ``fleet.run.start`` device list, the runner's construction order.
 
 Beyond the fingerprint, replay cross-checks the fine-grained decision
 events against the per-batch summaries: every image a ``cbrd.verdict``
@@ -30,10 +25,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Mapping, TypeVar
 
-from ..errors import SimulationError
-from ..obs.journal import JournalFile, JournalRecord, read_journal
+from ..baselines.base import BatchReport
+from ..errors import ObservabilityError, SimulationError
+from ..obs.journal import (
+    JournalFile,
+    JournalRecord,
+    bool_field,
+    int_field,
+    read_journal,
+    str_field,
+    str_list_field,
+)
 from .report import DeviceResult, FleetResult
+
+_Parsed = TypeVar("_Parsed")
+
+#: A device whose total joules exceed the fleet median by this ratio is
+#: flagged as a battery-drain outlier by :func:`journal_stats`.
+STATS_ENERGY_OUTLIER_RATIO = 1.25
+
+#: A device whose elimination rate strays this far (absolute) from the
+#: fleet mean is flagged as drifting by :func:`journal_stats`.
+STATS_DRIFT_TOLERANCE = 0.25
 
 
 @dataclass(frozen=True)
@@ -61,41 +76,48 @@ def replay_journal(source: "str | Path | JournalFile") -> ReplayReport:
     """Rebuild the :class:`FleetResult` of a journalled fleet run.
 
     Raises :class:`~repro.errors.SimulationError` when the journal does
-    not describe exactly one fleet run; torn tails and cross-check
-    mismatches are reported via :attr:`ReplayReport.issues` instead.
+    not describe exactly one fleet run, and
+    :class:`~repro.errors.ObservabilityError` when a ``fleet.batch`` or
+    ``fleet.run.start`` field is missing or mistyped; torn tails and
+    cross-check mismatches are reported via :attr:`ReplayReport.issues`
+    instead.
     """
     journal = (
         source if isinstance(source, JournalFile) else read_journal(source)
     )
+    reports = batch_reports(journal)
     starts = journal.events("fleet.run.start")
     if len(starts) != 1:
         raise SimulationError(
             f"journal {journal.path} contains {len(starts)} fleet runs; "
             "replay needs exactly one (one file per run)"
         )
-    config = starts[0].data
-    device_names = [str(name) for name in _expect_list(config, "devices")]
+    start = starts[0]
+    devices = tuple(
+        DeviceResult.from_reports(name, reports.get(name, []))
+        for name in _parse(start, lambda data: str_list_field(data, "devices"))
+    )
+    result = _parse(
+        start,
+        lambda data: FleetResult(
+            mode=str_field(data, "mode"),
+            scheme=str_field(data, "scheme"),
+            n_devices=int_field(data, "n_devices"),
+            n_shards=int_field(data, "n_shards"),
+            n_rounds=int_field(data, "n_rounds"),
+            seed=int_field(data, "seed"),
+            devices=devices,
+            wall_seconds=0.0,
+            journal_path=journal.path,
+        ),
+    )
     issues: "list[str]" = []
     if journal.torn_tail is not None:
         issues.append("journal has a torn final record (skipped by reader)")
-
     streams = journal.by_device()
-    devices = []
-    for name in device_names:
-        stream = streams.get(name, [])
-        devices.append(_fold_device(name, stream, issues))
+    for device in devices:
+        issues.extend(_cross_check(device, streams.get(device.device, [])))
 
-    result = FleetResult(
-        mode=str(config.get("mode", "")),
-        scheme=str(config.get("scheme", "")),
-        n_devices=_as_int(config.get("n_devices", len(device_names))),
-        n_shards=_as_int(config.get("n_shards", 1)),
-        n_rounds=_as_int(config.get("n_rounds", 0)),
-        seed=_as_int(config.get("seed", 0)),
-        devices=tuple(devices),
-        wall_seconds=0.0,
-        journal_path=journal.path,
-    )
     fingerprint = result.fingerprint()
     ends = journal.events("fleet.run.end")
     recorded: "str | None" = None
@@ -116,90 +138,57 @@ def replay_journal(source: "str | Path | JournalFile") -> ReplayReport:
     )
 
 
-def _fold_device(
-    name: str,
-    stream: "list[JournalRecord]",
-    issues: "list[str]",
-) -> DeviceResult:
-    uploaded: "list[str]" = []
-    eliminated_cross: "list[str]" = []
-    eliminated_in: "list[str]" = []
-    sent_bytes = 0
-    energy = 0.0
-    halted = False
-    # Fine-grained decision events, for the summary cross-check.
-    cbrd_redundant: "list[str]" = []
-    ssmm_rejected: "list[str]" = []
-    for record in stream:
-        if record.event == "fleet.batch":
-            data = record.data
-            uploaded.extend(_string_list(data.get("uploaded")))
-            eliminated_cross.extend(_string_list(data.get("eliminated_cross")))
-            eliminated_in.extend(_string_list(data.get("eliminated_in")))
-            sent_bytes += _as_int(data.get("sent_bytes", 0))
-            batch_energy = data.get("energy")
-            if isinstance(batch_energy, dict):
-                # Mirror BatchReport.total_energy_joules: sum the
-                # categories in recorded (insertion) order, then fold
-                # batches in round order — byte-exact float addition.
-                batch_total = 0.0
-                for joules in batch_energy.values():
-                    batch_total += _as_float(joules)
-                energy += float(batch_total)
-            halted = halted or bool(data.get("halted"))
-        elif record.event == "cbrd.verdict":
-            if bool(record.data.get("redundant")) and record.image:
-                cbrd_redundant.append(record.image)
-        elif record.event == "ssmm.select":
-            ssmm_rejected.extend(_string_list(record.data.get("rejected")))
-    if cbrd_redundant and cbrd_redundant != eliminated_cross:
-        issues.append(
-            f"{name}: cbrd.verdict events name {len(cbrd_redundant)} "
-            f"redundant image(s) but batch summaries eliminated "
-            f"{len(eliminated_cross)} (or in a different order)"
+def batch_reports(journal: JournalFile) -> "dict[str, list[BatchReport]]":
+    """Each device's parsed ``fleet.batch`` payloads, in journal order.
+
+    Replay and :func:`journal_stats` both fold what this returns.
+    """
+    reports: "dict[str, list[BatchReport]]" = {}
+    for record in journal.events("fleet.batch"):
+        if record.device is not None:
+            reports.setdefault(record.device, []).append(
+                _parse(record, BatchReport.from_event)
+            )
+    return reports
+
+
+def _parse(
+    record: JournalRecord,
+    parse: "Callable[[Mapping[str, object]], _Parsed]",
+) -> _Parsed:
+    """``parse(record.data)``, naming the record in a field error."""
+    try:
+        return parse(record.data)
+    except ObservabilityError as exc:
+        raise ObservabilityError(
+            f"{record.event} record #{record.seq}: {exc}"
+        ) from None
+
+
+def _cross_check(device: DeviceResult, stream: "list[JournalRecord]") -> "list[str]":
+    """Where *device*'s decision events disagree with its batch summaries."""
+    cbrd_redundant = [
+        record.image
+        for record in stream
+        if record.event == "cbrd.verdict"
+        and _parse(record, lambda data: bool_field(data, "redundant"))
+        and record.image
+    ]
+    ssmm_rejected = [
+        image
+        for record in stream
+        if record.event == "ssmm.select"
+        for image in _parse(record, lambda data: str_list_field(data, "rejected"))
+    ]
+    return [
+        f"{device.device}: {event} events eliminate {len(named)} image(s) but "
+        f"batch summaries eliminated {len(summary)} (or in a different order)"
+        for event, named, summary in (
+            ("cbrd.verdict", cbrd_redundant, device.eliminated_cross_batch),
+            ("ssmm.select", ssmm_rejected, device.eliminated_in_batch),
         )
-    if ssmm_rejected and ssmm_rejected != eliminated_in:
-        issues.append(
-            f"{name}: ssmm.select events reject {len(ssmm_rejected)} "
-            f"image(s) but batch summaries eliminated "
-            f"{len(eliminated_in)} in-batch (or in a different order)"
-        )
-    return DeviceResult(
-        device=name,
-        uploaded_ids=tuple(uploaded),
-        eliminated_cross_batch=tuple(eliminated_cross),
-        eliminated_in_batch=tuple(eliminated_in),
-        sent_bytes=sent_bytes,
-        energy_joules=energy,
-        halted=halted,
-    )
-
-
-def _expect_list(data: "dict[str, object]", key: str) -> "list[object]":
-    value = data.get(key)
-    if not isinstance(value, list):
-        raise SimulationError(
-            f"fleet.run.start event is missing the {key!r} list"
-        )
-    return value
-
-
-def _string_list(value: object) -> "list[str]":
-    if not isinstance(value, list):
-        return []
-    return [str(item) for item in value]
-
-
-def _as_int(value: object) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SimulationError(f"expected an integer journal field, got {value!r}")
-    return value
-
-
-def _as_float(value: object) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SimulationError(f"expected a numeric journal field, got {value!r}")
-    return float(value)
+        if named and named != list(summary)
+    ]
 
 
 def format_replay(report: ReplayReport) -> str:
@@ -224,4 +213,122 @@ def format_replay(report: ReplayReport) -> str:
     for issue in report.issues:
         lines.append(f"  issue: {issue}")
     lines.append("replay OK" if report.ok else "replay FAILED")
+    return "\n".join(lines)
+
+
+# -- stats -------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DeviceStats:
+    """One device's folded batches, plus the counts a result lacks."""
+
+    result: DeviceResult
+    batches: int
+    images: int
+
+    @property
+    def eliminated(self) -> int:
+        return len(self.result.eliminated_cross_batch) + len(
+            self.result.eliminated_in_batch
+        )
+
+    @property
+    def elimination_rate(self) -> float:
+        if self.images == 0:
+            return 0.0
+        return self.eliminated / self.images
+
+
+@dataclass(frozen=True)
+class JournalStats:
+    """Fleet-level health summary of one journal."""
+
+    run_id: str
+    n_records: int
+    torn: bool
+    devices: "tuple[DeviceStats, ...]"
+    #: Devices that halted (battery death) or uploaded nothing while
+    #: the rest of the fleet did — the run's stragglers.
+    stragglers: "tuple[str, ...]"
+    #: Devices whose joules exceed the fleet median by
+    #: :data:`STATS_ENERGY_OUTLIER_RATIO`.
+    energy_outliers: "tuple[str, ...]"
+    #: Devices whose elimination rate strays from the fleet mean by more
+    #: than :data:`STATS_DRIFT_TOLERANCE` — drift against the paper's
+    #: Fig. 6/12 expectation that rates track content, not devices.
+    elimination_drift: "tuple[str, ...]"
+
+
+def journal_stats(journal: JournalFile) -> JournalStats:
+    """Per-device health from the batch events replay folds (and the
+    same :class:`~repro.errors.ObservabilityError` on a bad field)."""
+    devices = tuple(
+        DeviceStats(
+            result=DeviceResult.from_reports(name, reports),
+            batches=len(reports),
+            images=sum(report.n_images for report in reports),
+        )
+        for name, reports in sorted(batch_reports(journal).items())
+    )
+    anyone_uploaded = any(stats.result.uploaded_ids for stats in devices)
+    stragglers = tuple(
+        stats.result.device
+        for stats in devices
+        if stats.result.halted or (anyone_uploaded and not stats.result.uploaded_ids)
+    )
+    energies = sorted(stats.result.energy_joules for stats in devices)
+    median = energies[len(energies) // 2] if energies else 0.0
+    energy_outliers = tuple(
+        stats.result.device
+        for stats in devices
+        if median > 0.0
+        and stats.result.energy_joules > STATS_ENERGY_OUTLIER_RATIO * median
+    )
+    rates = [stats.elimination_rate for stats in devices]
+    mean_rate = sum(rates) / len(rates) if rates else 0.0
+    elimination_drift = tuple(
+        stats.result.device
+        for stats in devices
+        if abs(stats.elimination_rate - mean_rate) > STATS_DRIFT_TOLERANCE
+    )
+    return JournalStats(
+        run_id=journal.run_id,
+        n_records=len(journal.records),
+        torn=journal.torn_tail is not None,
+        devices=devices,
+        stragglers=stragglers,
+        energy_outliers=energy_outliers,
+        elimination_drift=elimination_drift,
+    )
+
+
+def format_stats(stats: JournalStats) -> str:
+    """Human-readable ``repro journal stats`` output."""
+    lines = [
+        f"run {stats.run_id}: {stats.n_records} record(s), "
+        f"{len(stats.devices)} device(s)"
+        + (" [torn tail skipped]" if stats.torn else "")
+    ]
+    if stats.devices:
+        lines.append(
+            f"  {'device':<12s} {'batches':>7s} {'images':>7s} "
+            f"{'upload':>7s} {'elim':>6s} {'rate':>6s} {'bytes':>12s} "
+            f"{'joules':>10s} halted"
+        )
+        for device in stats.devices:
+            result = device.result
+            lines.append(
+                f"  {result.device:<12s} {device.batches:>7d} "
+                f"{device.images:>7d} {len(result.uploaded_ids):>7d} "
+                f"{device.eliminated:>6d} {device.elimination_rate:>6.2f} "
+                f"{result.sent_bytes:>12d} {result.energy_joules:>10.3f} "
+                f"{'yes' if result.halted else 'no'}"
+            )
+    for label, names in (
+        ("stragglers", stats.stragglers),
+        ("battery-drain outliers", stats.energy_outliers),
+        ("elimination-rate drift", stats.elimination_drift),
+    ):
+        lines.append(f"  {label}: {', '.join(names) if names else 'none'}")
     return "\n".join(lines)

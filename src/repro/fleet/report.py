@@ -7,9 +7,9 @@ same workload are *equivalent* iff their fingerprints match, and
 :func:`assert_equivalent` turns a mismatch into a readable per-device
 diff instead of a bare hash inequality.
 
-Wall-clock time and per-shard telemetry are
-deliberately **excluded** from the fingerprint: they legitimately vary
-between the sequential reference and the concurrent run.
+Wall-clock time, mode and shard count are deliberately **excluded**
+from the fingerprint: they legitimately vary between the sequential
+reference and the concurrent run.
 """
 
 from __future__ import annotations

@@ -240,17 +240,7 @@ class FleetRunner:
                     devices[number], proxies[number], batches[number]
                 )
                 if journal.enabled:
-                    journal.emit(
-                        "fleet.batch",
-                        round=round_no,
-                        n_images=report.n_images,
-                        uploaded=list(report.uploaded_ids),
-                        eliminated_cross=list(report.eliminated_cross_batch),
-                        eliminated_in=list(report.eliminated_in_batch),
-                        sent_bytes=report.sent_bytes,
-                        energy=dict(report.energy_by_category),
-                        halted=report.halted,
-                    )
+                    journal.emit("fleet.batch", **report.to_event(round_no))
             return report
 
         if pool is None:

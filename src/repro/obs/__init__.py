@@ -18,7 +18,8 @@ this package's.
   Per-site counts (uplink, server index, DTN, fleet rounds) live on
   the model objects and in the journal, not in the registry;
 * :mod:`repro.obs.journal` — the decision-provenance journal that
-  ``repro journal`` explains, diffs, replays and summarises.
+  ``repro journal`` explains and diffs (replay and stats, which parse
+  batch payloads, are in :mod:`repro.fleet.replay`).
 
 Whether the reproduction still reproduces the paper is the bench
 harness's question: ``repro bench compare`` checks the claims table
@@ -39,18 +40,14 @@ from .journal import (
     DIFF_IGNORED_EVENTS,
     SCHEMA_VERSION,
     DecisionJournal,
-    DeviceStats,
     JournalDivergence,
     JournalFile,
     JournalRecord,
-    JournalStats,
     disable_journal,
     explain_image,
     first_divergence,
     format_explain,
-    format_stats,
     get_journal,
-    journal_stats,
     journal_to,
     read_journal,
     set_journal,
@@ -77,12 +74,10 @@ __all__ = [
     "SCHEMA_VERSION",
     "Counter",
     "DecisionJournal",
-    "DeviceStats",
     "Histogram",
     "JournalDivergence",
     "JournalFile",
     "JournalRecord",
-    "JournalStats",
     "MetricsRegistry",
     "Observability",
     "bucket_quantile",
@@ -90,9 +85,7 @@ __all__ = [
     "explain_image",
     "first_divergence",
     "format_explain",
-    "format_stats",
     "get_journal",
-    "journal_stats",
     "journal_to",
     "read_journal",
     "set_journal",

@@ -8,9 +8,12 @@ shard routing, DTN forwards and drops — appends one typed, structured
 event to an append-only, schema-versioned JSONL file, and the
 ``repro journal`` CLI reconstructs causal chains (``explain``),
 pinpoints the first divergent event between two runs (``diff``),
-re-derives a :class:`~repro.fleet.report.FleetResult` from events alone
-(``replay``, in :mod:`repro.fleet.replay`), and summarises per-device
-health (``stats``).
+and, in :mod:`repro.fleet.replay`, re-derives a
+:class:`~repro.fleet.report.FleetResult` from events alone (``replay``)
+and summarises per-device health (``stats``).  Those two live in
+:mod:`repro.fleet` because they parse ``fleet.batch`` payloads with
+:meth:`repro.baselines.base.BatchReport.from_event`, and
+:mod:`repro.baselines` imports this package.
 
 Design rules the rest of the repo relies on:
 
@@ -28,6 +31,13 @@ Design rules the rest of the repo relies on:
   so any single device's events are strictly ordered even when many
   pool threads interleave (pinned by
   ``tests/obs/test_journal.py::test_concurrent_writers_keep_per_device_order``).
+* **Payloads are read strictly.**  :func:`int_field`,
+  :func:`str_field`, :func:`bool_field`, :func:`str_list_field` and
+  :func:`number_map_field` read the ``seq`` envelope, the
+  ``fleet.batch`` payload and the ``fleet.run.start`` fields replay
+  needs; a missing or mistyped field raises one
+  :class:`ObservabilityError` naming the field and its value (an
+  ``int`` is never a ``bool``).
 * **Torn tails are survivable.**  A crash mid-write leaves at most one
   partial final line; :func:`read_journal` skips it and reports it via
   :attr:`JournalFile.torn_tail` instead of failing the whole file.
@@ -41,7 +51,7 @@ import threading
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Iterator, Mapping
 
 from ..errors import ObservabilityError
 
@@ -63,15 +73,6 @@ DEFAULT_FLUSH_EVERY = 256
 DIFF_IGNORED_EVENTS = frozenset(
     {"kernel.cache", "index.route", "fleet.run.start", "fleet.run.end"}
 )
-
-#: A device whose total joules exceed the fleet median by this ratio is
-#: flagged as a battery-drain outlier by :func:`journal_stats`.
-STATS_ENERGY_OUTLIER_RATIO = 1.25
-
-#: A device whose elimination rate strays this far (absolute) from the
-#: fleet mean is flagged as drifting by :func:`journal_stats`.
-STATS_DRIFT_TOLERANCE = 0.25
-
 
 @dataclass(frozen=True)
 class JournalRecord:
@@ -105,7 +106,7 @@ class JournalRecord:
         if not isinstance(data, dict):
             raise ObservabilityError("journal record 'data' must be an object")
         return cls(
-            seq=_to_int(raw["seq"]),
+            seq=int_field(raw, "seq"),
             event=str(raw["event"]),
             device=None if raw.get("device") is None else str(raw["device"]),
             image=None if raw.get("image") is None else str(raw["image"]),
@@ -113,17 +114,56 @@ class JournalRecord:
         )
 
 
-def _to_int(value: object) -> int:
-    """A strict JSON-value-to-int coercion (no silent float truncation)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ObservabilityError(f"expected an integer, got {value!r}")
-    return value
+def _value(data: "Mapping[str, object]", key: str) -> object:
+    if key not in data:
+        raise ObservabilityError(f"field {key!r} is missing")
+    return data[key]
 
 
-def _to_float(value: object) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ObservabilityError(f"expected a number, got {value!r}")
-    return float(value)
+def _mistyped(key: str, expected: str, value: object) -> ObservabilityError:
+    return ObservabilityError(f"field {key!r}: expected {expected}, got {value!r}")
+
+
+def int_field(data: "Mapping[str, object]", key: str) -> int:
+    """``data[key]`` as a strict integer (a bool or float is an error)."""
+    value = _value(data, key)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise _mistyped(key, "an integer", value)
+
+
+def str_field(data: "Mapping[str, object]", key: str) -> str:
+    value = _value(data, key)
+    if isinstance(value, str):
+        return value
+    raise _mistyped(key, "a string", value)
+
+
+def bool_field(data: "Mapping[str, object]", key: str) -> bool:
+    value = _value(data, key)
+    if isinstance(value, bool):
+        return value
+    raise _mistyped(key, "a boolean", value)
+
+
+def str_list_field(data: "Mapping[str, object]", key: str) -> "list[str]":
+    value = _value(data, key)
+    if isinstance(value, list) and all(isinstance(item, str) for item in value):
+        return list(value)
+    raise _mistyped(key, "a list of strings", value)
+
+
+def number_map_field(data: "Mapping[str, object]", key: str) -> "dict[str, float]":
+    """``{str: number}`` in recorded key order; an ``int`` stays an ``int``."""
+    value = _value(data, key)
+    if isinstance(value, dict) and all(
+        isinstance(name, str)
+        and isinstance(number, (int, float))
+        and not isinstance(number, bool)
+        for name, number in value.items()
+    ):
+        return dict(value)
+    raise _mistyped(key, "a map of strings to numbers", value)
 
 
 class _DeviceBinding(threading.local):
@@ -319,14 +359,6 @@ class JournalFile:
             grouped.setdefault(record.device, []).append(record)
         return grouped
 
-    def for_image(self, image_id: str) -> "list[JournalRecord]":
-        """Every record that mentions *image_id* (subject or payload)."""
-        return [
-            record
-            for record in self.records
-            if _mentions(record, image_id)
-        ]
-
 
 def _mentions(record: JournalRecord, image_id: str) -> bool:
     if record.image == image_id:
@@ -502,7 +534,7 @@ def explain_image(journal: JournalFile, image_id: str) -> "list[JournalRecord]":
     payload references it (e.g. it was another image's best CBRD match,
     or it rode along in a DTN forward).
     """
-    return journal.for_image(image_id)
+    return [record for record in journal.records if _mentions(record, image_id)]
 
 
 def format_explain(journal: JournalFile, image_id: str) -> str:
@@ -520,165 +552,4 @@ def format_explain(journal: JournalFile, image_id: str) -> str:
             f"  #{record.seq:<6d} {device:<12s} {record.event:<16s} "
             f"[{role}] {json.dumps(record.data, sort_keys=True)}"
         )
-    return "\n".join(lines)
-
-
-# -- stats -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DeviceStats:
-    """Per-device health derived from ``fleet.batch`` events."""
-
-    device: str
-    batches: int
-    images: int
-    uploaded: int
-    eliminated_cross: int
-    eliminated_in: int
-    sent_bytes: int
-    energy_joules: float
-    halted: bool
-
-    @property
-    def elimination_rate(self) -> float:
-        if self.images == 0:
-            return 0.0
-        return (self.eliminated_cross + self.eliminated_in) / self.images
-
-
-@dataclass(frozen=True)
-class JournalStats:
-    """Fleet-level health summary of one journal."""
-
-    run_id: str
-    n_records: int
-    torn: bool
-    devices: "tuple[DeviceStats, ...]"
-    #: Devices that halted (battery death) or uploaded nothing while
-    #: the rest of the fleet did — the run's stragglers.
-    stragglers: "tuple[str, ...]"
-    #: Devices whose joules exceed the fleet median by
-    #: :data:`STATS_ENERGY_OUTLIER_RATIO`.
-    energy_outliers: "tuple[str, ...]"
-    #: Devices whose elimination rate strays from the fleet mean by more
-    #: than :data:`STATS_DRIFT_TOLERANCE` — drift against the paper's
-    #: Fig. 6/12 expectation that rates track content, not devices.
-    elimination_drift: "tuple[str, ...]"
-
-
-@dataclass
-class _DeviceAccumulator:
-    batches: int = 0
-    images: int = 0
-    uploaded: int = 0
-    cross: int = 0
-    in_batch: int = 0
-    sent_bytes: int = 0
-    energy_joules: float = 0.0
-    halted: bool = False
-
-    def fold(self, data: "dict[str, object]") -> None:
-        self.batches += 1
-        self.images += _to_int(data.get("n_images", 0))
-        self.uploaded += len(_as_list(data.get("uploaded")))
-        self.cross += len(_as_list(data.get("eliminated_cross")))
-        self.in_batch += len(_as_list(data.get("eliminated_in")))
-        self.sent_bytes += _to_int(data.get("sent_bytes", 0))
-        energy = data.get("energy")
-        if isinstance(energy, dict):
-            total = 0.0
-            for joules in energy.values():
-                total += _to_float(joules)
-            self.energy_joules += total
-        self.halted = self.halted or bool(data.get("halted"))
-
-
-def journal_stats(journal: JournalFile) -> JournalStats:
-    """Summarise per-device health from a journal's batch events."""
-    per_device: "dict[str, _DeviceAccumulator]" = {}
-    for record in journal.events("fleet.batch"):
-        if record.device is None:
-            continue
-        per_device.setdefault(record.device, _DeviceAccumulator()).fold(
-            record.data
-        )
-    devices = tuple(
-        DeviceStats(
-            device=device,
-            batches=slot.batches,
-            images=slot.images,
-            uploaded=slot.uploaded,
-            eliminated_cross=slot.cross,
-            eliminated_in=slot.in_batch,
-            sent_bytes=slot.sent_bytes,
-            energy_joules=slot.energy_joules,
-            halted=slot.halted,
-        )
-        for device, slot in sorted(per_device.items())
-    )
-    stragglers = tuple(
-        stats.device
-        for stats in devices
-        if stats.halted
-        or (stats.uploaded == 0 and any(d.uploaded for d in devices))
-    )
-    energies = sorted(stats.energy_joules for stats in devices)
-    median = energies[len(energies) // 2] if energies else 0.0
-    energy_outliers = tuple(
-        stats.device
-        for stats in devices
-        if median > 0.0
-        and stats.energy_joules > STATS_ENERGY_OUTLIER_RATIO * median
-    )
-    rates = [stats.elimination_rate for stats in devices]
-    mean_rate = sum(rates) / len(rates) if rates else 0.0
-    elimination_drift = tuple(
-        stats.device
-        for stats in devices
-        if abs(stats.elimination_rate - mean_rate) > STATS_DRIFT_TOLERANCE
-    )
-    return JournalStats(
-        run_id=journal.run_id,
-        n_records=len(journal.records),
-        torn=journal.torn_tail is not None,
-        devices=devices,
-        stragglers=stragglers,
-        energy_outliers=energy_outliers,
-        elimination_drift=elimination_drift,
-    )
-
-
-def _as_list(value: object) -> "list[object]":
-    return value if isinstance(value, list) else []
-
-
-def format_stats(stats: JournalStats) -> str:
-    """Human-readable ``repro journal stats`` output."""
-    lines = [
-        f"run {stats.run_id}: {stats.n_records} record(s), "
-        f"{len(stats.devices)} device(s)"
-        + (" [torn tail skipped]" if stats.torn else "")
-    ]
-    if stats.devices:
-        lines.append(
-            f"  {'device':<12s} {'batches':>7s} {'images':>7s} "
-            f"{'upload':>7s} {'elim':>6s} {'rate':>6s} {'bytes':>12s} "
-            f"{'joules':>10s} halted"
-        )
-        for device in stats.devices:
-            eliminated = device.eliminated_cross + device.eliminated_in
-            lines.append(
-                f"  {device.device:<12s} {device.batches:>7d} "
-                f"{device.images:>7d} {device.uploaded:>7d} "
-                f"{eliminated:>6d} {device.elimination_rate:>6.2f} "
-                f"{device.sent_bytes:>12d} {device.energy_joules:>10.3f} "
-                f"{'yes' if device.halted else 'no'}"
-            )
-    for label, names in (
-        ("stragglers", stats.stragglers),
-        ("battery-drain outliers", stats.energy_outliers),
-        ("elimination-rate drift", stats.elimination_drift),
-    ):
-        lines.append(f"  {label}: {', '.join(names) if names else 'none'}")
     return "\n".join(lines)

@@ -1,4 +1,4 @@
-"""Decision-journal unit tests: writer, reader, diff, explain, stats.
+"""Decision-journal unit tests: writer, reader, diff, explain.
 
 The journal is the provenance substrate of the replay/diff/explain
 tooling, so these tests pin its durability contract (torn tails are
@@ -23,9 +23,7 @@ from repro.obs import (
     explain_image,
     first_divergence,
     format_explain,
-    format_stats,
     get_journal,
-    journal_stats,
     journal_to,
     read_journal,
     set_journal,
@@ -331,71 +329,3 @@ class TestExplain:
 
     def test_format_explain_on_unknown_image(self):
         assert "no journal events" in format_explain(self.chain(), "nope")
-
-
-class TestStats:
-    def batch(self, device, uploaded, eliminated, joules, halted=False):
-        return record(
-            0,
-            "fleet.batch",
-            device=device,
-            n_images=uploaded + eliminated,
-            uploaded=[f"{device}-u{i}" for i in range(uploaded)],
-            eliminated_cross=[f"{device}-e{i}" for i in range(eliminated)],
-            eliminated_in=[],
-            sent_bytes=1000 * uploaded,
-            energy={"upload": joules},
-            halted=halted,
-        )
-
-    def test_healthy_fleet_has_no_flags(self):
-        stats = journal_stats(
-            journal_file(
-                self.batch("dev-00", 4, 1, 100.0),
-                self.batch("dev-01", 4, 1, 101.0),
-            )
-        )
-        assert stats.stragglers == ()
-        assert stats.energy_outliers == ()
-        assert stats.elimination_drift == ()
-        assert stats.devices[0].elimination_rate == pytest.approx(0.2)
-
-    def test_halted_device_is_a_straggler(self):
-        stats = journal_stats(
-            journal_file(
-                self.batch("dev-00", 4, 0, 100.0),
-                self.batch("dev-01", 0, 0, 5.0, halted=True),
-            )
-        )
-        assert "dev-01" in stats.stragglers
-
-    def test_energy_outlier_detection(self):
-        stats = journal_stats(
-            journal_file(
-                self.batch("dev-00", 4, 0, 100.0),
-                self.batch("dev-01", 4, 0, 101.0),
-                self.batch("dev-02", 4, 0, 300.0),
-            )
-        )
-        assert stats.energy_outliers == ("dev-02",)
-
-    def test_elimination_drift_detection(self):
-        stats = journal_stats(
-            journal_file(
-                self.batch("dev-00", 4, 0, 100.0),
-                self.batch("dev-01", 1, 3, 100.0),
-            )
-        )
-        assert "dev-01" in stats.elimination_drift
-
-    def test_format_stats_renders_the_table(self):
-        text = format_stats(
-            journal_stats(
-                journal_file(
-                    self.batch("dev-00", 4, 1, 100.0),
-                    self.batch("dev-01", 0, 0, 5.0, halted=True),
-                )
-            )
-        )
-        assert "dev-00" in text and "dev-01" in text
-        assert "stragglers: dev-01" in text

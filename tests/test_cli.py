@@ -1,6 +1,6 @@
 """Tests for the command-line interface."""
 
-import re
+import json
 
 import pytest
 
@@ -243,6 +243,28 @@ class TestJournalCommands:
         assert path.exists()
         assert (tmp_path / "run.jsonl.ref").exists()
 
+    def test_verify_does_not_change_the_metrics_export(self, tmp_path, capsys):
+        # The sequential reference runs outside the metrics context, so
+        # the export describes the one run it names, not run + reference.
+        exports = []
+        for flags in ([], ["--verify"]):
+            path = tmp_path / f"run{len(exports)}.prom"
+            code = main(
+                [
+                    "fleet", "run",
+                    "--devices", "2",
+                    "--rounds", "1",
+                    "--batch-size", "3",
+                    "--metrics", str(path),
+                    *flags,
+                ]
+            )
+            assert code == 0
+            exports.append(path.read_bytes())
+        capsys.readouterr()
+        assert b'bees_batches_total{scheme="BEES"} 2\n' in exports[0]
+        assert exports[1] == exports[0]
+
     def test_journal_replay_round_trips(self, tmp_path, capsys):
         path = self.fleet_journal(tmp_path, capsys)
         assert main(["journal", "replay", str(path)]) == 0
@@ -264,11 +286,9 @@ class TestJournalCommands:
 
     def test_journal_explain_names_the_pipeline_stages(self, tmp_path, capsys):
         path = self.fleet_journal(tmp_path, capsys)
-        import json as json_module
-
         image_id = None
         for line in path.read_text().splitlines()[1:]:
-            raw = json_module.loads(line)
+            raw = json.loads(line)
             if raw.get("image"):
                 image_id = raw["image"]
                 break
@@ -278,20 +298,51 @@ class TestJournalCommands:
         assert image_id in out
         assert "cbrd.verdict" in out
 
+    #: One wrong-typed value per ``fleet.batch`` key: a string, bool or
+    #: float where an int belongs, a non-string id, a string joule
+    #: count, an int where a bool belongs.
+    MISTYPED_BATCH_FIELDS = {
+        "round": 0.0,
+        "n_images": "3",
+        "uploaded": [7],
+        "eliminated_cross": "img",
+        "eliminated_in": None,
+        "sent_bytes": True,
+        "energy": {"upload": "1.5"},
+        "halted": 0,
+    }
+
+    @pytest.mark.parametrize("how", ["mistyped", "missing"])
+    @pytest.mark.parametrize("key", list(MISTYPED_BATCH_FIELDS))
     def test_journal_stats_on_a_mistyped_payload_fails_cleanly(
-        self, tmp_path, capsys
+        self, key, how, tmp_path, capsys
     ):
+        # Replay and stats parse fleet.batch with one codec, so a bad
+        # field fails both commands with one message naming it.
         path = self.fleet_journal(tmp_path, capsys)
         lines = path.read_text().splitlines()
         for index, line in enumerate(lines):
-            if '"fleet.batch"' in line:
-                lines[index] = re.sub(r'"n_images": \d+', '"n_images": "3"', line)
+            raw = json.loads(line)
+            if raw["event"] == "fleet.batch":
+                if how == "missing":
+                    del raw["data"][key]
+                else:
+                    raw["data"][key] = self.MISTYPED_BATCH_FIELDS[key]
+                lines[index] = json.dumps(raw)
                 break
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(SystemExit) as excinfo:
-            main(["journal", "stats", str(path)])
-        assert str(excinfo.value).startswith("journal stats failed: ")
-        assert "'3'" in str(excinfo.value)
+        messages = []
+        for command in ("replay", "stats"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["journal", command, str(path)])
+            messages.append(str(excinfo.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("journal read failed: fleet.batch record #")
+        assert f"field {key!r}" in messages[0]
+        if how == "mistyped":
+            assert repr(self.MISTYPED_BATCH_FIELDS[key]) in messages[0]
+        else:
+            assert messages[0].endswith("is missing")
 
     def test_journal_read_failure_exits_cleanly(self, tmp_path):
         with pytest.raises(SystemExit, match="journal read failed"):
