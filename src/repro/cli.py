@@ -235,13 +235,12 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
 
     net = _degraded_net(args)
 
-    def build(mode: str, n_shards: int) -> FleetRunner:
+    def build(mode: str) -> FleetRunner:
         try:
             return FleetRunner(
                 n_devices=args.devices,
                 n_rounds=args.rounds,
                 batch_size=args.batch_size,
-                n_shards=n_shards,
                 seed=args.seed,
                 scheme=args.scheme,
                 mode=mode,
@@ -253,12 +252,12 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
 
     with _observability(args):
         with _journal_context(args.journal):
-            result = build(args.mode, args.shards).run()
+            result = build(args.mode).run()
         if args.journal is not None:
             print(f"wrote {args.journal}")
         print(
             f"fleet: {result.n_devices} device(s) x {result.n_rounds} round(s) "
-            f"x {args.batch_size} images, {result.n_shards} shard(s), "
+            f"x {args.batch_size} images, "
             f"scheme {args.scheme}, mode {result.mode}"
         )
         rows = [
@@ -297,7 +296,7 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
             None if args.journal is None else args.journal + ".ref"
         )
         with _journal_context(reference_journal):
-            reference = build("sequential", 1).run()
+            reference = build("sequential").run()
         if reference_journal is not None:
             print(f"wrote {reference_journal}")
         try:
@@ -603,10 +602,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet_commands = fleet.add_subparsers(dest="fleet_command", required=True)
     fleet_run = fleet_commands.add_parser(
-        "run", help="run N devices against one (optionally sharded) server"
+        "run", help="run N devices against one server"
     )
     fleet_run.add_argument("--devices", type=int, default=4)
-    fleet_run.add_argument("--shards", type=int, default=4)
     fleet_run.add_argument("--seed", type=int, default=0)
     fleet_run.add_argument("--rounds", type=int, default=3)
     fleet_run.add_argument("--batch-size", type=int, default=8)

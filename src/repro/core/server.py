@@ -15,23 +15,15 @@ from typing import Optional
 from ..errors import SimulationError
 from ..features.base import FeatureSet
 from ..imaging.image import Image
-from ..index import FeatureIndex, ImageStore, QueryResult, ShardedFeatureIndex
+from ..index import FeatureIndex, ImageStore, QueryResult
 from ..obs.journal import get_journal
 
 
 @dataclass
 class BeesServer:
-    """Cloud endpoint: feature index + image store.
+    """Cloud endpoint: feature index + image store."""
 
-    The index may be the plain :class:`FeatureIndex` or the sharded,
-    thread-safe :class:`ShardedFeatureIndex` — both answer queries
-    byte-identically over the same stored images, so schemes never
-    need to know which one is behind the server.
-    """
-
-    index: "FeatureIndex | ShardedFeatureIndex" = field(
-        default_factory=FeatureIndex
-    )
+    index: FeatureIndex = field(default_factory=FeatureIndex)
     store: ImageStore = field(default_factory=ImageStore)
     #: Bytes of the per-image query response (the verdict is tiny).
     query_response_bytes: int = 64

@@ -1,10 +1,9 @@
 """Concurrent multi-device fleet simulation.
 
 Runs N :class:`~repro.sim.device.Smartphone` devices against one shared
-server — optionally backed by the sharded, thread-safe
-:class:`~repro.index.ShardedFeatureIndex` — under round-barrier
-semantics that make the concurrent run **byte-identical** to a
-sequential single-index reference run of the same seed.  See
+server and its one :class:`~repro.index.FeatureIndex` under round-barrier
+semantics that make the concurrent run **byte-identical** to the
+sequential reference run of the same seed.  See
 :mod:`repro.fleet.staging` for the protocol and
 :mod:`repro.fleet.report` for the equivalence contract.
 """

@@ -62,6 +62,10 @@ class FleetRunner:
     n_devices: int = 4
     n_rounds: int = 3
     batch_size: int = 8
+    #: A label only: the index is one posting list either way.  Above 1
+    #: the server's index is built as the compatibility
+    #: :class:`~repro.index.ShardedFeatureIndex`, the name that
+    #: ``benchmarks/e2e`` builds and probes.
     n_shards: int = 1
     seed: int = 0
     scheme: str = "bees"

@@ -1,9 +1,9 @@
 """Server-side index substrate: LSH descriptor index + image store."""
 
 from .dedup import DedupStore, content_defined_chunks, image_payload
-from .index import FeatureIndex, QueryResult, rank_votes, verify_candidates
+from .index import FeatureIndex, QueryResult, shortlist_refs, verify_candidates
 from .lsh import HammingLSH, float_sketch_planes, sketch_float_descriptors
-from .sharded import ShardedFeatureIndex, shard_of
+from .sharded import ShardedFeatureIndex
 from .store import ImageStore, StoredImage
 from .vocab import BagOfWordsIndex, VocabularyTree
 
@@ -19,8 +19,7 @@ __all__ = [
     "VocabularyTree",
     "content_defined_chunks",
     "image_payload",
-    "rank_votes",
-    "shard_of",
+    "shortlist_refs",
     "float_sketch_planes",
     "sketch_float_descriptors",
     "verify_candidates",

@@ -11,11 +11,14 @@ candidates, the standard two-stage design of content-based indexes.
 
 Query results are **insertion-order independent**: the vote shortlist
 and the verified results are ranked on ``(score, image_id)`` — never on
-dict/arrival order — so two indexes holding the same images always
+ref/arrival order — so two indexes holding the same images always
 answer identically, no matter the order the images arrived in.  The
-sharded index (:mod:`repro.index.sharded`) relies on this to return
-byte-identical answers to a single index, and the fleet differential
-tests (:mod:`repro.fleet`) rely on it to not flake.
+fleet differential tests (:mod:`repro.fleet`) rely on it to not flake.
+
+One posting list serves every query: the LSH vote totals come back as
+one array indexed by ref, and the shortlist is cut from that array with
+``np.partition`` (:func:`shortlist_refs`), so only the refs that can
+make the shortlist are ever named by their image id.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from ..errors import IndexError_
 from ..features.base import FeatureSet
 from ..features.matching import resolve_threshold
 from ..features.similarity import _check_kind, _pair_jaccard, prepare_set
-from ..kernels.voting import GroupedKeys
 from .lsh import (
     FLOAT_SKETCH_BITS,
     HammingLSH,
@@ -38,15 +40,29 @@ from .lsh import (
 )
 
 
-def rank_votes(votes: "dict[str, int]", limit: int) -> "list[str]":
-    """Image ids ranked by ``(votes desc, image_id asc)``, truncated.
+def shortlist_refs(
+    totals: np.ndarray, limit: int, id_of: "Callable[[int], str]"
+) -> "list[int]":
+    """The refs of the *limit* best vote totals, by ``(votes desc, id asc)``.
 
-    The deterministic shortlist order shared by the single and sharded
-    indexes: vote count first, stable image id as the tie-break, so the
-    ranking never depends on dict iteration or arrival order.
+    *totals* is :meth:`~repro.kernels.voting.BucketStore.votes`' array
+    (entry *r* is ref *r*'s votes; zero means unvoted, never listed).
+    ``np.partition`` finds the *limit*-th largest total; only the refs
+    at or above it are named with *id_of* and sorted, so the Python
+    work grows with the ties at the cut, not with the index.  The
+    stable image id breaks ties, so the ranking never depends on ref
+    (arrival) order.
     """
-    ranked = sorted(votes, key=lambda image_id: (-votes[image_id], image_id))
-    return ranked[:limit]
+    if totals.size > limit:
+        cut = totals.size - limit
+        refs = np.flatnonzero(totals >= max(np.partition(totals, cut)[cut], 1.0))
+    else:
+        refs = np.flatnonzero(totals)
+    ranked = sorted(
+        zip(refs.tolist(), totals[refs].tolist()),
+        key=lambda pair: (-pair[1], id_of(pair[0])),
+    )
+    return [ref for ref, _ in ranked[:limit]]
 
 
 def verify_candidates(
@@ -57,7 +73,7 @@ def verify_candidates(
     Equal to :func:`~repro.features.similarity.jaccard_similarity` on
     every candidate; the query is prepared and its ceiling resolved once.
     Sorted by ``(similarity desc, image_id asc)`` — the same
-    deterministic tie-break as :func:`rank_votes`.
+    deterministic tie-break as :func:`shortlist_refs`.
     """
     prepared = prepare_set(query)
     limit = resolve_threshold(query.kind, None)
@@ -68,27 +84,6 @@ def verify_candidates(
         scored.append((candidate.image_id, score))
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return scored[:k]
-
-
-def verify_votes(
-    query: FeatureSet,
-    votes: "dict[str, int]",
-    k: int,
-    verify_top_k: int,
-    features_of: "Callable[[str], FeatureSet]",
-) -> "list[tuple[str, float]]":
-    """The votes → rank → verify path every index query runs.
-
-    Shortlists the ``max(k, verify_top_k)`` best-voted images
-    (:func:`rank_votes`), looks each one up with *features_of* and
-    returns the best-*k* exact scores (:func:`verify_candidates`).  No
-    votes means no candidates: the answer is empty.
-    """
-    if not votes:
-        return []
-    shortlist = rank_votes(votes, max(k, verify_top_k))
-    candidates = [features_of(image_id) for image_id in shortlist]
-    return verify_candidates(query, candidates, k)
 
 
 @dataclass(frozen=True)
@@ -103,20 +98,6 @@ class QueryResult:
     def found(self) -> bool:
         """Whether any stored image produced a non-zero similarity."""
         return self.best_id is not None
-
-    @classmethod
-    def best_of(
-        cls, top: "list[tuple[str, float]]", n_entries: int, verify_top_k: int
-    ) -> "QueryResult":
-        """CBRD's answer from a verified top list over *n_entries* images."""
-        if not top:
-            return NO_MATCH
-        best_id, best_similarity = top[0]
-        return cls(
-            best_id=best_id,
-            best_similarity=best_similarity,
-            candidates_checked=min(n_entries, verify_top_k),
-        )
 
 
 #: The answer when no stored image shares an LSH bucket with the query.
@@ -171,7 +152,14 @@ class FeatureIndex:
     # -- public API ----------------------------------------------------------
 
     def add(self, features: FeatureSet) -> None:
-        """Index the features of one uploaded image."""
+        """Index the features of one uploaded image.
+
+        One writer at a time: no program path adds from two threads
+        (the fleet commits every upload on its coordinator at the round
+        barrier), so concurrent ``add`` calls are not supported.  Reads
+        stay lock-free against that one writer: the bucket store
+        publishes each insert whole.
+        """
         image_id = features.image_id
         if not image_id:
             raise IndexError_("features must carry an image_id to be indexed")
@@ -186,37 +174,18 @@ class FeatureIndex:
         if packed is not None:
             self._lsh.add(packed, ref)
 
-    def packed_descriptors(self, features: FeatureSet) -> np.ndarray:
-        """The LSH-ready packed binary form of *features*' descriptors."""
-        return self._packed(features)
+    def shortlist(self, features: FeatureSet, limit: int) -> "list[FeatureSet]":
+        """The *limit* best-voted stored feature sets for a query.
 
-    def hash_keys(self, packed: np.ndarray) -> np.ndarray:
-        """Per-table LSH hash keys for packed descriptor rows.
-
-        Indexes built with the same ``(n_tables, bits_per_key, seed)``
-        sample identical bit subsets, so keys computed once are valid
-        for every shard of a sharded index.
+        Ranked by ``(votes desc, image_id asc)`` (:func:`shortlist_refs`);
+        images sharing no LSH bucket with the query are never listed.
         """
-        return self._lsh.keys(packed)
-
-    def vote_counts_from_grouped(self, grouped: "GroupedKeys") -> "dict[str, int]":
-        """LSH votes for keys already fused and deduplicated.
-
-        Shard fan-out entry point: the coordinator groups a query's
-        keys once (:func:`~repro.kernels.voting.group_query_keys`) and
-        every shard gathers its buckets from the shared grouped form
-        instead of re-running the unique pass.  Counts equal
-        :meth:`vote_counts` exactly.
-        """
-        votes = self._lsh.votes_from_grouped(grouped)
-        return {self._entries[ref].image_id: count for ref, count in votes.items()}
-
-    def vote_counts(self, features: FeatureSet) -> "dict[str, int]":
-        """LSH votes per stored ``image_id`` for a query feature set."""
         if not self._entries or len(features) == 0:
-            return {}
-        votes = self._lsh.votes(self._packed(features))
-        return {self._entries[ref].image_id: count for ref, count in votes.items()}
+            return []
+        entries = self._entries
+        totals = self._lsh.votes(self._packed(features))
+        refs = shortlist_refs(totals, limit, lambda ref: entries[ref].image_id)
+        return [entries[ref] for ref in refs]
 
     def features_of(self, image_id: str) -> FeatureSet:
         """The stored feature set of one indexed image."""
@@ -233,22 +202,29 @@ class FeatureIndex:
         """The *k* most similar stored images as ``(image_id, similarity)``.
 
         Results are sorted by ``(similarity desc, image_id asc)``.  Only
-        LSH-voted candidates are exactly verified, so images sharing no
-        descriptor buckets with the query never appear (their similarity
-        would be ~0 anyway).
+        the ``max(k, verify_top_k)`` best-voted candidates are exactly
+        verified, so images sharing no descriptor buckets with the query
+        never appear (their similarity would be ~0 anyway).
         """
         if k < 1:
             raise IndexError_(f"k must be >= 1, got {k}")
-        return verify_votes(
-            features,
-            self.vote_counts(features),
-            k,
-            self.verify_top_k,
-            self.features_of,
-        )
+        candidates = self.shortlist(features, max(k, self.verify_top_k))
+        return verify_candidates(features, candidates, k)
 
     def query(self, features: FeatureSet) -> QueryResult:
-        """Maximum similarity against the stored images (CBRD's primitive)."""
-        return QueryResult.best_of(
-            self.query_top(features, 1), len(self._entries), self.verify_top_k
+        """Maximum similarity against the stored images (CBRD's primitive).
+
+        ``candidates_checked`` is the length of the shortlist that was
+        verified: at most ``verify_top_k``, fewer when fewer stored
+        images got any vote.
+        """
+        candidates = self.shortlist(features, self.verify_top_k)
+        top = verify_candidates(features, candidates, 1)
+        if not top:
+            return NO_MATCH
+        best_id, best_similarity = top[0]
+        return QueryResult(
+            best_id=best_id,
+            best_similarity=best_similarity,
+            candidates_checked=len(candidates),
         )

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import IndexError_
-from ..kernels.voting import BucketStore, GroupedKeys
+from ..kernels.voting import BucketStore
 
 DEFAULT_N_TABLES = 8
 DEFAULT_BITS_PER_KEY = 16
@@ -70,8 +70,7 @@ class HammingLSH:
 
         Keys depend only on the sampled bit positions (seeded), so two
         LSH instances built with the same ``(n_bits, n_tables,
-        bits_per_key, seed)`` accept each other's keys — the sharing the
-        sharded index uses to hash a query once across all shards.
+        bits_per_key, seed)`` accept each other's keys.
         """
         packed = np.asarray(packed, dtype=np.uint8)
         if packed.ndim != 2 or packed.shape[1] * 8 != self.n_bits:
@@ -95,18 +94,19 @@ class HammingLSH:
         """
         self._store.insert(self.keys(packed), ref)
 
-    def votes(self, packed: np.ndarray) -> dict[int, int]:
-        """Reference-id vote counts for a query descriptor set.
+    def votes(self, packed: np.ndarray) -> np.ndarray:
+        """Per-ref vote totals for a query descriptor set.
 
         A reference gets at most one vote per (query descriptor, table)
         bucket hit; strongly overlapping images accumulate many votes.
+        The totals are :meth:`BucketStore.votes`' array, indexed by ref.
         """
         if len(packed) == 0:
-            return {}
+            return np.zeros(0)
         return self.votes_from_keys(self.keys(packed))
 
-    def votes_from_keys(self, keys: np.ndarray) -> dict[int, int]:
-        """Vote counts for precomputed :meth:`keys` output.
+    def votes_from_keys(self, keys: np.ndarray) -> np.ndarray:
+        """Vote totals for precomputed :meth:`keys` output.
 
         Aggregated by the columnar kernel store
         (:class:`repro.kernels.voting.BucketStore`): hit posting runs
@@ -115,17 +115,6 @@ class HammingLSH:
         historical per-key Python loop.
         """
         return self._store.votes(keys)
-
-    def votes_from_grouped(self, grouped: "GroupedKeys") -> dict[int, int]:
-        """Vote counts for keys already fused and deduplicated.
-
-        The sharded coordinator's fast path: it runs
-        :func:`~repro.kernels.voting.group_query_keys` **once** per
-        query and ships the grouped form to every shard, so no shard
-        repeats the unique pass.  Counts are identical to
-        :meth:`votes_from_keys` on the ungrouped keys.
-        """
-        return self._store.votes_from_grouped(grouped)
 
 
 def float_sketch_planes(dim: int, n_bits: int = FLOAT_SKETCH_BITS, seed: int = 11) -> np.ndarray:

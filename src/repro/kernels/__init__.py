@@ -7,9 +7,7 @@ out in:
   (``np.bitwise_count`` or a SWAR fallback);
 * :mod:`~repro.kernels.voting` — one columnar, copy-on-write LSH
   posting list per store with loop-free ``bincount`` vote aggregation
-  (queries group their keys once via
-  :func:`~repro.kernels.voting.group_query_keys`; every shard gathers
-  from the shared grouped form);
+  (the totals stay one array indexed by ref);
 * :mod:`~repro.kernels.majority` — the bit-plane byte-wise majority
   vote behind k-replica forward redundancy
   (:mod:`repro.network.transfer`).
@@ -33,13 +31,12 @@ from .hamming import (
     popcount_u64,
 )
 from .majority import majority_vote_bytes, majority_vote_stats
-from .voting import BucketStore, group_query_keys
+from .voting import BucketStore
 
 __all__ = [
     "BACKENDS",
     "BucketStore",
     "DEFAULT_BACKEND",
-    "group_query_keys",
     "hamming_distance_matrix",
     "hamming_distance_matrix_u64",
     "majority_vote_bytes",

@@ -9,6 +9,8 @@ an image's ref enters a bucket at most once, at insert time.
 * A vote finds every hit run with two ``searchsorted`` calls, gathers
   the runs with one index expression and reduces them with a single
   weighted ``np.bincount``; there is no Python loop over tables or keys.
+  The totals stay that ``bincount`` array, indexed by ref, so a caller
+  ranks them without building a per-ref dict.
 * An insert is copy-on-write: it builds new arrays and publishes the
   ``(keys, refs)`` tuple with one attribute assignment.  A lock-free
   reader binds the tuple once per vote, so it sees every insert whole
@@ -31,10 +33,6 @@ from ..errors import IndexError_
 #: bounded by n_descriptors * n_tables, far below this.
 _FLOAT64_EXACT_INT = 2**53
 
-#: One query's hash keys fused across tables and deduplicated:
-#: ``(unique_fused_keys, counts)``, as produced by :func:`group_query_keys`.
-GroupedKeys = "tuple[np.ndarray, np.ndarray]"
-
 
 def _fuse(keys: np.ndarray, key_bits: int, n_tables: int = 0) -> np.ndarray:
     """Flatten ``(n_desc, n_tables)`` keys to ``(table << key_bits) | key``."""
@@ -48,18 +46,6 @@ def _fuse(keys: np.ndarray, key_bits: int, n_tables: int = 0) -> np.ndarray:
         raise IndexError_(f"keys must fit {keys.shape[1]} tables of {key_bits} bits")
     tables = np.arange(keys.shape[1], dtype=np.int64) << key_bits
     return (keys.astype(np.int64, copy=False) | tables).ravel()
-
-
-def group_query_keys(keys: np.ndarray, key_bits: int) -> "GroupedKeys":
-    """Fuse a query's ``(n_desc, n_tables)`` keys and count each distinct one.
-
-    One ``np.unique`` over every table at once.  The result is a pure
-    function of the query's keys — it does not depend on any bucket
-    store — so a sharded index derives it **once** in the coordinator
-    and hands it to every shard.  :meth:`BucketStore.votes` is exactly
-    ``votes_from_grouped(group_query_keys(keys, key_bits))``.
-    """
-    return np.unique(_fuse(keys, key_bits), return_counts=True)
 
 
 @dataclass
@@ -107,25 +93,23 @@ class BucketStore:
 
     # -- lookup --------------------------------------------------------------
 
-    def votes(self, keys: np.ndarray) -> "dict[int, int]":
-        """Ref -> vote count for a query's ``(n_desc, n_tables)`` keys."""
-        fused = _fuse(keys, self.key_bits, self.n_tables)
-        return self.votes_from_grouped(np.unique(fused, return_counts=True))
+    def votes(self, keys: np.ndarray) -> np.ndarray:
+        """Per-ref vote totals for a query's ``(n_desc, n_tables)`` keys.
 
-    def votes_from_grouped(self, grouped: "GroupedKeys") -> "dict[int, int]":
-        """Vote counts for keys already grouped by :func:`group_query_keys`.
-
-        The sharded coordinator's entry point: the unique-key pass is
-        shared across shards, each shard only gathers its own runs.
-        Counts are identical to :meth:`votes` on the ungrouped keys.
+        The weighted ``bincount`` array: entry *r* is ref *r*'s vote
+        count (float64, exact integers), zero for refs no bucket hit.
+        It is empty when nothing was hit, and otherwise ends at the
+        largest voted ref.
         """
-        unique_keys, counts = grouped
+        unique_keys, counts = np.unique(
+            _fuse(keys, self.key_bits, self.n_tables), return_counts=True
+        )
         post_keys, post_refs = self._postings  # one binding: whole inserts only
         starts = np.searchsorted(post_keys, unique_keys, side="left")
         lengths = np.searchsorted(post_keys, unique_keys, side="right") - starts
         total = int(lengths.sum())
         if total == 0:
-            return {}
+            return np.zeros(0)
         # Hit run i's k-th ref sits at starts[i] + k.
         offsets = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
         totals = np.bincount(
@@ -133,8 +117,7 @@ class BucketStore:
             weights=np.repeat(counts, lengths).astype(np.float64),
         )
         assert totals.max(initial=0.0) < _FLOAT64_EXACT_INT
-        voted = np.nonzero(totals)[0]
-        return {int(ref): int(total) for ref, total in zip(voted, totals[voted])}
+        return totals
 
     # -- introspection -------------------------------------------------------
 

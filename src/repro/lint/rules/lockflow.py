@@ -1,12 +1,11 @@
 """BEES109 ``lock-discipline`` — a static race detector for shared state.
 
 The concurrent fleet leans on a small set of lock-protected classes:
-the decision journal, the metrics registry and the sharded index's
-per-shard locks.  Their discipline is uniform — own a
-``threading.Lock`` attribute, mutate shared attributes only inside
-``with self._lock:`` — and the byte-identical-fleet guarantee assumes
-nobody reads those attributes on a lock-free path.  This rule checks
-exactly that, per class:
+the decision journal and the metrics registry.  Their discipline is
+uniform — own a ``threading.Lock`` attribute, mutate shared attributes
+only inside ``with self._lock:`` — and the byte-identical-fleet
+guarantee assumes nobody reads those attributes on a lock-free path.
+This rule checks exactly that, per class:
 
 1. **Find the locks.**  Any attribute assigned a ``threading.Lock`` /
    ``RLock`` / ``Condition`` / ``Semaphore`` (directly or inside a

@@ -4,7 +4,7 @@ Aggregate metrics say *how much* a run uploaded; the end-to-end
 benchmark says *where the wall time went*.  Neither says **why** image
 ``img-0042`` was eliminated.  The journal does: every decision site in the pipeline — CBRD verdicts,
 AIU transmit/passthrough, EAAS policy evaluations, SSMM selections,
-shard routing, DTN forwards and drops — appends one typed, structured
+server index adds, DTN forwards and drops — appends one typed, structured
 event to an append-only, schema-versioned JSONL file, and the
 ``repro journal`` CLI reconstructs causal chains (``explain``),
 pinpoints the first divergent event between two runs (``diff``),
@@ -64,12 +64,13 @@ HEADER_EVENT = "journal.header"
 #: Records buffered in memory before a write hits the file.
 DEFAULT_FLUSH_EVERY = 256
 
-#: Event types excluded from cross-run diffs: ``index.route`` and the
-#: run lifecycle events depend on the *configuration* (shard count,
-#: mode) that an equivalence diff deliberately allows to differ.
-#: ``kernel.cache`` is no longer emitted; journals written while the
-#: match-count cache existed still carry it (nondeterministic hit/miss
-#: deltas), so it stays ignored for them.
+#: Event types excluded from cross-run diffs: the run lifecycle events
+#: depend on the *configuration* (shard count, mode) that an
+#: equivalence diff deliberately allows to differ.  ``index.route`` and
+#: ``kernel.cache`` are no longer emitted; journals written while the
+#: index was split into shards (per-add routing) or the match-count
+#: cache existed (nondeterministic hit/miss deltas) still carry them,
+#: so they stay ignored for those journals.
 DIFF_IGNORED_EVENTS = frozenset(
     {"kernel.cache", "index.route", "fleet.run.start", "fleet.run.end"}
 )

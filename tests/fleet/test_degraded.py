@@ -4,7 +4,7 @@ Three contracts:
 
 * a zero-loss :class:`~repro.network.DegradedNetConfig` is invisible —
   the fleet's decision fingerprint matches the clean run bit for bit;
-* under real loss the concurrent sharded run still equals the
+* under real loss the concurrent run still equals the
   sequential reference (the degraded machinery is all device-local
   state, so the equivalence proof carries over);
 * journaled ``chunk.*`` events are bound to the device whose uplink
@@ -28,12 +28,11 @@ LOSSY = DegradedNetConfig(
 )
 
 
-def _runner(mode, shards, net, seed=5, devices=DEVICES):
+def _runner(mode, net, seed=5, devices=DEVICES):
     return FleetRunner(
         n_devices=devices,
         n_rounds=N_ROUNDS,
         batch_size=BATCH_SIZE,
-        n_shards=shards,
         seed=seed,
         mode=mode,
         net=net,
@@ -43,10 +42,9 @@ def _runner(mode, shards, net, seed=5, devices=DEVICES):
 class TestZeroLossInvisible:
     @pytest.mark.parametrize("strategy,replicas", [("arq", 3), ("replica", 1)])
     def test_fingerprint_matches_clean_run(self, strategy, replicas):
-        clean = _runner("sequential", 1, None).run()
+        clean = _runner("sequential", None).run()
         degraded = _runner(
             "sequential",
-            1,
             DegradedNetConfig(strategy=strategy, replicas=replicas),
         ).run()
         assert degraded.fingerprint() == clean.fingerprint()
@@ -55,20 +53,19 @@ class TestZeroLossInvisible:
 
 
 class TestLossyEquivalence:
-    @pytest.mark.parametrize("shards", [1, 4])
-    def test_concurrent_equals_sequential_under_loss(self, shards):
-        reference = _runner("sequential", 1, LOSSY).run()
-        concurrent = _runner("concurrent", shards, LOSSY).run()
+    def test_concurrent_equals_sequential_under_loss(self):
+        reference = _runner("sequential", LOSSY).run()
+        concurrent = _runner("concurrent", LOSSY).run()
         assert_equivalent(reference, concurrent)
 
     def test_lossy_run_deterministic(self):
-        first = _runner("sequential", 1, LOSSY).run()
-        second = _runner("sequential", 1, LOSSY).run()
+        first = _runner("sequential", LOSSY).run()
+        second = _runner("sequential", LOSSY).run()
         assert first.fingerprint() == second.fingerprint()
 
     def test_loss_costs_bytes_not_decisions(self):
-        clean = _runner("sequential", 1, None).run()
-        lossy = _runner("sequential", 1, LOSSY).run()
+        clean = _runner("sequential", None).run()
+        lossy = _runner("sequential", LOSSY).run()
         # Decisions (which images upload) are loss-independent; only the
         # wire traffic and radio time change.
         for clean_dev, lossy_dev in zip(clean.devices, lossy.devices):
@@ -83,7 +80,6 @@ class TestLossyEquivalence:
                 n_devices=DEVICES,
                 n_rounds=N_ROUNDS,
                 batch_size=BATCH_SIZE,
-                n_shards=1,
                 seed=5,
                 mode="sequential",
                 scheme="direct",
@@ -99,7 +95,7 @@ class TestChunkJournalEvents:
     def test_chunk_events_are_device_bound(self, tmp_path):
         path = tmp_path / "degraded.jsonl"
         with journal_to(str(path)):
-            _runner("concurrent", 4, LOSSY).run()
+            _runner("concurrent", LOSSY).run()
         journal = read_journal(str(path))
         sends = journal.events("chunk.send")
         assert sends, "lossy fleet run emitted no chunk.send events"
@@ -112,7 +108,7 @@ class TestChunkJournalEvents:
     def test_run_start_records_net_profile(self, tmp_path):
         path = tmp_path / "start.jsonl"
         with journal_to(str(path)):
-            _runner("sequential", 1, LOSSY).run()
+            _runner("sequential", LOSSY).run()
         (start,) = read_journal(str(path)).events("fleet.run.start")
         net = start.data["net"]
         assert net["strategy"] == "arq"
@@ -121,6 +117,6 @@ class TestChunkJournalEvents:
     def test_clean_run_emits_no_chunk_events(self, tmp_path):
         path = tmp_path / "clean.jsonl"
         with journal_to(str(path)):
-            _runner("sequential", 1, None).run()
+            _runner("sequential", None).run()
         journal = read_journal(str(path))
         assert not journal.events("chunk.send")

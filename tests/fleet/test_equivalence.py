@@ -1,16 +1,14 @@
-"""Differential tests: concurrent sharded fleet ≡ sequential reference.
+"""Differential tests: concurrent fleet ≡ sequential reference.
 
 The tentpole correctness contract: for an identical seed and device
-set, the concurrent run against a sharded index must produce **byte
-identical** elimination decisions — kept and eliminated image ids,
-total bytes sent, total joules — to the sequential run against a
-single index.  Any drift (a lock reordering a commit, a shard changing
-a tie-break, a float summed in a different order) must fail loudly
-here.
+set, the concurrent run must produce **byte identical** elimination
+decisions — kept and eliminated image ids, total bytes sent, total
+joules — to the sequential run.  Any drift (a thread reordering a
+commit, a tie-break following arrival order, a float summed in a
+different order) must fail loudly here.
 
 Sequential references are computed once per (seed, devices) and shared
-across the shard-count parametrisations to keep the suite's runtime
-linear in the number of *distinct* workloads.
+across the tests that need them.
 """
 
 from __future__ import annotations
@@ -26,19 +24,17 @@ from repro.obs import configure, disable
 
 SEEDS = (5, 11)
 DEVICE_COUNTS = (1, 4, 16)
-SHARD_COUNTS = (1, 4)
 N_ROUNDS = 2
 BATCH_SIZE = 4
 
 _reference_cache: dict = {}
 
 
-def _runner(seed: int, devices: int, mode: str, shards: int) -> FleetRunner:
+def _runner(seed: int, devices: int, mode: str) -> FleetRunner:
     return FleetRunner(
         n_devices=devices,
         n_rounds=N_ROUNDS,
         batch_size=BATCH_SIZE,
-        n_shards=shards,
         seed=seed,
         mode=mode,
     )
@@ -47,17 +43,16 @@ def _runner(seed: int, devices: int, mode: str, shards: int) -> FleetRunner:
 def _reference(seed: int, devices: int):
     key = (seed, devices)
     if key not in _reference_cache:
-        _reference_cache[key] = _runner(seed, devices, "sequential", 1).run()
+        _reference_cache[key] = _runner(seed, devices, "sequential").run()
     return _reference_cache[key]
 
 
 class TestConcurrentEqualsSequential:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("devices", DEVICE_COUNTS)
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    def test_byte_identical_decisions(self, seed, devices, shards):
+    def test_byte_identical_decisions(self, seed, devices):
         reference = _reference(seed, devices)
-        concurrent = _runner(seed, devices, "concurrent", shards).run()
+        concurrent = _runner(seed, devices, "concurrent").run()
 
         # The headline contract, field by field (not just the hash).
         for ref_dev, con_dev in zip(reference.devices, concurrent.devices):
@@ -87,12 +82,12 @@ class TestContract:
 
     def test_repeated_run_is_deterministic(self):
         first = _reference(SEEDS[0], 4)
-        again = _runner(SEEDS[0], 4, "sequential", 1).run()
+        again = _runner(SEEDS[0], 4, "sequential").run()
         assert again.fingerprint() == first.fingerprint()
 
     def test_mismatch_produces_a_readable_diff(self):
         a = _reference(SEEDS[0], 1)
-        b = _runner(SEEDS[1], 1, "sequential", 1).run()
+        b = _runner(SEEDS[1], 1, "sequential").run()
         with pytest.raises(SimulationError) as excinfo:
             assert_equivalent(a, b)
         message = str(excinfo.value)
@@ -139,11 +134,11 @@ class TestObservedTotals:
     DEVICES = 8
 
     def test_concurrent_joules_series_identical_on_every_run(self):
-        reference = _observed_totals(_runner(SEEDS[0], self.DEVICES, "sequential", 1))
+        reference = _observed_totals(_runner(SEEDS[0], self.DEVICES, "sequential"))
         assert {key[0] for key in reference} == {"joules", "stage"}
         for _ in range(3):
             concurrent = _observed_totals(
-                _runner(SEEDS[0], self.DEVICES, "concurrent", 4)
+                _runner(SEEDS[0], self.DEVICES, "concurrent")
             )
             assert concurrent == reference
 
@@ -156,7 +151,7 @@ class TestObservedTotals:
             time.sleep(0.02 * (TestObservedTotals.DEVICES - int(device.name[-2:])))
             return process_batch(self, device, server, images)
 
-        reference = _observed_totals(_runner(SEEDS[0], self.DEVICES, "sequential", 1))
+        reference = _observed_totals(_runner(SEEDS[0], self.DEVICES, "sequential"))
         monkeypatch.setattr(BeesScheme, "process_batch", delayed)
-        concurrent = _observed_totals(_runner(SEEDS[0], self.DEVICES, "concurrent", 4))
+        concurrent = _observed_totals(_runner(SEEDS[0], self.DEVICES, "concurrent"))
         assert concurrent == reference

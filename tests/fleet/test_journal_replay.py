@@ -39,13 +39,18 @@ def reset_journal():
 SRC_DIR = Path(__file__).resolve().parents[2] / "src"
 
 
-def journaled_run(path, *, seed=5, devices=3, mode="sequential", shards=1,
+#: A concurrent 4-shard journal (seed 5, 3 devices x 2 rounds x 3
+#: images) written while the index was split into shards: every add
+#: carries an ``index.route`` record.
+SHARDED_JOURNAL = Path(__file__).resolve().parent / "data" / "concurrent-4shard-seed5.jsonl"
+
+
+def journaled_run(path, *, seed=5, devices=3, mode="sequential",
                   rounds=2, batch_size=3, capacity=1.0):
     runner = FleetRunner(
         n_devices=devices,
         n_rounds=rounds,
         batch_size=batch_size,
-        n_shards=shards,
         seed=seed,
         mode=mode,
         capacity_fraction=capacity,
@@ -76,10 +81,10 @@ def tamper_batch_event(path, out, device, mutate, select=lambda data: True):
 
 class TestReplayEquivalence:
     @pytest.mark.parametrize("seed", (0, 7))
-    @pytest.mark.parametrize("mode,shards", [("sequential", 1), ("concurrent", 4)])
-    def test_replay_reproduces_the_fingerprint(self, tmp_path, seed, mode, shards):
+    @pytest.mark.parametrize("mode", ["sequential", "concurrent"])
+    def test_replay_reproduces_the_fingerprint(self, tmp_path, seed, mode):
         path = tmp_path / f"run-{seed}-{mode}.jsonl"
-        result = journaled_run(path, seed=seed, mode=mode, shards=shards)
+        result = journaled_run(path, seed=seed, mode=mode)
         report = replay_journal(path)
         assert report.issues == ()
         assert report.fingerprint == result.fingerprint()
@@ -97,7 +102,7 @@ class TestReplayEquivalence:
         # the exact live fingerprint from journal events alone.
         path = tmp_path / "fleet16.jsonl"
         result = journaled_run(
-            path, seed=3, devices=16, mode="concurrent", shards=4,
+            path, seed=3, devices=16, mode="concurrent",
             rounds=2, batch_size=2,
         )
         report = replay_journal(path)
@@ -169,7 +174,7 @@ class TestReplayIntegrity:
         # an integer id when metrics were on.
         path = tmp_path / "live.jsonl"
         older = tmp_path / "older.jsonl"
-        result = journaled_run(path, seed=5, devices=3, mode="concurrent", shards=4)
+        result = journaled_run(path, seed=5, devices=3, mode="concurrent")
         lines = path.read_text(encoding="utf-8").splitlines()
         out = [lines[0]]
         seq = 0
@@ -205,6 +210,23 @@ class TestReplayIntegrity:
         journal = read_journal(path)
         assert journal.events("fleet.round")
         assert not journal.events("kernel.cache")
+
+    def test_sharded_journal_with_index_route_events_still_replays(self, tmp_path):
+        # The fixture was written with 4 shards; today's index is one
+        # posting list and emits no index.route, yet the old journal
+        # must replay to its recorded fingerprint and diff clean
+        # against a fresh run of the same configuration.
+        older = read_journal(SHARDED_JOURNAL)
+        assert len(older.events("index.route")) == len(older.events("server.index")) > 0
+        assert "index.route" in DIFF_IGNORED_EVENTS
+        report = replay_journal(SHARDED_JOURNAL)
+        assert report.ok, report.issues
+        path = tmp_path / "live.jsonl"
+        result = journaled_run(path, seed=5, devices=3, mode="concurrent")
+        assert report.fingerprint == result.fingerprint()
+        fresh = read_journal(path)
+        assert not fresh.events("index.route")
+        assert first_divergence(older, fresh) is None
 
     def test_truncated_journal_reports_an_incomplete_run(self, tmp_path):
         path = tmp_path / "live.jsonl"
@@ -246,8 +268,8 @@ class TestDiffLocalization:
     ):
         left = tmp_path / "seq.jsonl"
         right = tmp_path / "conc.jsonl"
-        a = journaled_run(left, mode="sequential", shards=1)
-        b = journaled_run(right, mode="concurrent", shards=4)
+        a = journaled_run(left, mode="sequential")
+        b = journaled_run(right, mode="concurrent")
         assert a.fingerprint() == b.fingerprint()
         assert first_divergence(read_journal(left), read_journal(right)) is None
 
@@ -278,10 +300,10 @@ class TestHashSeedDeterminism:
         # a set that leaks into a journal payload, the fingerprint, the
         # CBRD vote ranking or a float sum shows up as a difference
         # between two seeds.  Every event is compared, including those
-        # ``journal diff`` skips (fleet.run.start/end, index.route).
+        # ``journal diff`` skips (fleet.run.start/end).
         argv = [
             sys.executable, "-m", "repro", "fleet", "run",
-            "--devices", "4", "--shards", "2", "--rounds", "2",
+            "--devices", "4", "--rounds", "2",
             "--batch-size", "6", "--mode", "sequential",
             "--chunk-drop", "0.02", "--ber", "1e-7", "--transport", "arq",
         ]

@@ -1,14 +1,14 @@
-"""Race stress for the sharded index, plus the lint gate on new code.
+"""Lock-free reads against the one index writer, plus the lint gate.
 
-The sharded index's thread-safety claims are narrow and testable: under
-heavy concurrent writing there are **no lost updates** (every add that
-returned is present) and **no duplicate entries** (a duplicate id wins
-exactly once, fleet-wide), and concurrent readers never crash or see a
-torn answer.  A 32-thread barrier start maximises interleavings on
-every shard count.
+The server index supports one writer (the fleet commits every upload
+on its coordinator at the round barrier) and any number of lock-free
+readers.  The claim tested here: readers racing that one writer never
+crash or see a torn answer, and once the writer is done they answer
+like an index built without readers.
 
 The synthetic feature sets are built directly from a seeded RNG —
-running ORB 300 times here would test the extractor, not the locks.
+running ORB hundreds of times here would test the extractor, not the
+publication order.
 """
 
 from __future__ import annotations
@@ -17,11 +17,9 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-import pytest
 
-from repro.errors import IndexError_
 from repro.features.base import FeatureSet
-from repro.index import ShardedFeatureIndex
+from repro.index import FeatureIndex
 
 N_THREADS = 32
 IMAGES_PER_THREAD = 8
@@ -52,105 +50,58 @@ def _barrier_run(n_threads: int, work):
         return [future.result() for future in futures]
 
 
-class TestConcurrentWrites:
-    @pytest.mark.parametrize("n_shards", [1, 4])
-    def test_no_lost_updates(self, n_shards):
-        index = ShardedFeatureIndex(n_shards=n_shards)
-        expected_ids = [
-            f"t{t:02d}-i{i:02d}"
-            for t in range(N_THREADS)
-            for i in range(IMAGES_PER_THREAD)
-        ]
-        features = {
-            image_id: _synthetic_features(image_id, seed=number)
-            for number, image_id in enumerate(expected_ids)
-        }
+def _race_readers_against_writer(features, query):
+    """Add *features* on one thread while the others query; return both."""
+    index = FeatureIndex()
 
-        def add_all(thread_no: int):
-            for i in range(IMAGES_PER_THREAD):
-                index.add(features[f"t{thread_no:02d}-i{i:02d}"])
+    def work(thread_no: int):
+        if thread_no == 0:  # the one writer
+            for one in features:
+                index.add(one)
+            return None
+        answers = []
+        for _ in range(IMAGES_PER_THREAD):
+            result = index.query(query)
+            answers.append(result)
+            top = index.query_top(query, 3)
+            assert len(top) <= 3
+        return answers
 
-        _barrier_run(N_THREADS, add_all)
-
-        assert len(index) == len(expected_ids)
-        assert sum(index.shard_sizes()) == len(expected_ids)
-        assert index.image_ids() == sorted(expected_ids)
-        for image_id in expected_ids:
-            assert image_id in index
-            assert index.features_of(image_id) is features[image_id]
-
-    def test_no_duplicate_entries(self):
-        index = ShardedFeatureIndex(n_shards=4)
-        contested = _synthetic_features("contested", seed=1)
-
-        def try_add(thread_no: int) -> bool:
-            try:
-                index.add(
-                    _synthetic_features("contested", seed=100 + thread_no)
-                    if thread_no % 2
-                    else contested
-                )
-                return True
-            except IndexError_:
-                return False
-
-        outcomes = _barrier_run(N_THREADS, try_add)
-
-        assert sum(outcomes) == 1, "exactly one add of a contested id may win"
-        assert len(index) == 1
-        assert index.image_ids() == ["contested"]
+    return index, _barrier_run(N_THREADS, work)
 
 
 class TestConcurrentReadsDuringWrites:
     def test_queries_never_crash_or_tear(self):
-        index = ShardedFeatureIndex(n_shards=4)
-        writers = N_THREADS // 2
-        readers = N_THREADS - writers
+        ids = [f"w-i{i:03d}" for i in range((N_THREADS - 1) * IMAGES_PER_THREAD)]
+        features = [
+            _synthetic_features(image_id, seed=number)
+            for number, image_id in enumerate(ids)
+        ]
         query = _synthetic_features("query", seed=999)
 
-        def work(thread_no: int):
-            if thread_no < writers:
-                for i in range(IMAGES_PER_THREAD):
-                    index.add(
-                        _synthetic_features(
-                            f"w{thread_no:02d}-i{i:02d}",
-                            seed=thread_no * 1000 + i,
-                        )
-                    )
-                return None
-            answers = []
-            for _ in range(IMAGES_PER_THREAD):
-                result = index.query(query)
-                answers.append(result)
-                top = index.query_top(query, 3)
-                assert len(top) <= 3
-            return answers
+        index, results = _race_readers_against_writer(features, query)
 
-        results = _barrier_run(N_THREADS, work)
-
-        assert len(index) == writers * IMAGES_PER_THREAD
-        for answers in results[writers:]:
-            if answers is None:
-                continue
+        assert len(index) == len(ids)
+        for answers in results[1:]:
             for result in answers:
                 assert 0.0 <= result.best_similarity <= 1.0
 
     def test_post_race_queries_match_fresh_index(self):
-        # Whatever interleaving happened above, the *final* index must
+        # Whatever interleaving the readers saw, the *final* index must
         # answer exactly like a cleanly-built one over the same images.
-        raced = ShardedFeatureIndex(n_shards=4)
-        ids = [f"img-{i:03d}" for i in range(N_THREADS)]
-        features = {
-            image_id: _synthetic_features(image_id, seed=i)
-            for i, image_id in enumerate(ids)
-        }
-        _barrier_run(N_THREADS, lambda t: raced.add(features[ids[t]]))
-
-        clean = ShardedFeatureIndex(n_shards=4)
-        for image_id in ids:
-            clean.add(features[image_id])
-
+        ids = [f"img-{i:03d}" for i in range(N_THREADS * IMAGES_PER_THREAD)]
+        features = [
+            _synthetic_features(image_id, seed=number)
+            for number, image_id in enumerate(ids)
+        ]
         probe = _synthetic_features("probe", seed=4242)
+
+        raced, _ = _race_readers_against_writer(features, probe)
+
+        clean = FeatureIndex()
+        for one in features:
+            clean.add(one)
+        assert raced.image_ids() == clean.image_ids()
         assert raced.query(probe) == clean.query(probe)
         assert raced.query_top(probe, 5) == clean.query_top(probe, 5)
 
@@ -164,7 +115,7 @@ class TestLintGate:
         result = lint_module.lint_paths(
             [
                 "src/repro/fleet",
-                "src/repro/index/sharded.py",
+                "src/repro/index",
                 "src/repro/schemes.py",
             ],
             rules=rules,

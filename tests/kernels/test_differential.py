@@ -18,6 +18,7 @@ from repro.features.similarity import jaccard_similarity
 from repro.index.lsh import HammingLSH
 from repro.kernels.hamming import hamming_distance_matrix
 
+from ..index.reference import vote_dict
 from .reference import (
     ReferenceHammingLSH,
     reference_hamming_distance_matrix,
@@ -215,9 +216,9 @@ class TestLshVotingDifferential:
             lsh.add(packed, ref=ref_id)
             reference.add(packed, ref=ref_id)
         for packed in stored:
-            assert lsh.votes(packed) == reference.votes(packed)
+            assert vote_dict(lsh.votes(packed)) == reference.votes(packed)
         probe = rng.integers(0, 256, (30, 32)).astype(np.uint8)
-        assert lsh.votes(probe) == reference.votes(probe)
+        assert vote_dict(lsh.votes(probe)) == reference.votes(probe)
 
     def test_votes_from_keys_identical(self):
         rng = np.random.default_rng(7)
@@ -228,7 +229,7 @@ class TestLshVotingDifferential:
             lsh.add(packed, ref=ref_id)
             reference.add(packed, ref=ref_id)
         keys = lsh.keys(rng.integers(0, 256, (15, 32)).astype(np.uint8))
-        assert lsh.votes_from_keys(keys) == reference.votes_from_keys(keys)
+        assert vote_dict(lsh.votes_from_keys(keys)) == reference.votes_from_keys(keys)
 
     def test_duplicate_query_descriptors_count_per_descriptor(self):
         # A ref earns one vote per (query descriptor, table) hit, so a
@@ -241,7 +242,7 @@ class TestLshVotingDifferential:
         lsh.add(base, ref=0)
         reference.add(base, ref=0)
         doubled = np.concatenate([base, base], axis=0)
-        assert lsh.votes(doubled) == reference.votes(doubled)
+        assert vote_dict(lsh.votes(doubled)) == reference.votes(doubled)
 
 
 class TestPartitionDifferential:

@@ -9,14 +9,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import IndexError_
-from repro.kernels.voting import BucketStore, group_query_keys
+from repro.kernels.voting import BucketStore
 
+from ..index.reference import vote_dict
 from .reference import ReferenceBucketStore
 
 
 def _keys(rows):
     """Build a (n_desc, n_tables) int64 key matrix from nested lists."""
     return np.asarray(rows, dtype=np.int64)
+
+
+def _votes(store, keys):
+    return vote_dict(store.votes(keys))
 
 
 class TestInsert:
@@ -77,7 +82,7 @@ class TestInsert:
         store.insert(_keys([[5]]), ref=3)
         tracemalloc.start()
         try:
-            assert store.votes(_keys([[5]])) == {3: 1}
+            assert _votes(store, _keys([[5]])) == {3: 1}
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -95,9 +100,11 @@ class TestInsert:
 
     def test_rejects_geometry_that_overflows_fused_keys(self):
         with pytest.raises(IndexError_):
-            group_query_keys(_keys([[0, 0, 0]]), key_bits=62)
-        keys, _ = group_query_keys(_keys([[0, 0]]), key_bits=62)
-        assert keys.tolist() == [0, 1 << 62]
+            BucketStore(n_tables=3, key_bits=62).insert(_keys([[0, 0, 0]]), ref=0)
+        store = BucketStore(n_tables=2, key_bits=62)
+        store.insert(_keys([[0, 0]]), ref=0)
+        assert store.bucket(1, 0).tolist() == [0]
+        assert store.bucket_lengths() == [1, 1]
 
     def test_bucket_rejects_unknown_table_or_key(self):
         store = BucketStore(n_tables=2, key_bits=4)
@@ -118,72 +125,58 @@ class TestVotes:
     def test_one_vote_per_table_hit(self):
         store = BucketStore(n_tables=2)
         store.insert(_keys([[1, 2]]), ref=4)
-        assert store.votes(_keys([[1, 2]])) == {4: 2}
-        assert store.votes(_keys([[1, 99]])) == {4: 1}
-        assert store.votes(_keys([[98, 99]])) == {}
+        assert _votes(store, _keys([[1, 2]])) == {4: 2}
+        assert _votes(store, _keys([[1, 99]])) == {4: 1}
+        assert _votes(store, _keys([[98, 99]])) == {}
 
     def test_duplicate_query_keys_multiply_weight(self):
         store = BucketStore(n_tables=1)
         store.insert(_keys([[5]]), ref=0)
-        assert store.votes(_keys([[5], [5], [5]])) == {0: 3}
+        assert _votes(store, _keys([[5], [5], [5]])) == {0: 3}
 
-    def test_votes_are_python_ints(self):
+    def test_votes_are_the_bincount_array(self):
+        # Indexed by ref, zero for unvoted refs, ending at the largest
+        # voted ref; float64 holding exact integers.
         store = BucketStore(n_tables=1)
         store.insert(_keys([[5]]), ref=0)
-        votes = store.votes(_keys([[5]]))
-        (ref, count) = next(iter(votes.items()))
-        assert type(ref) is int and type(count) is int
+        store.insert(_keys([[6]]), ref=1)
+        store.insert(_keys([[5]]), ref=2)
+        store.insert(_keys([[6]]), ref=3)
+        totals = store.votes(_keys([[5], [5]]))
+        assert totals.dtype == np.float64
+        assert totals.tolist() == [2.0, 0.0, 2.0]
 
     def test_empty_query(self):
         store = BucketStore(n_tables=2)
         store.insert(_keys([[1, 2]]), ref=0)
-        assert store.votes(np.zeros((0, 2), dtype=np.int64)) == {}
+        assert store.votes(np.zeros((0, 2), dtype=np.int64)).size == 0
 
     def test_empty_store(self):
         store = BucketStore(n_tables=2)
-        assert store.votes(_keys([[1, 2]])) == {}
+        assert store.votes(_keys([[1, 2]])).size == 0
 
     def test_sparse_ref_ids(self):
         # bincount is indexed by ref id; large sparse ids must still work.
         store = BucketStore(n_tables=1)
         store.insert(_keys([[5]]), ref=100_000)
         store.insert(_keys([[5]]), ref=3)
-        assert store.votes(_keys([[5]])) == {3: 1, 100_000: 1}
+        assert _votes(store, _keys([[5]])) == {3: 1, 100_000: 1}
 
 
 class TestGroupedKeys:
-    def test_votes_equals_votes_from_grouped(self):
-        # The coordinator hashes and groups once, then ships the grouped
-        # form to every shard; both spellings must agree exactly.
-        rng = np.random.default_rng(3)
-        store = BucketStore(n_tables=4)
-        for ref in range(12):
-            store.insert(rng.integers(0, 16, (6, 4)), ref=ref)
-        query = rng.integers(0, 16, (6, 4))
-        grouped = group_query_keys(query, store.key_bits)
-        assert store.votes_from_grouped(grouped) == store.votes(query)
-
     def test_grouped_counts_are_per_table_multiplicities(self):
+        # A query key hit by c descriptors of one table weighs c; one
+        # ref per (table, key) bucket earns exactly that bucket's weight.
         query = _keys([[5, 7], [5, 8], [6, 7]])
-        keys, counts = group_query_keys(query, key_bits=4)
-        tables, table_keys = keys >> 4, keys & 0xF
-        assert list(zip(tables.tolist(), table_keys.tolist(), counts.tolist())) == [
-            (0, 5, 2),
-            (0, 6, 1),
-            (1, 7, 2),
-            (1, 8, 1),
-        ]
-        # The same multiplicities seen through a store: one ref per
-        # (table, key) bucket earns exactly that bucket's weight.
         store = BucketStore(n_tables=2, key_bits=4)
         for ref, row in enumerate([[5, 15], [6, 15], [0, 7], [0, 8]]):
             store.insert(_keys([row]), ref=ref)
         assert store.bucket(0, 5).tolist() == [0] and store.bucket(1, 8).tolist() == [3]
-        assert store.votes_from_grouped((keys, counts)) == {0: 2, 1: 1, 2: 2, 3: 1}
+        assert _votes(store, query) == {0: 2, 1: 1, 2: 2, 3: 1}
 
     def test_rejects_non_2d_keys(self):
         with pytest.raises(IndexError_):
-            group_query_keys(np.zeros(3, dtype=np.int64), key_bits=16)
+            BucketStore(n_tables=1).votes(np.zeros(3, dtype=np.int64))
 
 
 #: Sparse ref ids next to dense ones; bincount is indexed by ref.
@@ -224,10 +217,7 @@ class TestColumnarDifferential:
         reference = ReferenceBucketStore(n_tables)
         for keys, ref in operations:
             if ref is None:
-                expected = reference.votes(keys)
-                assert store.votes(keys) == expected
-                grouped = group_query_keys(keys, key_bits)
-                assert store.votes_from_grouped(grouped) == expected
+                assert _votes(store, keys) == reference.votes(keys)
             else:
                 store.insert(keys, ref)
                 reference.insert(keys, ref)
@@ -264,8 +254,8 @@ class TestConcurrentReaders:
 
         def read(out):
             while not done.is_set():
-                out.append(prefixes.get(frozenset(store.votes(query).items()), -1))
-            out.append(prefixes.get(frozenset(store.votes(query).items()), -1))
+                out.append(prefixes.get(frozenset(_votes(store, query).items()), -1))
+            out.append(prefixes.get(frozenset(_votes(store, query).items()), -1))
 
         def write():
             for keys, ref in inserts:

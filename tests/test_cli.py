@@ -21,6 +21,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["compare", "--schemes", "nope"])
 
+    def test_fleet_run_has_no_shards_flag(self, capsys):
+        # The index is one posting list; a shard count has nothing to set.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["fleet", "run", "--shards", "4"])
+        assert excinfo.value.code == 2
+
 
 class TestInfo:
     def test_prints_profile_and_policies(self, capsys):
@@ -211,7 +217,6 @@ class TestJournalCommands:
                 "--devices", "2",
                 "--rounds", "1",
                 "--batch-size", "3",
-                "--shards", "1",
                 "--mode", "sequential",
                 "--journal", str(path),
             ]
