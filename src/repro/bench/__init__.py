@@ -9,7 +9,7 @@ suite:
   ``bench_fig*`` / ``bench_table*`` / ``bench_ext*`` /
   ``bench_ablation*`` module, with full and ``--quick`` parameter sets;
 * :mod:`repro.bench.runner` — executes cases with
-  the :mod:`repro.obs` metric registry active, harvesting wall time,
+  the :mod:`repro.obs` metrics switched on, harvesting wall time,
   per-stage latency quantiles, bytes, joules, and elimination counts;
 * :mod:`repro.bench.schema` — the versioned ``BENCH_<runid>.json``
   artifact (env block, per-case metrics, git SHA);

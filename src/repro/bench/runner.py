@@ -1,12 +1,13 @@
 """Execute registered bench cases inside an observability context.
 
 For each case the runner installs a fresh in-memory
-:class:`~repro.obs.runtime.Observability` (the standard BEES metric
-registry), runs the case's ``run(params)``, and harvests:
+:class:`~repro.obs.runtime.Observability` (the six metrics folded from
+batch reports), runs the case's ``run(params)``, and harvests:
 
 * wall-clock seconds for the whole case,
-* ``bees_stage_seconds`` p50/p95/p99 per ``scheme/stage`` series (via
-  :meth:`repro.obs.metrics.Histogram.summary`),
+* ``bees_stage_seconds`` count/sum/mean/p50/p95/p99 per
+  ``scheme/stage`` series (via
+  :meth:`repro.obs.runtime.StageSeconds.summary`),
 * ``bees_bytes_sent_total`` and ``bees_energy_joules_total`` per scheme,
 * ``bees_eliminations_total`` per ``scheme/kind``,
 * the case's own JSON summary dict.
@@ -26,34 +27,25 @@ from .registry import BenchCase, load_cases
 from .schema import SCHEMA_VERSION, environment_block, write_artifact
 
 
-def _series_key(labels: dict) -> str:
-    """``{"scheme": "BEES", "stage": "afe"}`` -> ``"BEES/afe"``.
-
-    Values join in the metric's declared label order (the order
-    ``labeled_values`` yields them in), so keys read scheme-first.
-    """
-    return "/".join(str(value) for value in labels.values())
-
-
 def _harvest(obs) -> dict:
-    """Pull the per-case metric block out of one observability context."""
-    stage_seconds = {}
-    for labels, _series in obs.stage_seconds.labeled_values():
-        stage_seconds[_series_key(labels)] = obs.stage_seconds.summary(**labels)
+    """Pull the per-case metric block out of one observability context.
+
+    Read after the case returned, so no batch report is still arriving.
+    Series keys join the label values scheme-first (``("BEES", "afe")``
+    -> ``"BEES/afe"``), in first-seen order.
+    """
+    keyed = {
+        name: {"/".join(key): value for key, value in series.items()}
+        for name, series in obs.series.items()
+    }
     return {
-        "stage_seconds": stage_seconds,
-        "bytes_sent": {
-            _series_key(labels): value
-            for labels, value in obs.sent_bytes.labeled_values()
+        "stage_seconds": {
+            key: series.summary()
+            for key, series in keyed["bees_stage_seconds"].items()
         },
-        "energy_joules": {
-            _series_key(labels): value
-            for labels, value in obs.energy_joules.labeled_values()
-        },
-        "eliminations": {
-            _series_key(labels): value
-            for labels, value in obs.eliminations.labeled_values()
-        },
+        "bytes_sent": keyed["bees_bytes_sent_total"],
+        "energy_joules": keyed["bees_energy_joules_total"],
+        "eliminations": keyed["bees_eliminations_total"],
     }
 
 

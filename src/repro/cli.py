@@ -540,11 +540,13 @@ def cmd_info(args: argparse.Namespace) -> int:
         values = "  ".join(f"{policy(e):.3f}" for e in (1.0, 0.5, 0.0))
         print(f"  {name:30s} {values}")
     obs = obs_module.get_obs()
-    exporters = obs.exporters()
+    exporter = (
+        "(none)" if obs.metrics_path is None else f"prometheus({obs.metrics_path})"
+    )
     print("\nobservability:")
     print(f"  enabled        {obs.enabled}")
-    print(f"  exporters      {', '.join(exporters) if exporters else '(none)'}")
-    print(f"  metrics        {len(obs.registry)} registered")
+    print(f"  exporters      {exporter}")
+    print(f"  metrics        {len(obs_module.METRICS)} registered")
     buckets = ", ".join(f"{b:g}" for b in obs_module.DEFAULT_STAGE_BUCKETS)
     print(f"  stage buckets  {buckets} s")
     print(f"\nschemes: {', '.join(scheme_names())}")

@@ -1,7 +1,8 @@
 """BEES109 ``lock-discipline`` — a static race detector for shared state.
 
 The concurrent fleet leans on a small set of lock-protected classes:
-the decision journal and the metrics registry.  Their discipline is
+the decision journal and the observability context that folds batch
+reports into the metrics.  Their discipline is
 uniform — own a ``threading.Lock`` attribute, mutate shared attributes
 only inside ``with self._lock:`` — and the byte-identical-fleet
 guarantee assumes nobody reads those attributes on a lock-free path.

@@ -80,14 +80,15 @@ class Uplink:
                 payload_bytes=payload_bytes, seconds=seconds, goodput_bps=goodput
             )
         else:
+            payload = pattern_payload(payload_bytes)
             outcome = self.transport.send(
                 self.channel,
-                pattern_payload(payload_bytes),
+                payload,
                 goodput_bps=goodput,
                 latency_seconds=self.latency_seconds,
                 clock_seconds=self.clock_seconds,
             )
-            if outcome.data != pattern_payload(payload_bytes):
+            if outcome.data != payload:
                 # Residual corruption survived voting: delivered, counted,
                 # never silently ignored.
                 self.corrupt_transfers += 1

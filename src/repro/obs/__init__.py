@@ -3,20 +3,19 @@
 The paper's whole argument is quantitative — bandwidth, energy,
 precision, delay per AFE → ARD → AIU stage — so this package gives
 every layer of the reproduction two emission paths: the decision
-journal says *why* an image was eliminated or uploaded, and the metrics
-registry says *how much* a run sent and spent.  Where the wall time
-went is the end-to-end benchmark's question (``benchmarks/e2e``), not
-this package's.
+journal says *why* an image was eliminated or uploaded, and six
+metrics folded from batch reports say *how much* a run sent and spent.
+Where the wall time went is the end-to-end benchmark's question
+(``benchmarks/e2e``), not this package's.
 
-* :mod:`repro.obs.metrics` — labelled ``Counter`` / ``Histogram``
-  behind a :class:`MetricsRegistry`;
-* :mod:`repro.obs.exporters` — Prometheus text exposition and console
-  tables;
-* :mod:`repro.obs.runtime` — the process-wide context; its one feed is
-  the per-batch report every scheme (BEES and the baselines) returns
-  through :meth:`~repro.baselines.base.SharingScheme.observe_batch`.
+* :mod:`repro.obs.runtime` — the process-wide context: the
+  :data:`~repro.obs.runtime.METRICS` table and the one fold that feeds
+  it, the per-batch report every scheme (BEES and the baselines)
+  returns through :meth:`~repro.baselines.base.SharingScheme.observe_batch`.
   Per-site counts (uplink, server index, DTN, fleet rounds) live on
-  the model objects and in the journal, not in the registry;
+  the model objects and in the journal, not in the metrics;
+* :mod:`repro.obs.exporters` — Prometheus text exposition, and the
+  console table of a captured file;
 * :mod:`repro.obs.journal` — the decision-provenance journal that
   ``repro journal`` explains and diffs (replay and stats, which parse
   batch payloads, are in :mod:`repro.fleet.replay`).
@@ -30,7 +29,6 @@ guard is a single attribute check.
 """
 
 from .exporters import (
-    console_summary,
     generate_latest,
     parse_prometheus,
     render_metrics_file,
@@ -52,14 +50,9 @@ from .journal import (
     read_journal,
     set_journal,
 )
-from .metrics import (
-    DEFAULT_STAGE_BUCKETS,
-    Counter,
-    Histogram,
-    MetricsRegistry,
-    bucket_quantile,
-)
 from .runtime import (
+    DEFAULT_STAGE_BUCKETS,
+    METRICS,
     PIPELINE_STAGES,
     Observability,
     configure,
@@ -70,17 +63,14 @@ from .runtime import (
 __all__ = [
     "DIFF_IGNORED_EVENTS",
     "DEFAULT_STAGE_BUCKETS",
+    "METRICS",
     "PIPELINE_STAGES",
     "SCHEMA_VERSION",
-    "Counter",
     "DecisionJournal",
-    "Histogram",
     "JournalDivergence",
     "JournalFile",
     "JournalRecord",
-    "MetricsRegistry",
     "Observability",
-    "bucket_quantile",
     "disable_journal",
     "explain_image",
     "first_divergence",
@@ -90,7 +80,6 @@ __all__ = [
     "read_journal",
     "set_journal",
     "configure",
-    "console_summary",
     "disable",
     "generate_latest",
     "get_obs",

@@ -1,12 +1,11 @@
-"""Exporters: Prometheus text and console tables.
+"""Exporters: Prometheus text and the console table of a captured file.
 
-Two ways out of the metrics registry:
-
-* :func:`generate_latest` — the Prometheus text exposition format
-  (``# HELP`` / ``# TYPE`` + samples), as a scrape endpoint or file
-  would serve it; :func:`parse_prometheus` reads it back;
-* :func:`console_summary` — a human table over a registry (or a parsed
-  metrics file), reusing :func:`repro.analysis.reporting.format_table`.
+* :func:`generate_latest` — the six metrics of
+  :data:`repro.obs.runtime.METRICS` in the Prometheus text exposition
+  format (``# HELP`` / ``# TYPE`` + samples), as a scrape endpoint or
+  file would serve it; :func:`parse_prometheus` reads it back;
+* :func:`render_metrics_file` — a captured file as a human table,
+  reusing :func:`repro.analysis.reporting.format_table`.
 """
 
 from __future__ import annotations
@@ -15,15 +14,7 @@ import math
 import pathlib
 
 from ..errors import ObservabilityError
-from .metrics import Histogram, HistogramSeries, MetricsRegistry
-
-
-def _format_table(headers, rows):
-    # Imported lazily: pulling in the analysis package at module load
-    # would close an import cycle (analysis -> core -> baselines -> obs).
-    from ..analysis.reporting import format_table
-
-    return format_table(headers, rows)
+from .runtime import DEFAULT_STAGE_BUCKETS, METRICS, Observability, StageSeconds
 
 
 # -- Prometheus text exposition ------------------------------------------------
@@ -34,8 +25,6 @@ def _escape_label_value(value: str) -> str:
 
 
 def _format_labels(labels: dict) -> str:
-    if not labels:
-        return ""
     body = ",".join(
         f'{name}="{_escape_label_value(str(value))}"'
         for name, value in sorted(labels.items())
@@ -51,51 +40,54 @@ def _format_value(value: float) -> str:
     return repr(float(value))
 
 
-def generate_latest(registry: MetricsRegistry) -> str:
-    """Render every metric in the Prometheus text format.
+def generate_latest(obs: Observability) -> str:
+    """Render the six metrics of :data:`~repro.obs.runtime.METRICS` in
+    the Prometheus text format.
 
-    Each metric renders from the single locked snapshot
-    :meth:`~repro.obs.metrics.Metric.labeled_values` takes, so a series
-    written concurrently never shows a ``_count`` that disagrees with
-    its own buckets.
+    Renders under ``obs.lock``, so a series written concurrently never
+    shows a ``_count`` that disagrees with its own buckets.  A series
+    key with more or fewer values than its metric's label names raises
+    :class:`~repro.errors.ObservabilityError` instead of being exported
+    with labels dropped or mismatched.
     """
     lines = []
-    for metric in registry:
-        lines.append(f"# HELP {metric.name} {metric.help_text}")
-        lines.append(f"# TYPE {metric.name} {metric.type_name}")
-        if isinstance(metric, Histogram):
-            for labels, series in metric.labeled_values():
-                running = 0
-                for bound, count in zip(metric.buckets, series.bucket_counts):
-                    running += count
-                    le = {"le": _format_value(bound)}
-                    lines.append(
-                        f"{metric.name}_bucket{_format_labels({**labels, **le})} "
-                        f"{running}"
+    with obs.lock:
+        for spec in METRICS:
+            lines.append(f"# HELP {spec.name} {spec.help_text}")
+            lines.append(f"# TYPE {spec.name} {spec.type_name}")
+            for key, value in obs.series[spec.name].items():
+                if len(key) != len(spec.labelnames):
+                    raise ObservabilityError(
+                        f"{spec.name}: series {key!r} does not match "
+                        f"labels {spec.labelnames!r}"
                     )
-                inf = {"le": "+Inf"}
-                lines.append(
-                    f"{metric.name}_bucket{_format_labels({**labels, **inf})} "
-                    f"{series.count}"
-                )
-                lines.append(
-                    f"{metric.name}_sum{_format_labels(labels)} "
-                    f"{_format_value(series.sum)}"
-                )
-                lines.append(
-                    f"{metric.name}_count{_format_labels(labels)} {series.count}"
-                )
-        else:
-            for labels, value in metric.labeled_values():
-                lines.append(
-                    f"{metric.name}{_format_labels(labels)} {_format_value(value)}"
-                )
+                labels = dict(zip(spec.labelnames, key))
+                if isinstance(value, StageSeconds):
+                    lines.extend(_histogram_lines(spec.name, labels, value))
+                else:
+                    lines.append(
+                        f"{spec.name}{_format_labels(labels)} {_format_value(value)}"
+                    )
     return "\n".join(lines) + "\n"
 
 
-def write_prometheus(registry: MetricsRegistry, path) -> None:
-    """Write the registry's exposition text to *path*."""
-    pathlib.Path(path).write_text(generate_latest(registry))
+def _histogram_lines(name: str, labels: dict, series: StageSeconds) -> "list[str]":
+    lines = []
+    running = 0
+    for bound, count in zip(DEFAULT_STAGE_BUCKETS, series.bucket_counts):
+        running += count
+        le = {"le": _format_value(bound)}
+        lines.append(f"{name}_bucket{_format_labels({**labels, **le})} {running}")
+    inf = {"le": "+Inf"}
+    lines.append(f"{name}_bucket{_format_labels({**labels, **inf})} {series.count}")
+    lines.append(f"{name}_sum{_format_labels(labels)} {_format_value(series.sum)}")
+    lines.append(f"{name}_count{_format_labels(labels)} {series.count}")
+    return lines
+
+
+def write_prometheus(obs: Observability, path) -> None:
+    """Write the exposition text of *obs* to *path*."""
+    pathlib.Path(path).write_text(generate_latest(obs))
 
 
 def _parse_labels(body: str) -> dict:
@@ -167,28 +159,12 @@ def parse_prometheus(text: str) -> "list[dict]":
     return samples
 
 
-# -- console summary -----------------------------------------------------------
-
-
-def console_summary(registry: MetricsRegistry) -> str:
-    """A human-readable table over every series in *registry*."""
-    rows = []
-    for metric in registry:
-        for labels, value in metric.labeled_values():
-            label_text = ", ".join(f"{k}={v}" for k, v in sorted(labels.items()))
-            if isinstance(value, HistogramSeries):
-                mean = value.sum / value.count if value.count else 0.0
-                shown = f"n={value.count} sum={value.sum:.3f} mean={mean:.3f}"
-            else:
-                shown = _format_value(value)
-            rows.append([metric.name, metric.type_name, label_text, shown])
-    if not rows:
-        return "(no metrics recorded)"
-    return _format_table(["metric", "type", "labels", "value"], rows)
-
-
 def render_metrics_file(path) -> str:
     """Re-render a captured Prometheus text file as a console table."""
+    # Imported lazily: pulling in the analysis package at module load
+    # would close an import cycle (analysis -> core -> baselines -> obs).
+    from ..analysis.reporting import format_table
+
     text = pathlib.Path(path).read_text()
     samples = parse_prometheus(text)
     if not samples:
@@ -202,4 +178,4 @@ def render_metrics_file(path) -> str:
         ]
         for sample in samples
     ]
-    return _format_table(["metric", "type", "labels", "value"], rows)
+    return format_table(["metric", "type", "labels", "value"], rows)

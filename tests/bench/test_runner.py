@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.baselines.base import BatchReport
 from repro.bench import (
     BenchCase,
     default_artifact_path,
@@ -35,11 +36,16 @@ class TestRunCase:
             seen.update(params)
             obs = get_obs()
             assert obs.enabled  # the runner must enable collection
-            obs.sent_bytes.inc(100, scheme="X")
-            obs.energy_joules.inc(2.5, scheme="X", category="radio")
-            obs.eliminations.inc(3, scheme="X", kind="cross")
-            for value in (0.1, 0.2, 0.3):
-                obs.stage_seconds.observe(value, scheme="X", stage="afe")
+            obs.observe_batch_report(
+                BatchReport(
+                    scheme="X",
+                    n_images=4,
+                    eliminated_cross_batch=["a", "b", "c"],
+                    sent_bytes=100,
+                    energy_by_category={"radio": 2.5},
+                    stage_seconds=[("afe", 0.1), ("afe", 0.2), ("afe", 0.3)],
+                )
+            )
             return {"ok": True}
 
         block = run_case(make_fake_case(run), quick=True).block

@@ -113,13 +113,11 @@ def _observed_totals(runner: FleetRunner) -> dict:
     try:
         runner.run()
         totals = {
-            ("joules", *labels.values()): value
-            for labels, value in obs.energy_joules.labeled_values()
+            ("joules", *key): value
+            for key, value in obs.series["bees_energy_joules_total"].items()
         }
-        for labels, _series in obs.stage_seconds.labeled_values():
-            totals[("stage", *labels.values())] = obs.stage_seconds.summary(
-                **labels
-            )
+        for key, series in obs.series["bees_stage_seconds"].items():
+            totals[("stage", *key)] = series.summary()
         return totals
     finally:
         disable()

@@ -4,7 +4,7 @@ The acceptance shape from the issue: an unguarded access to an
 attribute the class writes under its lock is a finding; a lock-free
 read on the fall-through path *around* a ``with`` block is a finding;
 and the real lock-holding classes (the decision journal and the
-metrics registry) produce zero findings.
+observability context that folds batch reports) produce zero findings.
 """
 
 import os
@@ -191,10 +191,11 @@ class TestRealCode:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read(), path
 
-    @pytest.mark.parametrize("module", ["journal.py", "metrics.py"])
+    @pytest.mark.parametrize("module", ["journal.py", "runtime.py"])
     def test_observability_locks_have_zero_findings(self, module):
-        # The decision journal's and the metrics registry's locks are
-        # the concurrent fleet's shared state: no false positives.
+        # The decision journal's lock and the observability context's
+        # fold lock guard the concurrent fleet's shared state: no false
+        # positives.
         source, path = self.repo_file("src", "repro", "obs", module)
         assert findings_for(source, path=path) == ()
 

@@ -3,12 +3,15 @@
 The regression this guards: ``generate_latest`` used to read a
 histogram's buckets, sum, and count in separate passes, so a writer
 landing between passes produced exposition text whose ``+Inf`` bucket,
-``_count``, and ``_sum`` disagreed.  The exporter now renders from one
-locked snapshot; sixteen hammering threads should never be observable.
+``_count``, and ``_sum`` disagreed.  Batch reports fold and the
+exporter renders under the one observability lock; sixteen threads
+folding reports should never be observable.
 """
 
+import sys
 import threading
 
+from repro.baselines.base import BatchReport
 from repro.obs import configure, generate_latest, parse_prometheus
 
 N_THREADS = 16
@@ -18,11 +21,15 @@ N_WRITES = 200
 def _hammer(obs, barrier, thread_index):
     barrier.wait()
     for i in range(N_WRITES):
-        obs.sent_bytes.inc(1, scheme=f"scheme-{thread_index % 4}")
-        obs.stage_seconds.observe(
-            0.01 * (i % 7), scheme="BEES", stage=f"stage-{thread_index % 3}"
+        obs.observe_batch_report(
+            BatchReport(
+                scheme=f"scheme-{thread_index % 4}",
+                n_images=1,
+                sent_bytes=1,
+                energy_by_category={"image_upload": 0.5},
+                stage_seconds=[(f"stage-{thread_index % 3}", 0.01 * (i % 7))],
+            )
         )
-        obs.energy_joules.inc(0.5, scheme="BEES", category="image_upload")
 
 
 def _run_writers(obs, also=None):
@@ -31,12 +38,19 @@ def _run_writers(obs, also=None):
         threading.Thread(target=_hammer, args=(obs, barrier, index), daemon=True)
         for index in range(N_THREADS)
     ]
-    for thread in threads:
-        thread.start()
-    result = also(barrier) if also else None
-    for thread in threads:
-        thread.join(timeout=30)
-        assert not thread.is_alive()
+    # Switch threads often, so an unguarded read-modify-write in the
+    # fold would lose updates.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        result = also(barrier) if also else None
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
     return result
 
 
@@ -44,14 +58,13 @@ class TestPrometheusUnderConcurrency:
     def test_final_exposition_is_complete_and_parses(self):
         obs = configure()
         _run_writers(obs)
-        text = generate_latest(obs.registry)
+        text = generate_latest(obs)
         samples = parse_prometheus(text)
-        total = sum(
-            sample["value"]
-            for sample in samples
-            if sample["name"] == "bees_bytes_sent_total"
-        )
-        assert total == N_THREADS * N_WRITES
+        for name in ("bees_bytes_sent_total", "bees_batches_total"):
+            total = sum(
+                sample["value"] for sample in samples if sample["name"] == name
+            )
+            assert total == N_THREADS * N_WRITES, name
 
     def test_histogram_series_are_internally_consistent(self):
         obs = configure()
@@ -60,7 +73,7 @@ class TestPrometheusUnderConcurrency:
             barrier.wait()
             texts = []
             for _ in range(20):
-                texts.append(generate_latest(obs.registry))
+                texts.append(generate_latest(obs))
             return texts
 
         texts = _run_writers(obs, also=read_during)

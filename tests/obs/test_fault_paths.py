@@ -21,6 +21,7 @@ from repro.network import ChunkedTransport, LossyChannel
 from repro.network.link import Uplink
 from repro.network.outage import OutageChannel
 from repro.obs import DecisionJournal, configure, set_journal
+from repro.obs.runtime import StageSeconds
 from repro.sim.device import Smartphone
 from repro.sim.session import build_server
 
@@ -31,6 +32,16 @@ def journal():
     journal = DecisionJournal()
     set_journal(journal)
     return journal
+
+
+def _total(obs, name: str, *labels: str) -> float:
+    """One counter series (0 when no report touched it)."""
+    return obs.series[name].get(labels, 0.0)
+
+
+def _stage(obs, stage: str) -> StageSeconds:
+    """One stage-seconds series (empty when no image reached *stage*)."""
+    return obs.series["bees_stage_seconds"].get(("BEES", stage), StageSeconds())
 
 
 def _events(journal: DecisionJournal, event: str) -> "list[dict]":
@@ -66,13 +77,13 @@ class TestOutageAbortMidBatch:
         # Counters describe exactly what the report says happened — the
         # aborted transfer's bytes went over the air, so both sides count
         # them; the per-scheme total equals the link's own total.
-        assert obs.sent_bytes.value(scheme="BEES") == report.sent_bytes
+        assert _total(obs, "bees_bytes_sent_total", "BEES") == report.sent_bytes
         assert device.uplink.sent_bytes == report.sent_bytes
-        assert obs.images.value(scheme="BEES", outcome="input") == len(images)
+        assert _total(obs, "bees_images_total", "BEES", "input") == len(images)
         assert (
-            obs.images.value(scheme="BEES", outcome="uploaded") == report.n_uploaded
+            _total(obs, "bees_images_total", "BEES", "uploaded") == report.n_uploaded
         )
-        assert obs.batches.value(scheme="BEES") == 1
+        assert _total(obs, "bees_batches_total", "BEES") == 1
 
     def test_abort_records_only_completed_stage_observations(
         self, small_batch_features
@@ -88,15 +99,15 @@ class TestOutageAbortMidBatch:
         assert report.halted
         # An upload the battery died inside must not appear as a completed
         # image_upload stage observation.
-        uploads = obs.stage_seconds.value(scheme="BEES", stage="image_upload")
+        uploads = _stage(obs, "image_upload")
         assert uploads.count == report.n_uploaded
         # afe/feature_upload are observed together, once per image that
         # made it through detection (cross-batch-eliminated images count
         # through elimination_seconds; everything else keeps its
         # per_image entry even when SSMM later drops it).
         detected = len(report.eliminated_cross_batch) + len(report.per_image_seconds)
-        afe = obs.stage_seconds.value(scheme="BEES", stage="afe")
-        feature = obs.stage_seconds.value(scheme="BEES", stage="feature_upload")
+        afe = _stage(obs, "afe")
+        feature = _stage(obs, "feature_upload")
         assert afe.count == feature.count == detected
 
     def test_halt_shows_in_report_and_image_counts(self, small_batch_features):
@@ -112,9 +123,9 @@ class TestOutageAbortMidBatch:
         assert not device.alive
         # The halted batch still folds into the metrics exactly once, and
         # the images it never finished count as input but not uploaded.
-        assert obs.batches.value(scheme="BEES") == 1
-        inputs = obs.images.value(scheme="BEES", outcome="input")
-        uploaded = obs.images.value(scheme="BEES", outcome="uploaded")
+        assert _total(obs, "bees_batches_total", "BEES") == 1
+        inputs = _total(obs, "bees_images_total", "BEES", "input")
+        uploaded = _total(obs, "bees_images_total", "BEES", "uploaded")
         assert inputs == report.n_images == len(images)
         assert uploaded == report.n_uploaded == len(report.uploaded_ids)
         assert uploaded < inputs

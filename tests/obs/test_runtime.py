@@ -5,10 +5,12 @@ import pytest
 
 from repro.baselines import DirectUpload
 from repro.baselines.base import BatchReport
+from repro.cli import main
 from repro.core.client import BeesScheme
 from repro.fleet import FleetRunner
 from repro.obs import (
     DEFAULT_STAGE_BUCKETS,
+    METRICS,
     PIPELINE_STAGES,
     DecisionJournal,
     Observability,
@@ -20,6 +22,15 @@ from repro.obs import (
 )
 from repro.sim.device import Smartphone
 from repro.sim.session import build_server
+
+
+def total(obs, name, *labels):
+    """One counter series of *obs* (0 when no report touched it)."""
+    return obs.series[name].get(labels, 0.0)
+
+
+def stages(obs, scheme, stage):
+    return obs.series["bees_stage_seconds"][(scheme, stage)]
 
 
 class TestGlobalContext:
@@ -39,18 +50,23 @@ class TestGlobalContext:
     def test_flush_writes_the_metrics_export(self, tmp_path):
         metrics_path = tmp_path / "metrics.prom"
         obs = configure(metrics_path=metrics_path)
-        obs.sent_bytes.inc(10, scheme="BEES")
+        obs.observe_batch_report(BatchReport(scheme="BEES", n_images=1, sent_bytes=10))
         assert obs.flush() == [str(metrics_path)]
         assert "bees_bytes_sent_total" in metrics_path.read_text()
         assert configure().flush() == []
 
-    def test_exporters_listing(self, tmp_path):
-        assert disable().exporters() == []
-        obs = configure(metrics_path=tmp_path / "m.prom")
-        assert obs.exporters() == [f"prometheus({tmp_path / 'm.prom'})"]
+    def test_exporters_listing(self, tmp_path, capsys):
+        disable()
+        main(["info"])
+        assert "  exporters      (none)\n" in capsys.readouterr().out
+        configure(metrics_path=tmp_path / "m.prom")
+        main(["info"])
+        listing = f"  exporters      prometheus({tmp_path / 'm.prom'})\n"
+        assert listing in capsys.readouterr().out
 
     def test_registry_holds_only_the_batch_report_metrics(self):
-        names = {metric.name for metric in Observability().registry}
+        assert list(Observability().series) == [spec.name for spec in METRICS]
+        names = {spec.name for spec in METRICS}
         assert names == {
             "bees_bytes_sent_total",
             "bees_energy_joules_total",
@@ -62,8 +78,10 @@ class TestGlobalContext:
 
     def test_stage_histogram_uses_the_default_buckets(self):
         obs = configure()
-        obs.stage_seconds.observe(0.02, scheme="BEES", stage="afe")
-        text = generate_latest(obs.registry)
+        obs.observe_batch_report(
+            BatchReport(scheme="BEES", n_images=1, stage_seconds=[("afe", 0.02)])
+        )
+        text = generate_latest(obs)
         for bound in DEFAULT_STAGE_BUCKETS:
             assert f'le="{bound:g}"' in text
 
@@ -79,16 +97,16 @@ class TestBatchReportHook:
         report.energy_by_category = {"image_upload": 5.0, "compression": 1.5}
         report.stage_seconds = [("afe", 0.25), ("afe", 0.5), ("aiu", 2.0)]
         obs.observe_batch_report(report)
-        assert obs.sent_bytes.value(scheme="BEES") == 2048
-        assert obs.energy_joules.value(scheme="BEES", category="image_upload") == 5.0
-        assert obs.eliminations.value(scheme="BEES", kind="cross") == 3
-        assert obs.eliminations.value(scheme="BEES", kind="in_batch") == 1
-        assert obs.images.value(scheme="BEES", outcome="input") == 10
-        assert obs.images.value(scheme="BEES", outcome="uploaded") == 2
-        assert obs.batches.value(scheme="BEES") == 1
-        afe = obs.stage_seconds.value(scheme="BEES", stage="afe")
+        assert total(obs, "bees_bytes_sent_total", "BEES") == 2048
+        assert total(obs, "bees_energy_joules_total", "BEES", "image_upload") == 5.0
+        assert total(obs, "bees_eliminations_total", "BEES", "cross") == 3
+        assert total(obs, "bees_eliminations_total", "BEES", "in_batch") == 1
+        assert total(obs, "bees_images_total", "BEES", "input") == 10
+        assert total(obs, "bees_images_total", "BEES", "uploaded") == 2
+        assert total(obs, "bees_batches_total", "BEES") == 1
+        afe = stages(obs, "BEES", "afe")
         assert (afe.count, afe.sum) == (2, 0.75)
-        assert obs.stage_seconds.value(scheme="BEES", stage="aiu").count == 1
+        assert stages(obs, "BEES", "aiu").count == 1
 
 
 class TestPipelineInstrumentation:
@@ -104,24 +122,24 @@ class TestPipelineInstrumentation:
         report = scheme.process_batch(device, server, batch)
 
         for stage in PIPELINE_STAGES:
-            series = obs.stage_seconds.value(scheme="BEES", stage=stage)
+            series = stages(obs, "BEES", stage)
             assert series.count > 0, stage
             assert series.count == sum(1 for s, _ in report.stage_seconds if s == stage)
 
-        assert obs.sent_bytes.value(scheme="BEES") > 0
-        assert obs.energy_joules.value(scheme="BEES", category="image_upload") > 0
+        assert total(obs, "bees_bytes_sent_total", "BEES") > 0
+        assert total(obs, "bees_energy_joules_total", "BEES", "image_upload") > 0
         assert server.queries_served == len(batch)
         assert len(server.index) > 0
         assert device.uplink.transfer_count > 0
-        assert device.uplink.sent_bytes == obs.sent_bytes.value(scheme="BEES")
+        assert device.uplink.sent_bytes == total(obs, "bees_bytes_sent_total", "BEES")
 
     def test_direct_upload_reports_through_shared_hook(self, batch):
         obs = configure()
         scheme = DirectUpload()
         scheme.process_batch(Smartphone(), build_server(scheme), batch)
-        assert obs.batches.value(scheme="Direct Upload") == 1
-        assert obs.sent_bytes.value(scheme="Direct Upload") > 0
-        assert obs.images.value(scheme="Direct Upload", outcome="uploaded") == len(
+        assert total(obs, "bees_batches_total", "Direct Upload") == 1
+        assert total(obs, "bees_bytes_sent_total", "Direct Upload") > 0
+        assert total(obs, "bees_images_total", "Direct Upload", "uploaded") == len(
             batch
         )
 
@@ -130,8 +148,8 @@ class TestPipelineInstrumentation:
         scheme = BeesScheme()
         scheme.process_batch(Smartphone(), build_server(scheme), batch)
         obs = get_obs()
-        assert obs.sent_bytes.value(scheme="BEES") == 0
-        assert generate_latest(obs.registry).count("bees_stage_seconds_bucket") == 0
+        assert total(obs, "bees_bytes_sent_total", "BEES") == 0
+        assert generate_latest(obs).count("bees_stage_seconds_bucket") == 0
 
 
 @pytest.mark.parametrize("mode", ["sequential", "concurrent"])
