@@ -1,20 +1,13 @@
-"""Extension — fleet scaling: the concurrent fleet vs. the sequential
-reference.
+"""Extension — fleet scaling: wall time and decisions per device count.
 
 Not a paper figure: the paper runs its server on "well-provisioned
 machines" and never measures server-side concurrency.  This bench
 characterises the `repro.fleet` runtime the reproduction adds on top —
 N devices uploading through the network layer into the shared index —
-along two axes:
-
-* **correctness** — every concurrent run is asserted byte-identical
-  (kept/eliminated ids, bytes, joules) to the sequential run of the
-  same seed, via the fleet fingerprint;
-* **throughput** — wall-clock seconds per configuration, reported as a
-  speedup over the sequential reference.  The speedup is measured, not
-  asserted: the device pipeline is CPU-bound numpy under the GIL, so
-  thread-level gains materialise with multiple cores (and free-threaded
-  builds), while a single-core CI box honestly reports ~1x.
+by running each configuration once and reporting its wall-clock
+seconds, uploads, eliminations and bytes.  Wall time is a report, not
+a gate; the bytes, joules and eliminations the run folds into the
+metrics are what ``repro bench compare`` gates.
 
 The shard count of each config is only a label: the server index is
 one posting list whatever ``n_shards`` says.  It stays in the config
@@ -25,11 +18,11 @@ comparable with the committed baseline.
 from __future__ import annotations
 
 from repro.analysis.reporting import format_table
-from repro.fleet import FleetRunner, assert_equivalent
+from repro.fleet import FleetRunner
 
 from common import merge_params
 
-#: (devices, shards) grid; each entry also runs a sequential reference.
+#: (devices, shards) grid; each entry runs once.
 CONFIGS = ((1, 1), (4, 2), (8, 4))
 N_ROUNDS = 3
 BATCH_SIZE = 6
@@ -59,8 +52,6 @@ def run(params: "dict | None" = None) -> dict:
         "configs": {
             f"{devices}dev-{shards}shard": {
                 "sequential_wall_seconds": float(row["sequential_wall_seconds"]),
-                "concurrent_wall_seconds": float(row["concurrent_wall_seconds"]),
-                "speedup": float(row["speedup"]),
                 "uploaded": int(row["uploaded"]),
                 "eliminated": int(row["eliminated"]),
                 "bytes_sent": int(row["bytes_sent"]),
@@ -80,27 +71,20 @@ def run_fleet_scaling(
     rows = {}
     fingerprints = []
     for devices, shards in (tuple(pair) for pair in configs):
-        common = dict(
+        result = FleetRunner(
             n_devices=devices,
             n_rounds=n_rounds,
             batch_size=batch_size,
             seed=seed,
             scheme=scheme,
-        )
-        reference = FleetRunner(mode="sequential", n_shards=1, **common).run()
-        concurrent = FleetRunner(mode="concurrent", n_shards=shards, **common).run()
-        # The contract under load: threaded must equal the sequential
-        # run, byte for byte.
-        assert_equivalent(reference, concurrent)
+        ).run()
         rows[(devices, shards)] = {
-            "sequential_wall_seconds": reference.wall_seconds,
-            "concurrent_wall_seconds": concurrent.wall_seconds,
-            "speedup": reference.wall_seconds / max(concurrent.wall_seconds, 1e-9),
-            "uploaded": concurrent.total_uploaded,
-            "eliminated": concurrent.total_eliminated,
-            "bytes_sent": concurrent.total_bytes,
+            "sequential_wall_seconds": result.wall_seconds,
+            "uploaded": result.total_uploaded,
+            "eliminated": result.total_eliminated,
+            "bytes_sent": result.total_bytes,
         }
-        fingerprints.append(concurrent.fingerprint())
+        fingerprints.append(result.fingerprint())
     return {"rows": rows, "fingerprint": fingerprints[-1] if fingerprints else ""}
 
 
@@ -112,27 +96,16 @@ def test_fleet_scaling(benchmark, emit):
             [
                 f"{devices} dev / {shards} shard",
                 f"{row['sequential_wall_seconds']:.2f} s",
-                f"{row['concurrent_wall_seconds']:.2f} s",
-                f"{row['speedup']:.2f}x",
                 row["uploaded"],
                 row["eliminated"],
             ]
         )
     emit(
-        "Fleet scaling — concurrent vs. sequential reference "
-        "(equivalence asserted per config)",
-        format_table(
-            ["config", "sequential", "concurrent", "speedup", "uploaded",
-             "eliminated"],
-            rows,
-        ),
+        "Fleet scaling — wall time and decisions per config",
+        format_table(["config", "wall", "uploaded", "eliminated"], rows),
     )
-    # Correctness is asserted inside run_fleet_scaling (assert_equivalent
-    # per config).  Here: the fleet actually eliminated something, so
-    # the equivalence claim covers non-trivial decisions.
+    # The shared index earns its keep: a multi-device fleet eliminates
+    # something across devices.
     multi = [row for (devices, _), row in data["rows"].items() if devices > 1]
     assert multi, "grid must include a multi-device config"
     assert any(row["eliminated"] > 0 for row in multi)
-    # Speedup stays a report, not a gate: single-core CI boxes cannot
-    # honestly exceed 1x on a GIL-bound numpy pipeline.
-    assert all(row["speedup"] > 0.0 for row in data["rows"].values())

@@ -62,7 +62,7 @@ CASE_SPECS: "tuple[tuple[str, str, str, str], ...]" = (
     ("ext_outage", "bench_ext_outage",
      "Extension", "delay & energy under outage bursts"),
     ("fleet_scaling", "bench_fleet_scaling",
-     "Extension", "sharded concurrent fleet vs. sequential reference"),
+     "Extension", "fleet wall time and decisions per device count"),
     ("kernels_microbench", "bench_kernels",
      "Extension", "repro.kernels speedups vs. frozen pre-kernel hot paths"),
     ("majority_vote", "bench_majority_vote",

@@ -5,7 +5,7 @@ Ten subcommands drive the main experiments without writing code:
 * ``compare``  — one controlled batch through every scheme (Fig. 7/10/11)
 * ``lifetime`` — the battery drain race (Fig. 9)
 * ``coverage`` — the multi-phone city-coverage run (Fig. 12)
-* ``fleet``    — the concurrent multi-device fleet simulation
+* ``fleet``    — the multi-device fleet simulation
 * ``share``    — run a scheme over a folder of real PPM/PGM photos
 * ``bench``    — the benchmark telemetry harness (run/list/compare/report)
 * ``journal``  — the decision journal (explain/diff/replay/stats)
@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from typing import Any, Callable
 
@@ -65,6 +66,9 @@ def _observability(args: argparse.Namespace):
     Configures the global :mod:`repro.obs` context before the run,
     flushes the export files afterwards, and always resets to the
     disabled default so back-to-back ``main()`` calls stay independent.
+    Every command prints only after its work is done, so a reader that
+    closed stdout early (``BrokenPipeError``) still gets the export
+    written.
     """
     metrics_path = getattr(args, "metrics", None)
     if metrics_path is None:
@@ -72,7 +76,11 @@ def _observability(args: argparse.Namespace):
         return
     obs = obs_module.configure(metrics_path=metrics_path)
     try:
-        yield obs
+        try:
+            yield obs
+        except BrokenPipeError:
+            obs.flush()
+            raise
         for path in obs.flush():
             print(f"\nwrote {path}")
     finally:
@@ -140,14 +148,15 @@ def cmd_lifetime(args: argparse.Namespace) -> int:
         max_groups=args.max_groups,
         generator=_fast_generator(),
     )
-    print(
-        f"{args.group_size}-image groups every {args.interval_minutes:g} min, "
-        f"{int(args.redundancy * 100)}% redundancy, "
-        f"{args.capacity:.0%} of a {DEFAULT_PROFILE.battery_capacity_joules:.0f} J battery\n"
-    )
     with _observability(args):
-        for scheme in _schemes(args.schemes):
-            result = experiment.run(scheme)
+        results = [experiment.run(scheme) for scheme in _schemes(args.schemes)]
+        print(
+            f"{args.group_size}-image groups every {args.interval_minutes:g} min, "
+            f"{int(args.redundancy * 100)}% redundancy, "
+            f"{args.capacity:.0%} of a "
+            f"{DEFAULT_PROFILE.battery_capacity_joules:.0f} J battery\n"
+        )
+        for result in results:
             trace = [point.ebat for point in result.trace]
             print(f"{result.scheme:14s} {sparkline(trace, lo=0.0, hi=1.0)}")
             print(
@@ -173,10 +182,6 @@ def cmd_coverage(args: argparse.Namespace) -> int:
         interval_seconds=300.0,
         capacity_fraction=args.capacity,
     )
-    print(
-        f"{args.images} geotagged images over {args.locations} locations, "
-        f"{args.phones} phones\n"
-    )
     rows = []
     with _observability(args):
         for scheme in _schemes(args.schemes):
@@ -189,6 +194,10 @@ def cmd_coverage(args: argparse.Namespace) -> int:
                     f"{result.locations_per_image:.3f}",
                 ]
             )
+        print(
+            f"{args.images} geotagged images over {args.locations} locations, "
+            f"{args.phones} phones\n"
+        )
         print(
             format_table(["scheme", "uploaded", "unique locations", "loc/image"], rows)
         )
@@ -230,12 +239,12 @@ def _degraded_net(args: argparse.Namespace):
 
 
 def cmd_fleet_run(args: argparse.Namespace) -> int:
-    """Run the concurrent multi-device fleet simulation."""
+    """Run the multi-device fleet simulation."""
     from .fleet import FleetRunner, assert_equivalent  # lazy: keeps startup lean
 
     net = _degraded_net(args)
 
-    def build(mode: str) -> FleetRunner:
+    def build() -> FleetRunner:
         try:
             return FleetRunner(
                 n_devices=args.devices,
@@ -243,8 +252,6 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
                 batch_size=args.batch_size,
                 seed=args.seed,
                 scheme=args.scheme,
-                mode=mode,
-                workers=args.workers,
                 net=net,
             )
         except SimulationError as exc:
@@ -252,13 +259,12 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
 
     with _observability(args):
         with _journal_context(args.journal):
-            result = build(args.mode).run()
+            result = build().run()
         if args.journal is not None:
             print(f"wrote {args.journal}")
         print(
             f"fleet: {result.n_devices} device(s) x {result.n_rounds} round(s) "
-            f"x {args.batch_size} images, "
-            f"scheme {args.scheme}, mode {result.mode}"
+            f"x {args.batch_size} images, scheme {args.scheme}"
         )
         rows = [
             [
@@ -296,7 +302,7 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
             None if args.journal is None else args.journal + ".ref"
         )
         with _journal_context(reference_journal):
-            reference = build("sequential").run()
+            reference = build().run()
         if reference_journal is not None:
             print(f"wrote {reference_journal}")
         try:
@@ -304,8 +310,8 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
         except SimulationError as exc:
             raise SystemExit(str(exc)) from None
         print(
-            "verified: byte-identical to the sequential single-index "
-            f"reference ({reference.wall_seconds:.2f} s wall)"
+            "verified: a same-seed rerun is byte-identical "
+            f"({reference.wall_seconds:.2f} s wall)"
         )
     return 0
 
@@ -599,9 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_obs_flags(coverage)
     coverage.set_defaults(handler=cmd_coverage)
 
-    fleet = commands.add_parser(
-        "fleet", help="concurrent multi-device fleet simulation"
-    )
+    fleet = commands.add_parser("fleet", help="multi-device fleet simulation")
     fleet_commands = fleet.add_subparsers(dest="fleet_command", required=True)
     fleet_run = fleet_commands.add_parser(
         "run", help="run N devices against one server"
@@ -612,16 +616,9 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_run.add_argument("--batch-size", type=int, default=8)
     fleet_run.add_argument("--scheme", default="bees")
     fleet_run.add_argument(
-        "--mode", choices=["sequential", "concurrent"], default="concurrent"
-    )
-    fleet_run.add_argument(
-        "--workers", type=int, default=None,
-        help="thread-pool width in concurrent mode (default: one per device)",
-    )
-    fleet_run.add_argument(
         "--verify", action="store_true",
-        help="re-run sequentially on a single index and assert the "
-        "decisions are byte-identical",
+        help="re-run the same seed and assert the decisions are "
+        "byte-identical",
     )
     fleet_run.add_argument(
         "--journal", metavar="PATH", default=None,
@@ -788,10 +785,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.handler(args)
+    """CLI entry point; returns the process exit code.
+
+    A reader that closes stdout early (``repro info | head -1``) ends
+    the command with exit code 1 and no traceback: stdout is pointed at
+    ``os.devnull`` so the interpreter's exit-time flush cannot fail
+    again.
+    """
+    try:
+        args = build_parser().parse_args(argv)
+        code = args.handler(args)
+        # A block-buffered stdout meets the closed pipe only here.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,11 +1,12 @@
-"""Concurrent multi-device fleet simulation.
+"""Multi-device fleet simulation.
 
-Runs N :class:`~repro.sim.device.Smartphone` devices against one shared
-server and its one :class:`~repro.index.FeatureIndex` under round-barrier
-semantics that make the concurrent run **byte-identical** to the
-sequential reference run of the same seed.  See
+Runs N :class:`~repro.sim.device.Smartphone` devices, one after another
+in device order, against one shared server and its one
+:class:`~repro.index.FeatureIndex` under round-barrier semantics: no
+device sees another device's uploads of the same round.  See
 :mod:`repro.fleet.staging` for the protocol and
-:mod:`repro.fleet.report` for the equivalence contract.
+:mod:`repro.fleet.report` for the equivalence contract a same-seed
+rerun and a journal replay are held to.
 """
 
 from .replay import ReplayReport, format_replay, replay_journal

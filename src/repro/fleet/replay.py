@@ -93,6 +93,10 @@ def replay_journal(source: "str | Path | JournalFile") -> ReplayReport:
             "replay needs exactly one (one file per run)"
         )
     start = starts[0]
+    # Journals written before the threaded fleet mode was removed may
+    # read "concurrent"; every mode decided alike, so the field is only
+    # checked for shape.
+    _parse(start, lambda data: str_field(data, "mode"))
     devices = tuple(
         DeviceResult.from_reports(name, reports.get(name, []))
         for name in _parse(start, lambda data: str_list_field(data, "devices"))
@@ -100,7 +104,6 @@ def replay_journal(source: "str | Path | JournalFile") -> ReplayReport:
     result = _parse(
         start,
         lambda data: FleetResult(
-            mode=str_field(data, "mode"),
             scheme=str_field(data, "scheme"),
             n_devices=int_field(data, "n_devices"),
             n_shards=int_field(data, "n_shards"),
@@ -196,7 +199,7 @@ def format_replay(report: ReplayReport) -> str:
     result = report.result
     lines = [
         f"replayed {result.n_devices} device(s) × {result.n_rounds} "
-        f"round(s) [{result.mode}/{result.n_shards} shard(s), "
+        f"round(s) [{result.n_shards} shard(s), "
         f"seed {result.seed}]:",
         f"  bytes:      {result.total_bytes}",
         f"  joules:     {result.total_energy_joules:.6f}",

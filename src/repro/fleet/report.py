@@ -7,9 +7,9 @@ same workload are *equivalent* iff their fingerprints match, and
 :func:`assert_equivalent` turns a mismatch into a readable per-device
 diff instead of a bare hash inequality.
 
-Wall-clock time, mode and shard count are deliberately **excluded**
-from the fingerprint: they legitimately vary between the sequential
-reference and the concurrent run.
+Wall-clock time and shard count are deliberately **excluded** from
+the fingerprint: they legitimately vary between two runs of the same
+workload.
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ class DeviceResult:
     ) -> "DeviceResult":
         """Fold one device's per-round reports, in round order.
 
-        The float energy total is summed in round order so the
-        sequential and concurrent paths add the same numbers in the
-        same order — float addition is not associative, and the
-        equivalence contract is *byte*-level.
+        The float energy total is summed in round order so the live
+        run and its journal replay add the same numbers in the same
+        order — float addition is not associative, and the equivalence
+        contract is *byte*-level.
         """
         energy = 0.0
         for report in reports:
@@ -88,7 +88,6 @@ class DeviceResult:
 class FleetResult:
     """Outcome of one fleet run."""
 
-    mode: str
     scheme: str
     n_devices: int
     n_shards: int
@@ -137,9 +136,8 @@ class FleetResult:
     def fingerprint(self) -> str:
         """SHA-256 over the canonical decision records.
 
-        Covers exactly what the equivalence contract covers; mode,
-        shard count, and wall time are excluded on purpose so the
-        sequential reference and the concurrent run can match.
+        Covers exactly what the equivalence contract covers; shard
+        count and wall time are excluded on purpose.
         """
         canonical = json.dumps(self.decisions(), sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -158,8 +156,7 @@ def assert_equivalent(reference: FleetResult, candidate: FleetResult) -> None:
         return
     lines = [
         "fleet runs are not equivalent "
-        f"({reference.mode}/{reference.n_shards} shard(s) vs "
-        f"{candidate.mode}/{candidate.n_shards} shard(s)):"
+        f"({reference.n_shards} shard(s) vs {candidate.n_shards} shard(s)):"
     ]
     divergence = _journal_divergence(reference, candidate)
     if divergence is not None:

@@ -1,37 +1,23 @@
 """The fleet runner: N devices draining into one shared server.
 
-Both execution modes drive the *same* round-barrier protocol
-(:mod:`repro.fleet.staging`):
+Each round drives the round-barrier protocol of
+:mod:`repro.fleet.staging`: one loop processes the devices in device
+order, and writes stage and commit at the barrier, so a device never
+sees a same-round upload — not even its neighbour's.
 
-``sequential``
-    The reference path.  One thread processes the devices in device
-    order; writes still stage and commit at the barrier, so a device
-    never sees a same-round upload — not even its neighbour's.
-
-``concurrent``
-    The same protocol with the per-device work fanned out over a
-    :class:`~concurrent.futures.ThreadPoolExecutor`.  Each device's
-    computation touches only its own state (battery, channel RNG,
-    scheme instance) plus the round-frozen shared index, so the results
-    are a pure function of (device state, frozen index) — *identical*
-    to the sequential path by construction, which
-    :func:`repro.fleet.report.assert_equivalent` enforces and the
-    differential tests pin.
-
-Instrumentation: each pool job binds the decision journal to its
-device, so every decision the pipeline emits on a worker thread carries
-that device, and the run, round and batch boundaries are journal events
+Instrumentation: each device's batch runs with the decision journal
+bound to that device, so every decision the pipeline emits carries it,
+and the run, round and batch boundaries are journal events
 (``fleet.run.start``, ``fleet.batch``, ``fleet.round``,
-``fleet.run.end``).  The metrics see only batch reports: each device's
-reports, with the joules and stage seconds they carry, are held on its
-worker and folded into the metrics at the round barrier in device
-order, so the float totals are the sequential ones in either mode.
+``fleet.run.end``).  The metrics see only batch reports, which
+:meth:`~repro.baselines.base.SharingScheme.process_batch` folds as each
+batch ends — in device order, so the float totals are the same on every
+run.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from ..baselines.base import BatchReport, SharingScheme
@@ -40,7 +26,6 @@ from ..energy import Battery
 from ..errors import SimulationError
 from ..index import FeatureIndex, ShardedFeatureIndex
 from ..network import DegradedNetConfig, FluctuatingChannel, Uplink
-from ..obs import get_obs
 from ..obs.journal import get_journal
 from ..schemes import make_scheme
 from ..sim.device import Smartphone
@@ -52,6 +37,8 @@ from .workload import FleetWorkload
 #: Spacing between per-device channel seeds within one fleet seed.
 _CHANNEL_SEED_STRIDE = 1_000
 
+#: The values :attr:`FleetRunner.mode` accepts.  Both run the same
+#: sequential round loop.
 MODES = ("sequential", "concurrent")
 
 
@@ -69,8 +56,11 @@ class FleetRunner:
     n_shards: int = 1
     seed: int = 0
     scheme: str = "bees"
+    #: A label only, validated against :data:`MODES` and ignored: every
+    #: run is the sequential round loop.  ``benchmarks/e2e`` still
+    #: passes it; it goes with the benchmark change that stops passing it.
     mode: str = "sequential"
-    #: Thread-pool width in concurrent mode (default: one per device).
+    #: A label only, validated (``>= 1``) and ignored, like :attr:`mode`.
     workers: "int | None" = None
     #: Starting battery fraction (below 1.0 exercises the halted path).
     capacity_fraction: float = 1.0
@@ -101,8 +91,7 @@ class FleetRunner:
                 seed=self.seed,
             )
         # One scheme instance per device: process_batch wires the
-        # device's cost model into the scheme's stages, so instances
-        # must never be shared across concurrent devices.
+        # device's cost model into the scheme's stages.
         self._schemes = [make_scheme(self.scheme) for _ in range(self.n_devices)]
 
     # -- construction --------------------------------------------------------
@@ -154,7 +143,7 @@ class FleetRunner:
         if journal.enabled:
             journal.emit(
                 "fleet.run.start",
-                mode=self.mode,
+                mode="sequential",
                 scheme=self.scheme,
                 n_devices=self.n_devices,
                 n_shards=self.n_shards,
@@ -165,17 +154,10 @@ class FleetRunner:
                 net=None if self.net is None else self.net.describe(),
             )
         t0 = time.perf_counter()
-        if self.mode == "concurrent":
-            max_workers = self.workers or self.n_devices
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                for round_no in range(self.n_rounds):
-                    self._run_round(round_no, devices, server, reports, halted, pool)
-        else:
-            for round_no in range(self.n_rounds):
-                self._run_round(round_no, devices, server, reports, halted, None)
+        for round_no in range(self.n_rounds):
+            self._run_round(round_no, devices, server, reports, halted)
         wall_seconds = time.perf_counter() - t0
         result = FleetResult(
-            mode=self.mode,
             scheme=self.scheme,
             n_devices=self.n_devices,
             n_shards=self.n_shards,
@@ -211,10 +193,8 @@ class FleetRunner:
         server: BeesServer,
         reports: "list[list[BatchReport]]",
         halted: "list[bool]",
-        pool: "ThreadPoolExecutor | None",
     ) -> None:
         assert self.workload is not None
-        obs = get_obs()
         journal = get_journal()
         active = [
             number
@@ -223,47 +203,25 @@ class FleetRunner:
         ]
         if not active:
             return
-        # Batches are materialised on the coordinator thread so the
-        # parallel section holds only per-device pipeline work.
-        batches = {
-            number: self.workload.batch_for(number, round_no) for number in active
-        }
         proxies = {number: StagedServer(server) for number in active}
-        held: "dict[int, list[BatchReport]]" = {number: [] for number in active}
-
-        def job(number: int) -> BatchReport:
+        for number in active:
             # The journal binding wraps the whole pipeline, so every
             # decision event the stages emit (cbrd.verdict, aiu.prepare,
-            # policy.applied, ssmm.select) carries this device —
-            # thread-local, so concurrent jobs never leak into each
-            # other's streams.
-            with journal.bind(devices[number].name), obs.hold_batch_reports(
-                held[number]
-            ):
+            # policy.applied, ssmm.select) carries this device.
+            with journal.bind(devices[number].name):
                 report = self._schemes[number].process_batch(
-                    devices[number], proxies[number], batches[number]
+                    devices[number],
+                    proxies[number],
+                    self.workload.batch_for(number, round_no),
                 )
                 if journal.enabled:
                     journal.emit("fleet.batch", **report.to_event(round_no))
-            return report
+            reports[number].append(report)
+            halted[number] = report.halted
 
-        if pool is None:
-            round_reports = {number: job(number) for number in active}
-        else:
-            futures = {number: pool.submit(job, number) for number in active}
-            round_reports = {number: futures[number].result() for number in active}
-
-        # The barrier: stage buffers and held batch metrics flush in
-        # device order — the one serialization point, identical in both
-        # modes.
+        # The barrier: stage buffers flush in device order.
         committed = 0
         for number in active:
-            report = round_reports[number]
-            reports[number].append(report)
-            for observed in held[number]:
-                obs.observe_batch_report(observed)
-            if report.halted:
-                halted[number] = True
             committed += proxies[number].commit()
         if journal.enabled:
             journal.emit(

@@ -7,14 +7,14 @@ the barrier, in device order.  This matches the paper's server model —
 "the servers add the features of the uploaded images into the index ...
 once receiving the images" — under the reading that uploads in flight
 during the same capture interval are not yet visible to each other, and
-it is what makes the concurrent fleet *byte-identical* to the
-sequential reference: no device ever observes another device's
-same-round uploads, in either mode.
+it makes a device's decisions independent of where it sits in the
+device order: no device ever observes another device's same-round
+uploads.
 
 :class:`StagedServer` is the per-device, per-round view that implements
 this.  Reads pass through to the shared :class:`~repro.core.server.
-BeesServer` (lock-free — the index is frozen for the round); writes
-land in a local staging list the runner flushes with :meth:`commit`.
+BeesServer` (the index is frozen for the round); writes land in a local
+staging list the runner flushes with :meth:`commit`.
 """
 
 from __future__ import annotations

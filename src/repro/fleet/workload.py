@@ -2,10 +2,10 @@
 
 Every (device, round, slot) triple maps to exactly one image, generated
 on demand from the workload seed — no shared RNG stream, so batches can
-be produced in any order (or from any thread) and always come out
-identical.  That is the foundation the fleet equivalence contract
-stands on: the sequential reference run and the concurrent run consume
-literally the same pixels.
+be produced in any order and always come out identical.  That is the
+foundation the fleet equivalence contract stands on: two runs of one
+seed, or a run and its ``--verify`` rerun, consume literally the same
+pixels.
 
 The scene layout manufactures both kinds of redundancy the BEES
 pipeline eliminates:

@@ -155,8 +155,8 @@ class FeatureIndex:
         """Index the features of one uploaded image.
 
         One writer at a time: no program path adds from two threads
-        (the fleet commits every upload on its coordinator at the round
-        barrier), so concurrent ``add`` calls are not supported.  Reads
+        (the fleet commits every upload at the round barrier), so
+        concurrent ``add`` calls are not supported.  Reads
         stay lock-free against that one writer: the bucket store
         publishes each insert whole.
         """

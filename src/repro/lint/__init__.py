@@ -12,7 +12,6 @@ BEES103     seeded-rng             every run is reproducible bit-for-bit
 BEES104     float-equality         similarity comparisons are well-defined
 BEES106     ebat-range             battery fractions stay in [0, 1]
 BEES108     missing-journal-event  schemes and decision sites report
-BEES109     lock-discipline        lock-guarded state is touched lock-held
 ==========  =====================  ==========================================
 
 Every rule reads one file at a time.

@@ -6,14 +6,13 @@ coupling between the engine and the rules.
 
 from __future__ import annotations
 
-from . import battery, constants, floateq, journal, lockflow, rng, units
+from . import battery, constants, floateq, journal, rng, units
 
 __all__ = [
     "battery",
     "constants",
     "floateq",
     "journal",
-    "lockflow",
     "rng",
     "units",
 ]

@@ -23,8 +23,8 @@ from .findings import Finding
 
 _DIRECTIVE = "beeslint:"
 
-#: What a rule key may look like: a slug (``lock-discipline``) or a
-#: code (``BEES109``).  Anything else in the rule list is treated as
+#: What a rule key may look like: a slug (``seeded-rng``) or a
+#: code (``BEES103``).  Anything else in the rule list is treated as
 #: free-form justification text and skipped.
 _RULE_KEY = re.compile(r"^(?:[a-z][a-z0-9]*(?:-[a-z0-9]+)*|BEES[0-9]+)$")
 

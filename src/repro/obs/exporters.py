@@ -44,30 +44,27 @@ def generate_latest(obs: Observability) -> str:
     """Render the six metrics of :data:`~repro.obs.runtime.METRICS` in
     the Prometheus text format.
 
-    Renders under ``obs.lock``, so a series written concurrently never
-    shows a ``_count`` that disagrees with its own buckets.  A series
-    key with more or fewer values than its metric's label names raises
-    :class:`~repro.errors.ObservabilityError` instead of being exported
-    with labels dropped or mismatched.
+    A series key with more or fewer values than its metric's label
+    names raises :class:`~repro.errors.ObservabilityError` instead of
+    being exported with labels dropped or mismatched.
     """
     lines = []
-    with obs.lock:
-        for spec in METRICS:
-            lines.append(f"# HELP {spec.name} {spec.help_text}")
-            lines.append(f"# TYPE {spec.name} {spec.type_name}")
-            for key, value in obs.series[spec.name].items():
-                if len(key) != len(spec.labelnames):
-                    raise ObservabilityError(
-                        f"{spec.name}: series {key!r} does not match "
-                        f"labels {spec.labelnames!r}"
-                    )
-                labels = dict(zip(spec.labelnames, key))
-                if isinstance(value, StageSeconds):
-                    lines.extend(_histogram_lines(spec.name, labels, value))
-                else:
-                    lines.append(
-                        f"{spec.name}{_format_labels(labels)} {_format_value(value)}"
-                    )
+    for spec in METRICS:
+        lines.append(f"# HELP {spec.name} {spec.help_text}")
+        lines.append(f"# TYPE {spec.name} {spec.type_name}")
+        for key, value in obs.series[spec.name].items():
+            if len(key) != len(spec.labelnames):
+                raise ObservabilityError(
+                    f"{spec.name}: series {key!r} does not match "
+                    f"labels {spec.labelnames!r}"
+                )
+            labels = dict(zip(spec.labelnames, key))
+            if isinstance(value, StageSeconds):
+                lines.extend(_histogram_lines(spec.name, labels, value))
+            else:
+                lines.append(
+                    f"{spec.name}{_format_labels(labels)} {_format_value(value)}"
+                )
     return "\n".join(lines) + "\n"
 
 

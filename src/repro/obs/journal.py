@@ -27,10 +27,9 @@ Design rules the rest of the repo relies on:
   to the live run.  Events that depend on the run's configuration
   rather than its decisions are excluded from diffs
   (:data:`DIFF_IGNORED_EVENTS`).
-* **One global monotonic sequence.**  ``seq`` increases under a lock,
-  so any single device's events are strictly ordered even when many
-  pool threads interleave (pinned by
-  ``tests/obs/test_journal.py::test_concurrent_writers_keep_per_device_order``).
+* **One global monotonic sequence.**  ``seq`` numbers every record of
+  a run in emission order, so each device's events are strictly
+  ordered.
 * **Payloads are read strictly.**  :func:`int_field`,
   :func:`str_field`, :func:`bool_field`, :func:`str_list_field` and
   :func:`number_map_field` read the ``seq`` envelope, the
@@ -47,7 +46,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import threading
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
@@ -65,7 +63,7 @@ HEADER_EVENT = "journal.header"
 DEFAULT_FLUSH_EVERY = 256
 
 #: Event types excluded from cross-run diffs: the run lifecycle events
-#: depend on the *configuration* (shard count, mode) that an
+#: depend on the *configuration* (shard count) that an
 #: equivalence diff deliberately allows to differ.  ``index.route`` and
 #: ``kernel.cache`` are no longer emitted; journals written while the
 #: index was split into shards (per-add routing) or the match-count
@@ -167,12 +165,6 @@ def number_map_field(data: "Mapping[str, object]", key: str) -> "dict[str, float
     raise _mistyped(key, "a map of strings to numbers", value)
 
 
-class _DeviceBinding(threading.local):
-    """Thread-local device context (set by the fleet runner's jobs)."""
-
-    device: "str | None" = None
-
-
 class DecisionJournal:
     """A buffered, append-only JSONL writer of :class:`JournalRecord`.
 
@@ -198,9 +190,9 @@ class DecisionJournal:
         self.run_id = run_id or uuid.uuid4().hex[:12]
         self.flush_every = flush_every
         self.records: "list[JournalRecord]" = []
-        self._lock = threading.Lock()
+        #: The device every emission is attributed to (see :meth:`bind`).
+        self.device: "str | None" = None
         self._seq = 0
-        self._binding = _DeviceBinding()
         self._buffer: "list[str]" = []
         self._handle: "IO[str] | None" = None
         if self.enabled and self.path is not None:
@@ -214,25 +206,19 @@ class DecisionJournal:
 
     # -- context -------------------------------------------------------------
 
-    @property
-    def device(self) -> "str | None":
-        """The device bound to the calling thread, if any."""
-        return self._binding.device
-
     @contextlib.contextmanager
     def bind(self, device: "str | None") -> Iterator[None]:
         """Attribute every emission in the block to *device*.
 
-        Thread-local, so concurrent fleet jobs binding different
-        devices never see each other's context.  Cheap enough to use
+        Nests, restoring the outer device on exit.  Cheap enough to use
         unconditionally (it works on a disabled journal too).
         """
-        previous = self._binding.device
-        self._binding.device = device
+        previous = self.device
+        self.device = device
         try:
             yield
         finally:
-            self._binding.device = previous
+            self.device = previous
 
     # -- emission ------------------------------------------------------------
 
@@ -245,45 +231,41 @@ class DecisionJournal:
         """Append one event; returns the record, or ``None`` if disabled."""
         if not self.enabled:
             return None
-        device = self._binding.device
-        with self._lock:
-            record = JournalRecord(
-                seq=self._seq,
-                event=event,
-                device=device,
-                image=image_id,
-                data=data,
-            )
-            self._seq += 1
-            if self._handle is not None:
-                self._buffer.append(json.dumps(record.to_json_dict()))
-                if len(self._buffer) >= self.flush_every:
-                    self._flush_locked()
-            else:
-                self.records.append(record)
+        record = JournalRecord(
+            seq=self._seq,
+            event=event,
+            device=self.device,
+            image=image_id,
+            data=data,
+        )
+        self._seq += 1
+        if self._handle is not None:
+            self._buffer.append(json.dumps(record.to_json_dict()))
+            if len(self._buffer) >= self.flush_every:
+                self._write_buffer()
+        else:
+            self.records.append(record)
         return record
 
     # -- lifecycle -----------------------------------------------------------
 
-    def _flush_locked(self) -> None:
+    def _write_buffer(self) -> None:
         if self._handle is not None and self._buffer:
             self._handle.write("\n".join(self._buffer) + "\n")
             self._buffer.clear()
 
     def flush(self) -> None:
         """Write any buffered records through to the file."""
-        with self._lock:
-            self._flush_locked()
-            if self._handle is not None:
-                self._handle.flush()
+        self._write_buffer()
+        if self._handle is not None:
+            self._handle.flush()
 
     def close(self) -> None:
         """Flush and close the file; idempotent."""
-        with self._lock:
-            self._flush_locked()
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
+        self._write_buffer()
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
 
 
 #: The process-wide journal; disabled by default so every decision site
@@ -494,9 +476,10 @@ def first_divergence(
 ) -> "JournalDivergence | None":
     """The first per-device event where two journals disagree.
 
-    Comparison is per device stream (global interleaving legitimately
-    differs between sequential and concurrent modes; each device's own
-    order does not), on ``(event, image, data)`` — volatile fields
+    Comparison is per device stream (journals written by the threaded
+    fleet mode of earlier versions interleave devices in any order;
+    each device's own order is fixed), on ``(event, image, data)`` —
+    volatile fields
     (``seq``) and :data:`DIFF_IGNORED_EVENTS` are excluded.
     Returns ``None`` when the journals are decision-identical.
     """

@@ -24,8 +24,6 @@ fields and journal events, not metrics.
 from __future__ import annotations
 
 import math
-import threading
-from contextlib import contextmanager
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -149,31 +147,10 @@ class Observability:
         self.enabled = enabled
         self.metrics_path = metrics_path
         #: Per metric name: label-value tuple -> float total (counters)
-        #: or :class:`StageSeconds`, in first-seen order.  Hold
-        #: :attr:`lock` to read it while batch reports may arrive.
+        #: or :class:`StageSeconds`, in first-seen order.
         self.series: "dict[str, dict]" = {spec.name: {} for spec in METRICS}
-        self.lock = threading.Lock()
-        self._held = threading.local()
 
     # -- recording -----------------------------------------------------------
-
-    @contextmanager
-    def hold_batch_reports(self, held: "list[BatchReport]"):
-        """Collect this thread's batch reports into *held* instead of
-        folding them.
-
-        Joules and stage seconds are floats, so their totals depend on
-        the order they are added in.  The fleet runner holds each
-        device's reports — and with them the stage seconds they carry —
-        on its worker thread and folds them at the round barrier in
-        device order, so the totals do not depend on which thread
-        finishes first.
-        """
-        self._held.reports = held
-        try:
-            yield held
-        finally:
-            self._held.reports = None
 
     def observe_batch_report(self, report: "BatchReport") -> None:
         """Fold one finished :class:`BatchReport` into the metric set.
@@ -181,40 +158,33 @@ class Observability:
         This is the shared per-batch hook every scheme (BEES and the
         baselines alike) reports through, so scheme-level totals stay
         comparable regardless of how a scheme structures its pipeline.
-        Inside :meth:`hold_batch_reports` the report is only collected.
+        Joules and stage seconds are floats, so their totals depend on
+        the order reports arrive in; the fleet runs its devices in
+        device order, so that order is fixed.
         """
-        held = getattr(self._held, "reports", None)
-        if held is not None:
-            held.append(report)
-            return
         scheme = report.scheme
-        with self.lock:
-            self._add_locked("bees_batches_total", (scheme,), 1.0)
-            self._add_locked("bees_bytes_sent_total", (scheme,), report.sent_bytes)
-            for category, joules in report.energy_by_category.items():
-                self._add_locked("bees_energy_joules_total", (scheme, category), joules)
-            for kind, eliminated in (
-                ("cross", report.eliminated_cross_batch),
-                ("in_batch", report.eliminated_in_batch),
-            ):
-                if eliminated:
-                    self._add_locked(
-                        "bees_eliminations_total", (scheme, kind), len(eliminated)
-                    )
-            self._add_locked("bees_images_total", (scheme, "input"), report.n_images)
-            if report.n_uploaded:
-                self._add_locked(
-                    "bees_images_total", (scheme, "uploaded"), report.n_uploaded
+        self._add("bees_batches_total", (scheme,), 1.0)
+        self._add("bees_bytes_sent_total", (scheme,), report.sent_bytes)
+        for category, joules in report.energy_by_category.items():
+            self._add("bees_energy_joules_total", (scheme, category), joules)
+        for kind, eliminated in (
+            ("cross", report.eliminated_cross_batch),
+            ("in_batch", report.eliminated_in_batch),
+        ):
+            if eliminated:
+                self._add("bees_eliminations_total", (scheme, kind), len(eliminated))
+        self._add("bees_images_total", (scheme, "input"), report.n_images)
+        if report.n_uploaded:
+            self._add("bees_images_total", (scheme, "uploaded"), report.n_uploaded)
+        for stage, seconds in report.stage_seconds:
+            series = self.series["bees_stage_seconds"].get((scheme, stage))
+            if series is None:
+                series = self.series["bees_stage_seconds"][(scheme, stage)] = (
+                    StageSeconds()
                 )
-            for stage, seconds in report.stage_seconds:
-                series = self.series["bees_stage_seconds"].get((scheme, stage))
-                if series is None:
-                    series = self.series["bees_stage_seconds"][(scheme, stage)] = (
-                        StageSeconds()
-                    )
-                series.observe(seconds)
+            series.observe(seconds)
 
-    def _add_locked(self, name: str, key: tuple, amount: float) -> None:
+    def _add(self, name: str, key: tuple, amount: float) -> None:
         self.series[name][key] = self.series[name].get(key, 0.0) + amount
 
     # -- exporting -----------------------------------------------------------

@@ -2,10 +2,10 @@
 
 One neutral home for the mapping the CLI, the fleet runtime, and the
 benchmarks all need, so none of them import each other for it.  Scheme
-instances are *not* shareable across concurrent devices —
-``process_batch`` wires the device's cost model into the scheme's
-stages — which is why the registry deals in factories, not singletons:
-every caller gets its own instance.
+instances are *not* shareable across devices — ``process_batch``
+wires the device's cost model into the scheme's stages — which is
+why the registry deals in factories, not singletons: every caller gets
+its own instance.
 """
 
 from __future__ import annotations

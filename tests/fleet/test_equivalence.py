@@ -1,11 +1,10 @@
-"""Differential tests: concurrent fleet ≡ sequential reference.
+"""The fleet's equivalence contract and its compatibility labels.
 
-The tentpole correctness contract: for an identical seed and device
-set, the concurrent run must produce **byte identical** elimination
-decisions — kept and eliminated image ids, total bytes sent, total
-joules — to the sequential run.  Any drift (a thread reordering a
-commit, a tie-break following arrival order, a float summed in a
-different order) must fail loudly here.
+For an identical seed and device set, two fleet runs must produce
+**byte identical** elimination decisions — kept and eliminated image
+ids, total bytes sent, total joules.  ``mode`` and ``workers`` are
+labels the runner validates and ignores: every run is the one
+sequential round loop.
 
 Sequential references are computed once per (seed, devices) and shared
 across the tests that need them.
@@ -13,59 +12,37 @@ across the tests that need them.
 
 from __future__ import annotations
 
-import time
+import threading
 
 import pytest
 
 from repro.core.client import BeesScheme
 from repro.errors import SimulationError
 from repro.fleet import FleetRunner, FleetWorkload, assert_equivalent
-from repro.obs import configure, disable
+from repro.obs import journal_to
 
 SEEDS = (5, 11)
-DEVICE_COUNTS = (1, 4, 16)
 N_ROUNDS = 2
 BATCH_SIZE = 4
 
 _reference_cache: dict = {}
 
 
-def _runner(seed: int, devices: int, mode: str) -> FleetRunner:
+def _runner(seed: int, devices: int, **labels) -> FleetRunner:
     return FleetRunner(
         n_devices=devices,
         n_rounds=N_ROUNDS,
         batch_size=BATCH_SIZE,
         seed=seed,
-        mode=mode,
+        **labels,
     )
 
 
 def _reference(seed: int, devices: int):
     key = (seed, devices)
     if key not in _reference_cache:
-        _reference_cache[key] = _runner(seed, devices, "sequential").run()
+        _reference_cache[key] = _runner(seed, devices).run()
     return _reference_cache[key]
-
-
-class TestConcurrentEqualsSequential:
-    @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("devices", DEVICE_COUNTS)
-    def test_byte_identical_decisions(self, seed, devices):
-        reference = _reference(seed, devices)
-        concurrent = _runner(seed, devices, "concurrent").run()
-
-        # The headline contract, field by field (not just the hash).
-        for ref_dev, con_dev in zip(reference.devices, concurrent.devices):
-            assert con_dev.uploaded_ids == ref_dev.uploaded_ids
-            assert con_dev.eliminated_cross_batch == ref_dev.eliminated_cross_batch
-            assert con_dev.eliminated_in_batch == ref_dev.eliminated_in_batch
-            assert con_dev.sent_bytes == ref_dev.sent_bytes
-            # Byte-identical floats: == on purpose, no approx.
-            assert con_dev.energy_joules == ref_dev.energy_joules
-        assert concurrent.total_bytes == reference.total_bytes
-        assert concurrent.total_energy_joules == reference.total_energy_joules
-        assert concurrent.fingerprint() == reference.fingerprint()
-        assert_equivalent(reference, concurrent)
 
 
 class TestContract:
@@ -82,12 +59,12 @@ class TestContract:
 
     def test_repeated_run_is_deterministic(self):
         first = _reference(SEEDS[0], 4)
-        again = _runner(SEEDS[0], 4, "sequential").run()
+        again = _runner(SEEDS[0], 4).run()
         assert again.fingerprint() == first.fingerprint()
 
     def test_mismatch_produces_a_readable_diff(self):
         a = _reference(SEEDS[0], 1)
-        b = _runner(SEEDS[1], 1, "sequential").run()
+        b = _runner(SEEDS[1], 1).run()
         with pytest.raises(SimulationError) as excinfo:
             assert_equivalent(a, b)
         message = str(excinfo.value)
@@ -106,50 +83,41 @@ class TestContract:
         )
 
 
-def _observed_totals(runner: FleetRunner) -> dict:
-    """The ``bees_energy_joules_total`` series and the
-    ``bees_stage_seconds`` summaries one run leaves behind."""
-    obs = configure()
-    try:
-        runner.run()
-        totals = {
-            ("joules", *key): value
-            for key, value in obs.series["bees_energy_joules_total"].items()
-        }
-        for key, series in obs.series["bees_stage_seconds"].items():
-            totals[("stage", *key)] = series.summary()
-        return totals
-    finally:
-        disable()
+class TestCompatibilityLabels:
+    """``mode`` and ``workers`` stay accepted, checked and ignored."""
 
-
-class TestObservedTotals:
-    """The metric totals a run leaves in the observability context — the
-    joules series and the stage-seconds summaries — are as exact as the
-    run's own report: ``repro bench compare`` gates both with ``==``, so
-    they must not depend on thread completion order."""
-
-    DEVICES = 8
-
-    def test_concurrent_joules_series_identical_on_every_run(self):
-        reference = _observed_totals(_runner(SEEDS[0], self.DEVICES, "sequential"))
-        assert {key[0] for key in reference} == {"joules", "stage"}
-        for _ in range(3):
-            concurrent = _observed_totals(
-                _runner(SEEDS[0], self.DEVICES, "concurrent")
-            )
-            assert concurrent == reference
-
-    def test_reverse_completion_order_leaves_joules_unchanged(self, monkeypatch):
-        # Start each device's batch later the lower its number, so the
-        # pool's threads report in reverse device order.
+    def test_concurrent_label_starts_no_thread(self, monkeypatch):
         process_batch = BeesScheme.process_batch
+        threads = []
 
-        def delayed(self, device, server, images):
-            time.sleep(0.02 * (TestObservedTotals.DEVICES - int(device.name[-2:])))
+        def on_main_thread(self, device, server, images):
+            threads.append(threading.current_thread())
             return process_batch(self, device, server, images)
 
-        reference = _observed_totals(_runner(SEEDS[0], self.DEVICES, "sequential"))
-        monkeypatch.setattr(BeesScheme, "process_batch", delayed)
-        concurrent = _observed_totals(_runner(SEEDS[0], self.DEVICES, "concurrent"))
-        assert concurrent == reference
+        monkeypatch.setattr(BeesScheme, "process_batch", on_main_thread)
+        _runner(SEEDS[0], 4, mode="concurrent", workers=2).run()
+        assert len(threads) == 4 * N_ROUNDS
+        assert all(thread is threading.main_thread() for thread in threads)
+
+    def test_labels_leave_journal_unchanged(self, tmp_path):
+        journals = []
+        results = []
+        for name, labels in (
+            ("default", {}),
+            ("labelled", {"mode": "concurrent", "workers": 2}),
+        ):
+            path = tmp_path / f"{name}.jsonl"
+            with journal_to(path):
+                results.append(_runner(SEEDS[0], 4, **labels).run())
+            journals.append(path.read_text(encoding="utf-8").splitlines())
+        assert results[0].fingerprint() == results[1].fingerprint()
+        # Only the header's run id may differ.
+        assert journals[0][1:] == journals[1][1:]
+        assert '"mode": "sequential"' in journals[1][1]
+
+    @pytest.mark.parametrize(
+        "labels", [{"mode": "bogus"}, {"workers": 0}], ids=["mode", "workers"]
+    )
+    def test_invalid_labels_are_rejected(self, labels):
+        with pytest.raises(SimulationError):
+            _runner(SEEDS[0], 1, **labels)

@@ -40,19 +40,19 @@ SRC_DIR = Path(__file__).resolve().parents[2] / "src"
 
 
 #: A concurrent 4-shard journal (seed 5, 3 devices x 2 rounds x 3
-#: images) written while the index was split into shards: every add
-#: carries an ``index.route`` record.
+#: images) written while the index was split into shards and the fleet
+#: had a threaded mode: every add carries an ``index.route`` record,
+#: and ``fleet.run.start`` reads ``mode: "concurrent"``.
 SHARDED_JOURNAL = Path(__file__).resolve().parent / "data" / "concurrent-4shard-seed5.jsonl"
 
 
-def journaled_run(path, *, seed=5, devices=3, mode="sequential",
-                  rounds=2, batch_size=3, capacity=1.0):
+def journaled_run(path, *, seed=5, devices=3, rounds=2, batch_size=3,
+                  capacity=1.0):
     runner = FleetRunner(
         n_devices=devices,
         n_rounds=rounds,
         batch_size=batch_size,
         seed=seed,
-        mode=mode,
         capacity_fraction=capacity,
     )
     with journal_to(path):
@@ -81,10 +81,9 @@ def tamper_batch_event(path, out, device, mutate, select=lambda data: True):
 
 class TestReplayEquivalence:
     @pytest.mark.parametrize("seed", (0, 7))
-    @pytest.mark.parametrize("mode", ["sequential", "concurrent"])
-    def test_replay_reproduces_the_fingerprint(self, tmp_path, seed, mode):
-        path = tmp_path / f"run-{seed}-{mode}.jsonl"
-        result = journaled_run(path, seed=seed, mode=mode)
+    def test_replay_reproduces_the_fingerprint(self, tmp_path, seed):
+        path = tmp_path / f"run-{seed}.jsonl"
+        result = journaled_run(path, seed=seed)
         report = replay_journal(path)
         assert report.issues == ()
         assert report.fingerprint == result.fingerprint()
@@ -97,14 +96,11 @@ class TestReplayEquivalence:
             assert replayed.sent_bytes == live.sent_bytes
         assert "replay OK" in format_replay(report)
 
-    def test_sixteen_device_concurrent_replay_is_exact(self, tmp_path):
-        # The acceptance bar: a concurrent 16-device fleet replays to
-        # the exact live fingerprint from journal events alone.
+    def test_sixteen_device_replay_is_exact(self, tmp_path):
+        # The acceptance bar: a 16-device fleet replays to the exact
+        # live fingerprint from journal events alone.
         path = tmp_path / "fleet16.jsonl"
-        result = journaled_run(
-            path, seed=3, devices=16, mode="concurrent",
-            rounds=2, batch_size=2,
-        )
+        result = journaled_run(path, seed=3, devices=16, rounds=2, batch_size=2)
         report = replay_journal(path)
         assert report.ok
         assert report.fingerprint == result.fingerprint()
@@ -174,7 +170,7 @@ class TestReplayIntegrity:
         # an integer id when metrics were on.
         path = tmp_path / "live.jsonl"
         older = tmp_path / "older.jsonl"
-        result = journaled_run(path, seed=5, devices=3, mode="concurrent")
+        result = journaled_run(path, seed=5, devices=3)
         lines = path.read_text(encoding="utf-8").splitlines()
         out = [lines[0]]
         seq = 0
@@ -218,11 +214,13 @@ class TestReplayIntegrity:
         # against a fresh run of the same configuration.
         older = read_journal(SHARDED_JOURNAL)
         assert len(older.events("index.route")) == len(older.events("server.index")) > 0
+        (start,) = older.events("fleet.run.start")
+        assert start.data["mode"] == "concurrent"
         assert "index.route" in DIFF_IGNORED_EVENTS
         report = replay_journal(SHARDED_JOURNAL)
         assert report.ok, report.issues
         path = tmp_path / "live.jsonl"
-        result = journaled_run(path, seed=5, devices=3, mode="concurrent")
+        result = journaled_run(path, seed=5, devices=3)
         assert report.fingerprint == result.fingerprint()
         fresh = read_journal(path)
         assert not fresh.events("index.route")
@@ -263,16 +261,6 @@ class TestDiffLocalization:
         assert "fleet.batch" in text
         assert "uploaded" in text
 
-    def test_sequential_and_concurrent_journals_are_decision_identical(
-        self, tmp_path
-    ):
-        left = tmp_path / "seq.jsonl"
-        right = tmp_path / "conc.jsonl"
-        a = journaled_run(left, mode="sequential")
-        b = journaled_run(right, mode="concurrent")
-        assert a.fingerprint() == b.fingerprint()
-        assert first_divergence(read_journal(left), read_journal(right)) is None
-
     def test_assert_equivalent_names_the_divergent_event(self, tmp_path):
         path = tmp_path / "live.jsonl"
         tampered = tmp_path / "tampered.jsonl"
@@ -304,7 +292,7 @@ class TestHashSeedDeterminism:
         argv = [
             sys.executable, "-m", "repro", "fleet", "run",
             "--devices", "4", "--rounds", "2",
-            "--batch-size", "6", "--mode", "sequential",
+            "--batch-size", "6",
             "--chunk-drop", "0.02", "--ber", "1e-7", "--transport", "arq",
         ]
         pythonpath = os.pathsep.join(

@@ -1,8 +1,7 @@
-"""Lock-free reads against the one index writer, plus the lint gate.
+"""Lock-free reads against the one index writer.
 
 The server index supports one writer (the fleet commits every upload
-on its coordinator at the round barrier) and any number of lock-free
-readers.  The claim tested here: readers racing that one writer never
+at the round barrier) and any number of lock-free readers.  The claim tested here: readers racing that one writer never
 crash or see a torn answer, and once the writer is done they answer
 like an index built without readers.
 
@@ -105,19 +104,3 @@ class TestConcurrentReadsDuringWrites:
         assert raced.query(probe) == clean.query(probe)
         assert raced.query_top(probe, 5) == clean.query_top(probe, 5)
 
-
-class TestLintGate:
-    def test_bees103_passes_on_new_modules(self):
-        """The seeded-RNG rule (BEES103) holds across the new code."""
-        from repro import lint as lint_module
-
-        rules = lint_module.resolve_rules(select=["BEES103"])
-        result = lint_module.lint_paths(
-            [
-                "src/repro/fleet",
-                "src/repro/index",
-                "src/repro/schemes.py",
-            ],
-            rules=rules,
-        )
-        assert result.ok, lint_module.render_console(result)

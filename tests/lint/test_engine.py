@@ -114,9 +114,9 @@ class TestSelection:
         rules = all_rules()
         assert sorted(r.code for r in rules) == [
             "BEES101", "BEES102", "BEES103", "BEES104",
-            "BEES106", "BEES108", "BEES109",
+            "BEES106", "BEES108",
         ]
-        assert len({r.name for r in rules}) == 7
+        assert len({r.name for r in rules}) == 6
         assert all(r.code.startswith("BEES") for r in rules)
         assert all(r.summary for r in rules)
 
@@ -127,7 +127,7 @@ class TestSelection:
     def test_ignore_removes_a_rule(self):
         rules = resolve_rules(ignore=["unit-suffix"])
         assert "unit-suffix" not in {r.name for r in rules}
-        assert len(rules) == 6
+        assert len(rules) == 5
 
     def test_unknown_rule_raises(self):
         with pytest.raises(ConfigurationError):

@@ -5,9 +5,11 @@ one that must stay clean, so a rule that silently stops firing (or
 starts over-firing) breaks here before it breaks the repo gate.
 """
 
+from pathlib import Path
+
 import pytest
 
-from repro.lint import lint_source, resolve_rules
+from repro.lint import lint_paths, lint_source, render_console, resolve_rules
 
 
 def findings_for(source, rule, path="pkg/module.py"):
@@ -126,6 +128,14 @@ class TestSeededRng:
             "x = rng.random()\n"
         )
         assert not findings_for(source, "seeded-rng")
+
+    def test_bees103_passes_on_fleet_and_index_modules(self):
+        root = Path(__file__).resolve().parents[2] / "src" / "repro"
+        result = lint_paths(
+            [str(root / "fleet"), str(root / "index"), str(root / "schemes.py")],
+            rules=resolve_rules(select=["BEES103"]),
+        )
+        assert result.ok, render_console(result)
 
 
 class TestFloatEquality:

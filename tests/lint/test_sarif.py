@@ -27,27 +27,18 @@ SCHEMA_PATH = os.path.join(
 )
 
 DIRTY_SOURCE = (
-    "import threading\n"
+    "import numpy as np\n"
     "\n"
     "class Journal:\n"
-    "    def __init__(self):\n"
-    "        self._lock = threading.Lock()\n"
-    "        self._events = []\n"
-    "\n"
-    "    def emit(self, event):\n"
-    "        with self._lock:\n"
-    "            self._events.append(event)\n"
-    "            self._count = len(self._events)\n"
-    "\n"
-    "    def racy(self):\n"
-    "        return self._count\n"
+    "    def jitter(self):\n"
+    "        return np.random.rand(3)\n"
     "\n"
     "    def cost(self, sent_bytes, spent_joules):\n"
     "        return sent_bytes + spent_joules\n"
 )
 
 #: The two rules DIRTY_SOURCE trips, so one document carries several.
-DIRTY_RULES = ["lock-discipline", "unit-suffix"]
+DIRTY_RULES = ["seeded-rng", "unit-suffix"]
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +97,7 @@ class TestDocumentShape:
         ids = [descriptor["id"] for descriptor in rules]
         assert ids == sorted(ids)
         assert "BEES102" in ids
-        assert "BEES109" in ids
+        assert "BEES103" in ids
         for descriptor in rules:
             assert descriptor["shortDescription"]["text"]
 

@@ -15,8 +15,8 @@ ALIASES = {
     "BEES103": "seeded-rng",
     "unit-suffix": "unit-suffix",
     "BEES102": "unit-suffix",
-    "lock-discipline": "lock-discipline",
-    "BEES109": "lock-discipline",
+    "float-equality": "float-equality",
+    "BEES104": "float-equality",
 }
 
 
@@ -34,7 +34,7 @@ class TestMultiSlug:
         source = "x = 1  # beeslint: disable=seeded-rng,unit-suffix\n"
         assert suppressed(source, "seeded-rng")
         assert suppressed(source, "unit-suffix")
-        assert not suppressed(source, "lock-discipline")
+        assert not suppressed(source, "float-equality")
 
     def test_spaces_around_commas(self):
         source = "x = 1  # beeslint: disable=seeded-rng , unit-suffix\n"
@@ -42,9 +42,9 @@ class TestMultiSlug:
         assert suppressed(source, "unit-suffix")
 
     def test_mixed_slugs_and_codes(self):
-        source = "x = 1  # beeslint: disable=BEES103,lock-discipline\n"
+        source = "x = 1  # beeslint: disable=BEES103,float-equality\n"
         assert suppressed(source, "seeded-rng")
-        assert suppressed(source, "lock-discipline")
+        assert suppressed(source, "float-equality")
 
     def test_per_entry_justifications_are_ignored(self):
         source = (
@@ -56,9 +56,9 @@ class TestMultiSlug:
 
     def test_three_slugs(self):
         source = (
-            "x = 1  # beeslint: disable=seeded-rng,unit-suffix,BEES109\n"
+            "x = 1  # beeslint: disable=seeded-rng,unit-suffix,BEES104\n"
         )
-        for rule in ("seeded-rng", "unit-suffix", "lock-discipline"):
+        for rule in ("seeded-rng", "unit-suffix", "float-equality"):
             assert suppressed(source, rule)
 
 
@@ -88,7 +88,7 @@ class TestNoSilentWildcard:
     def test_bare_disable_still_means_everything(self):
         source = "x = 1  # beeslint: disable\n"
         assert suppressed(source, "seeded-rng")
-        assert suppressed(source, "lock-discipline")
+        assert suppressed(source, "float-equality")
 
     def test_disable_file_with_empty_list_suppresses_nothing(self):
         source = "# beeslint: disable-file=\nx = 1\n"

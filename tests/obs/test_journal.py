@@ -2,13 +2,11 @@
 
 The journal is the provenance substrate of the replay/diff/explain
 tooling, so these tests pin its durability contract (torn tails are
-survivable, mid-file corruption is not), its concurrency contract
-(per-device order under interleaved writers), and the exactness of the
-JSON round trip the byte-identical replay relies on.
+survivable, mid-file corruption is not), its device binding, and the
+exactness of the JSON round trip the byte-identical replay relies on.
 """
 
 import json
-import threading
 
 import pytest
 
@@ -105,6 +103,15 @@ class TestWriterRoundTrip:
         for line in lines[1:]:
             assert "span" not in json.loads(line)
 
+    def test_bind_nests_and_restores(self):
+        journal = DecisionJournal(path=None)
+        with journal.bind("outer"):
+            with journal.bind("inner"):
+                assert journal.device == "inner"
+                assert journal.emit("x").device == "inner"
+            assert journal.device == "outer"
+        assert journal.device is None
+
 
 class TestGlobals:
     def test_journal_to_installs_and_restores(self, tmp_path):
@@ -180,63 +187,6 @@ class TestDurability:
             JournalRecord.from_json_dict(
                 {"seq": 0, "event": "x", "data": "not-a-dict"}
             )
-
-
-class TestConcurrency:
-    def test_concurrent_writers_keep_per_device_order(self, tmp_path):
-        path = tmp_path / "threads.jsonl"
-        n_threads, n_events = 8, 50
-        with journal_to(path) as journal:
-
-            def work(number):
-                with journal.bind(f"dev-{number:02d}"):
-                    for i in range(n_events):
-                        journal.emit("cbrd.verdict", image_id=f"d{number}-i{i}")
-
-            threads = [
-                threading.Thread(target=work, args=(number,))
-                for number in range(n_threads)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        parsed = read_journal(path)
-        assert len(parsed.records) == n_threads * n_events
-        # Global sequence numbers are unique and dense.
-        seqs = [rec.seq for rec in parsed.records]
-        assert sorted(seqs) == list(range(n_threads * n_events))
-        streams = parsed.by_device()
-        assert len(streams) == n_threads
-        for device, stream in streams.items():
-            # Strictly monotonic per device, and image order matches
-            # the device's own emission order.
-            assert [r.seq for r in stream] == sorted(r.seq for r in stream)
-            assert [r.image for r in stream] == [
-                f"d{int(device[4:])}-i{i}" for i in range(n_events)
-            ]
-
-    def test_bind_is_thread_local(self):
-        journal = DecisionJournal(path=None)
-        seen = {}
-
-        def work():
-            seen["worker"] = journal.device
-
-        with journal.bind("dev-main"):
-            thread = threading.Thread(target=work)
-            thread.start()
-            thread.join()
-            assert journal.device == "dev-main"
-        assert seen["worker"] is None
-        assert journal.device is None
-
-    def test_bind_nests_and_restores(self):
-        journal = DecisionJournal(path=None)
-        with journal.bind("outer"):
-            with journal.bind("inner"):
-                assert journal.device == "inner"
-            assert journal.device == "outer"
 
 
 class TestDiff:

@@ -152,14 +152,11 @@ class TestPipelineInstrumentation:
         assert generate_latest(obs).count("bees_stage_seconds_bucket") == 0
 
 
-@pytest.mark.parametrize("mode", ["sequential", "concurrent"])
 class TestFleetRoundMetrics:
-    def test_every_round_is_one_journal_event(self, mode):
+    def test_every_round_is_one_journal_event(self):
         journal = DecisionJournal()
         set_journal(journal)
-        result = FleetRunner(
-            n_devices=3, n_rounds=2, batch_size=4, n_shards=2, mode=mode
-        ).run()
+        result = FleetRunner(n_devices=3, n_rounds=2, batch_size=4, n_shards=2).run()
         rounds = [
             record.data["round"]
             for record in journal.records

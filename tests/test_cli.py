@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -217,8 +221,7 @@ class TestJournalCommands:
                 "--devices", "2",
                 "--rounds", "1",
                 "--batch-size", "3",
-                "--mode", "sequential",
-                "--journal", str(path),
+                    "--journal", str(path),
             ]
         )
         assert code == 0
@@ -355,23 +358,15 @@ class TestJournalCommands:
 
 
 class TestLint:
-    # One BEES102 finding (line 2) and one BEES109 finding (line 15).
+    # One BEES102 finding (line 2) and one BEES103 finding (line 7).
     DIRTY = (
         "def drain(sent_bytes, battery_joules):\n"
         "    return sent_bytes + battery_joules\n"
         "\n"
-        "import threading\n"
+        "import numpy as np\n"
         "\n"
-        "class Counter:\n"
-        "    def __init__(self):\n"
-        "        self._lock = threading.Lock()\n"
-        "\n"
-        "    def bump(self):\n"
-        "        with self._lock:\n"
-        "            self._count = 1\n"
-        "\n"
-        "    def read(self):\n"
-        "        return self._count\n"
+        "def noise():\n"
+        "    return np.random.rand(3)\n"
     )
 
     def tree(self, tmp_path, source):
@@ -382,7 +377,7 @@ class TestLint:
         assert main(["lint", self.tree(tmp_path, self.DIRTY)]) == 1
         out = capsys.readouterr().out
         assert "module.py:2:" in out and "[unit-suffix]" in out
-        assert "module.py:15:" in out and "[lock-discipline]" in out
+        assert "module.py:7:" in out and "[seeded-rng]" in out
         assert "beeslint: 2 findings in 1 file(s)" in out
 
     def test_clean_tree_exits_zero(self, tmp_path, capsys):
@@ -402,7 +397,7 @@ class TestLint:
         document = json.loads(sarif.read_text())
         assert document["version"] == "2.1.0"
         [run] = document["runs"]
-        assert [r["ruleId"] for r in run["results"]] == ["BEES102", "BEES109"]
+        assert [r["ruleId"] for r in run["results"]] == ["BEES102", "BEES103"]
 
     def test_sarif_dash_keeps_stdout_pure(self, tmp_path, capsys):
         import json
@@ -419,7 +414,7 @@ class TestLint:
         assert [
             (r["ruleId"], r["locations"][0]["physicalLocation"]["region"]["startLine"])
             for r in run["results"]
-        ] == [("BEES102", 2), ("BEES109", 15)]
+        ] == [("BEES102", 2), ("BEES103", 7)]
 
     def test_help_lists_no_removed_options(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -430,3 +425,60 @@ class TestLint:
         assert "--changed" not in out
         assert "--no-cache" not in out
         assert "--format" not in out
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fleet", "run", "--help"])
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        assert "--verify" in out
+        assert "--mode" not in out
+        assert "--workers" not in out
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early (``repro ... | true``) ends the
+    command with exit code 1 and no traceback, and the ``--metrics``
+    export is still the whole run's."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src"
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["compare", "--images", "6", "--in-batch", "1",
+             "--schemes", "direct", "bees"],
+            ["fleet", "run", "--devices", "2", "--rounds", "1",
+             "--batch-size", "3"],
+        ],
+        ids=["compare", "fleet-run"],
+    )
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_no_traceback_and_same_export(self, command, unbuffered, tmp_path):
+        pythonpath = os.pathsep.join(
+            filter(None, [str(self.SRC), os.environ.get("PYTHONPATH")])
+        )
+        env = dict(os.environ, PYTHONPATH=pythonpath)
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+
+        def run(name, stdout):
+            path = tmp_path / name
+            process = subprocess.run(
+                [sys.executable, "-m", "repro", *command, "--metrics", str(path)],
+                env=env, stdout=stdout, stderr=subprocess.PIPE, text=True,
+                timeout=300,
+            )
+            return process, path
+
+        reference, expected = run("open.prom", subprocess.DEVNULL)
+        assert reference.returncode == 0, reference.stderr
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            piped, written = run("closed.prom", write_end)
+        finally:
+            os.close(write_end)
+        assert piped.returncode == 1
+        assert "Traceback" not in piped.stderr
+        assert piped.stderr == ""
+        assert written.read_bytes() == expected.read_bytes()
